@@ -9,10 +9,10 @@ from __future__ import annotations
 import argparse
 import csv
 import hashlib
-import io
 import json
 import os
 import sys
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -39,9 +39,10 @@ from .engine import (
     RelationSet,
     Relation,
     assemble_matrix,
+    exact_rref,
     expected_relation_count,
     generate_relations,
-    hoffman_reduce,
+    reduce_relations,
     verify_numeric,
 )
 from .numeric import ToleranceUnreachable, eval_mzv
@@ -146,14 +147,34 @@ def _cache_path(base: Path, w: int, families, duality: bool, mode: str) -> Path:
     return base / key
 
 
-def _load_or_generate(args, w: int, families, duality: bool, mode: str) -> RelationSet:
-    path = _cache_path(_data_dir(args), w, families, duality, mode)
-    if path.exists():
+def _read_cache(path: Path) -> RelationSet | None:
+    """The cached relation set, or None for a missing, stale, truncated or
+    otherwise unreadable entry (a cache miss)."""
+    try:
         doc = json.loads(path.read_text())
         if doc.get("schema") == SCHEMA and doc["flags"].get("generator") == _GEN_HASH:
             return _relset_from_dict(doc)
+    except FileNotFoundError:
+        pass
+    except (ValueError, KeyError, TypeError, AttributeError) as exc:
+        print(f"warning: unreadable cache entry {path.name} ({exc!r}), regenerating",
+              file=sys.stderr)
+    return None
+
+
+def _load_or_generate(args, w: int, families, duality: bool, mode: str) -> RelationSet:
+    path = _cache_path(_data_dir(args), w, families, duality, mode)
+    rs = _read_cache(path)
+    if rs is not None:
+        return rs
     rs = generate_relations(w, families, duality, mode)
-    path.write_text(json.dumps(_relset_dict(rs), sort_keys=True))
+    # write a temp file and rename it, so readers never see a partial entry
+    tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
+    try:
+        tmp.write_text(json.dumps(_relset_dict(rs), sort_keys=True))
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
     return rs
 
 
@@ -294,24 +315,23 @@ def _cmd_relations(args) -> int:
     return 0
 
 
-def _matrix_csv(rs: RelationSet, hoffman_last: bool) -> str:
+def _matrix_csv(rs: RelationSet, hoffman_last: bool, path: str) -> None:
+    """Write the coefficient matrix as dense CSV, streaming the sparse rows
+    ("0" for an absent entry)."""
     m = assemble_matrix(rs, hoffman_last)
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow([format_composition(c) for c in m.columns])
-    for row in m.rows:
-        writer.writerow([str(x) for x in row])
-    return buf.getvalue()
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow([format_composition(c) for c in m.columns])
+        for row in m.rows:
+            writer.writerow([str(row.get(k, 0)) for k in range(len(m.columns))])
 
 
 def _cmd_reduce(args) -> int:
     rs = _load_or_generate(args, args.weight, args.families, args.duality, args.mode)
     if args.out and args.out.endswith(".csv"):
-        Path(args.out).write_text(_matrix_csv(rs, args.hoffman_last))
+        _matrix_csv(rs, args.hoffman_last, args.out)
         return 0
     if not args.hoffman_last:
-        from .engine import exact_rref
-
         red = exact_rref(assemble_matrix(rs, hoffman_last=False))
         expected = 2 ** (args.weight - 2) - hoffman_dim(args.weight)
         payload = {
@@ -326,7 +346,7 @@ def _cmd_reduce(args) -> int:
         )
         _emit_payload(args, payload, text)
         return 0 if red.rank == expected else 1
-    rep = hoffman_reduce(args.weight, args.families, args.duality, args.mode)
+    rep = reduce_relations(rs)
     if args.report == "rank":
         payload = {"schema": SCHEMA, **rep.as_dict()}
         text = f"rank {rep.rank} (expected {rep.expected_rank}), ok={rep.ok}"
@@ -408,15 +428,15 @@ def _cmd_verify(args) -> int:
                          "expected": expected_relation_count(w)})
     summary.append(f"relations: {len(rs.relations)} generated")
 
-    rep = hoffman_reduce(w)
-    expected_rank = 2 ** (w - 2) - hoffman_dim(w)
+    rep = reduce_relations(rs)
     if not rep.ok:
         failures.append({"check": "rank", **rep.as_dict()})
     summary.append(
-        f"rank: {rep.rank} (expected {expected_rank}), free columns "
+        f"rank: {rep.rank} (expected {rep.expected_rank}), free columns "
         + "{" + ", ".join(format_composition(c) for c in rep.free_columns) + "}"
     )
-    repd = hoffman_reduce(w, include_duality=True)
+    duals = generate_relations(w, families=(), include_duality=True).relations
+    repd = reduce_relations(replace(rs, relations=rs.relations + duals, duality=True))
     summary.append(f"rank with duality: {repd.rank}")
     if repd.rank != rep.rank:
         summary.append("note: duality changed the rank (recorded, not failed)")

@@ -1,10 +1,13 @@
 """Relation sets per weight, exact rational reduction, Hoffman-basis check.
 
 A relation is the body of one double-shuffle difference (or one duality
-pair) at a fixed weight.  Relations assemble into an exact rational
-matrix over the ordered basis of that weight; fraction-free forward
-elimination computes the rank, and rational back-substitution expresses
-every pivot (dependent) polyzeta through the free (basis) ones.
+pair) at a fixed weight.  Relations assemble into sparse rational rows
+over the ordered basis of that weight.  ``exact_rref`` reduces them
+modulo large primes, lifts the reduction table to Q by the Chinese
+remainder theorem and rational reconstruction, and certifies it over Q:
+every relation must map to zero through the table, which proves the
+rank and the pivot set.  The table expresses every pivot (dependent)
+polyzeta through the free (basis) ones.
 """
 
 from __future__ import annotations
@@ -12,13 +15,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .closedforms import LEFT_FACTORS, closed_dsr
 from .core import Composition, dual
 from .counting import hoffman_dim, is_hoffman
 from .numeric import eval_mzv
-from .oracle import LinComb, dsr as oracle_dsr
+from .oracle import InternalConsistencyError, LinComb, dsr as oracle_dsr
 from .ordering import enumerate_weight, index_of
 
 __all__ = [
@@ -33,6 +36,7 @@ __all__ = [
     "assemble_matrix",
     "exact_rref",
     "hoffman_reduce",
+    "reduce_relations",
     "verify_numeric",
 ]
 
@@ -124,11 +128,13 @@ def generate_relations(
 
 @dataclass
 class RationalMatrix:
-    """Relation rows over the ordered column basis of one weight."""
+    """Sparse relation rows over the ordered column basis of one weight:
+    one ``{column index: coefficient}`` dict per relation, without zero
+    entries."""
 
     weight: int
     columns: tuple[Composition, ...]
-    rows: list[list[Fraction]]
+    rows: list[dict[int, Fraction]]
     row_meta: list[tuple[str, Composition]]
 
     @property
@@ -146,14 +152,8 @@ def assemble_matrix(rs: RelationSet, hoffman_last: bool = False) -> RationalMatr
             c for c in columns if is_hoffman(c)
         ]
     col_index = {c: k for k, c in enumerate(columns)}
-    rows: list[list[Fraction]] = []
-    meta: list[tuple[str, Composition]] = []
-    for rel in rs.relations:
-        row = [Fraction(0)] * len(columns)
-        for term, coeff in rel.body.items():
-            row[col_index[term]] = Fraction(coeff)
-        rows.append(row)
-        meta.append((rel.family, rel.source))
+    rows = [{col_index[t]: c for t, c in rel.body.items()} for rel in rs.relations]
+    meta = [(rel.family, rel.source) for rel in rs.relations]
     return RationalMatrix(rs.weight, tuple(columns), rows, meta)
 
 
@@ -186,77 +186,194 @@ class ReductionResult:
         return acc
 
 
-def _scale_to_int(row: Sequence[Fraction]) -> list[int]:
-    den = 1
-    for x in row:
-        den = den * x.denominator // math.gcd(den, x.denominator)
-    return [int(x * den) for x in row]
+# The primes just below 2^127.  One prime lifts every table up to w=11;
+# w=12 needs two, its table having 70-bit numerators over 58-bit
+# denominators.
+PRIMES = tuple(2**127 - k for k in (1, 25, 39, 295, 309, 507, 511, 577))
+
+# pivot column -> {free column: residue}: the pivot solved for the free
+# columns modulo a prime or a product of primes
+_Table = dict[int, dict[int, int]]
+
+
+def _rref_mod(rows: list[dict[int, int]], ncols: int, p: int) -> _Table:
+    """Sparse reduced row echelon form of integer rows mod p.
+
+    Rows are taken by leading column, rightmost first.  Each one is
+    reduced against the pivots found so far, always at its leftmost
+    entry, until that entry lies in a new pivot column or the row
+    vanishes.  Whatever the row order, the pivot set comes out as the set
+    of leading columns of the row space, so only the column order fixes
+    it.  The order sets the fill-in: a row whose leading column has no
+    pivot yet becomes that pivot unreduced, so updates only arise where
+    leading columns collide (at w=11 and 12 a third fewer than taking the
+    shortest rows first).  Back-substitution, right to left, then clears
+    the pivot columns from every pivot row.
+
+    The row being reduced is held densely and only reduced mod p where it
+    is read, which keeps the modular division out of the inner loop.
+    """
+    # pivot column -> the rest of its row, scaled to a unit pivot
+    pivots: list[list[tuple[int, int]] | None] = [None] * ncols
+    for int_row in sorted(rows, key=lambda r: -min(r, default=ncols)):
+        acc = [0] * ncols
+        for j, x in int_row.items():
+            acc[j] = x
+        for c in range(min(int_row, default=ncols), ncols):
+            v = acc[c] % p
+            if not v:
+                continue
+            prow = pivots[c]
+            if prow is None:
+                inv = pow(v, -1, p)
+                pivots[c] = [
+                    (j, y * inv % p) for j in range(c + 1, ncols) if (y := acc[j] % p)
+                ]
+                break
+            for j, x in prow:
+                acc[j] -= v * x
+    free = [k for k in range(ncols) if pivots[k] is None]
+    reduced: dict[int, list[tuple[int, int]]] = {}
+    for c in range(ncols - 1, -1, -1):
+        if pivots[c] is None:
+            continue
+        acc = [0] * ncols
+        for j, x in pivots[c]:
+            # a pivot right of c is already reduced: free columns only
+            if j in reduced:
+                for k, y in reduced[j]:
+                    acc[k] -= x * y
+            else:
+                acc[j] += x
+        reduced[c] = [(k, y) for k in free if (y := acc[k] % p)]
+    # row c reads x_c + sum y*x_k = 0, so x_c = sum (p - y)*x_k mod p
+    return {c: {k: p - y for k, y in red} for c, red in reduced.items()}
+
+
+def _crt(acc: _Table, modulus: int, new: _Table, p: int) -> _Table:
+    """Combine residues mod ``modulus`` with residues mod p (same pivots)."""
+    lift = modulus * pow(modulus, -1, p)
+    both = modulus * p
+    out: _Table = {}
+    for c, expr in acc.items():
+        other = new[c]
+        row = {}
+        for j in expr.keys() | other.keys():
+            a = expr.get(j, 0)
+            row[j] = (a + (other.get(j, 0) - a) * lift) % both
+        out[c] = row
+    return out
+
+
+def _rational(u: int, m: int) -> Fraction | None:
+    """The n/d with n = u*d mod m and |n|, d <= sqrt(m/2), if any (Wang's
+    rational reconstruction by the half-extended Euclidean algorithm)."""
+    bound = math.isqrt(m // 2)
+    r0, r1, t0, t1 = m, u, 0, 1
+    while r1 > bound:
+        q = r0 // r1
+        r0, r1 = r1, r0 - q * r1
+        t0, t1 = t1, t0 - q * t1
+    if not 0 < abs(t1) <= bound or math.gcd(r1, t1) != 1:
+        return None
+    return Fraction(r1, t1)
+
+
+def _reconstruct(acc: _Table, modulus: int) -> dict[int, dict[int, Fraction]] | None:
+    """The table over Q whose residues are ``acc``, or None while the
+    modulus is too small for some entry."""
+    table = {}
+    for c, expr in acc.items():
+        row = {}
+        for j, u in expr.items():
+            x = _rational(u, modulus)
+            if x is None:
+                return None
+            if x:
+                row[j] = x
+        table[c] = row
+    return table
+
+
+def _certify(rows: list[dict[int, int]], table: dict[int, dict[int, Fraction]]) -> bool:
+    """True iff every integer row maps to zero through the table.
+
+    Each table row is scaled by its own denominator, so the check runs in
+    integers: for a row r and each free column j,
+    L*r_j + sum over pivots c of r_c * (L/D_c) * (D_c * t_cj) must vanish,
+    with D_c the denominator of table row c and L the lcm of the D_c that r
+    meets.
+    """
+    scaled = {}
+    for c, expr in table.items():
+        d = math.lcm(*(x.denominator for x in expr.values()))
+        scaled[c] = (d, [(j, x.numerator * (d // x.denominator)) for j, x in expr.items()])
+    for row in rows:
+        big = math.lcm(*(scaled[c][0] for c in row if c in scaled))
+        acc: dict[int, int] = {}
+        for c, x in row.items():
+            if c in scaled:
+                d, expr = scaled[c]
+                f = x * (big // d)
+                for j, n in expr:
+                    acc[j] = acc.get(j, 0) + f * n
+            else:
+                acc[c] = acc.get(c, 0) + x * big
+        if any(acc.values()):
+            return False
+    return True
 
 
 def exact_rref(m: RationalMatrix) -> ReductionResult:
-    """Exact reduction: fraction-free forward elimination (integer rows),
-    then rational back-substitution for the pivot-through-free table.
+    """Exact reduction, computed modulo primes, lifted to Q, then certified.
 
-    Pivot choice is deterministic: leftmost column, then lowest row.
+    Each row is scaled to integers once.  For each prime of ``PRIMES`` the
+    sparse reduced row echelon form mod p gives a pivot set and a table
+    (every pivot column as a combination of the free ones).  Primes with
+    the same pivot set are combined by the Chinese remainder theorem, and
+    rational reconstruction lifts the combined table to Q.  A lifted table
+    is returned only once every input row maps to zero through it: then
+    rank_Q <= #pivots = rank_p <= rank_Q, so the rank, the pivot set (the
+    leftmost one, as in the unique RREF) and the table are exact.
+
+    A prime whose rank, or pivot set, is worse than the best seen so far
+    is unlucky and skipped; a better one restarts the accumulation.  If
+    the primes run out before a table passes the certificate,
+    InternalConsistencyError is raised: no uncertified table is returned.
     """
-    nrows, ncols = m.shape
-    rows = [_scale_to_int(r) for r in m.rows]
-    pivots: list[tuple[int, int]] = []  # (row, col) in echelon order
-    prev = 1
-    r = 0
-    for c in range(ncols):
-        pr = next((i for i in range(r, nrows) if rows[i][c] != 0), None)
-        if pr is None:
+    rows = []
+    for row in m.rows:
+        den = math.lcm(*(x.denominator for x in row.values()))
+        rows.append({j: x.numerator * (den // x.denominator) for j, x in row.items()})
+    best = acc = None
+    modulus = 1
+    for p in PRIMES:
+        mod_table = _rref_mod(rows, len(m.columns), p)
+        # over Q the pivot set is the largest, then leftmost, of all primes'
+        key = (-len(mod_table), sorted(mod_table))
+        if best is None or key < best:
+            best, acc, modulus = key, mod_table, p
+        elif key > best:
             continue
-        if pr != r:
-            rows[r], rows[pr] = rows[pr], rows[r]
-        piv = rows[r][c]
-        for i in range(r + 1, nrows):
-            if not any(rows[i][c:]):
-                continue
-            ric = rows[i][c]
-            ri, rr = rows[i], rows[r]
-            for j in range(c + 1, ncols):
-                ri[j] = (ri[j] * piv - ric * rr[j]) // prev
-            ri[c] = 0
-        pivots.append((r, c))
-        prev = piv
-        r += 1
-        if r == nrows:
+        else:
+            acc, modulus = _crt(acc, modulus, mod_table, p), modulus * p
+        table = _reconstruct(acc, modulus)
+        if table is not None and _certify(rows, table):
             break
-    pivot_cols = [c for _, c in pivots]
-    free_cols = [c for c in range(ncols) if c not in set(pivot_cols)]
-    # back-substitute: express each pivot column over the free columns
-    exprs: dict[int, dict[int, Fraction]] = {}
-    for r, c in reversed(pivots):
-        row = rows[r]
-        acc: dict[int, Fraction] = {}
-        for j in range(c + 1, ncols):
-            if not row[j]:
-                continue
-            coeff = Fraction(row[j], row[c])
-            if j in exprs:
-                for fj, x in exprs[j].items():
-                    s = acc.get(fj, Fraction(0)) - coeff * x
-                    if s:
-                        acc[fj] = s
-                    else:
-                        acc.pop(fj, None)
-            else:
-                s = acc.get(j, Fraction(0)) - coeff
-                if s:
-                    acc[j] = s
-                else:
-                    acc.pop(j, None)
-        exprs[c] = acc
+    else:
+        raise InternalConsistencyError(
+            f"no certified reduction from {len(PRIMES)} primes "
+            f"(best rank mod p: {-best[0]})"
+        )
     cols = m.columns
+    pivot_cols = sorted(table)
     return ReductionResult(
-        rank=len(pivots),
+        rank=len(pivot_cols),
         pivot_columns=[cols[c] for c in pivot_cols],
-        free_columns=[cols[c] for c in free_cols],
+        free_columns=[c for k, c in enumerate(cols) if k not in table],
         table={
-            cols[c]: {cols[j]: x for j, x in sorted(expr.items())}
-            for c, expr in exprs.items()
+            cols[c]: {cols[j]: x for j, x in sorted(table[c].items())}
+            for c in pivot_cols
         },
     )
 
@@ -304,25 +421,28 @@ def hoffman_reduce(
     include_duality: bool = False,
     mode: str = "closed",
 ) -> HoffmanReport:
-    """Generate, assemble with the {2,3} columns last, reduce, and check
-    that exactly the {2,3}-entry polyzetas remain free."""
+    """Generate the relations of weight w and check them with
+    ``reduce_relations``."""
+    return reduce_relations(generate_relations(w, families, include_duality, mode))
+
+
+def reduce_relations(rs: RelationSet) -> HoffmanReport:
+    """Assemble with the {2,3} columns last, reduce, and check that
+    exactly the {2,3}-entry polyzetas remain free."""
+    w = rs.weight
     if w < 4:
         raise ValueError("hoffman_reduce needs w >= 4")
-    rs = generate_relations(w, families, include_duality, mode)
     red = exact_rref(assemble_matrix(rs, hoffman_last=True))
-    expected = 2 ** (w - 2) - hoffman_dim(w)
-    free = red.free_columns
-    non_h = [c for c in free if not is_hoffman(c)]
-    missing = [c for c in enumerate_weight(w) if is_hoffman(c) and c not in set(free)]
+    free = set(red.free_columns)
     return HoffmanReport(
         weight=w,
-        families=tuple(families),
-        duality=include_duality,
+        families=rs.families,
+        duality=rs.duality,
         rank=red.rank,
-        expected_rank=expected,
-        free_columns=free,
-        non_hoffman_free=non_h,
-        missing_hoffman=missing,
+        expected_rank=2 ** (w - 2) - hoffman_dim(w),
+        free_columns=red.free_columns,
+        non_hoffman_free=[c for c in red.free_columns if not is_hoffman(c)],
+        missing_hoffman=[c for c in enumerate_weight(w) if is_hoffman(c) and c not in free],
         result=red,
     )
 

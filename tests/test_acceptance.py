@@ -143,10 +143,10 @@ def test_criterion_4_counting_identities():
 
 
 def test_criterion_5_rank_dimension():
-    """Exact ranks and Hoffman free sets for w = 4..10; duality alongside."""
+    """Exact ranks and Hoffman free sets for w = 4..11; duality alongside."""
     t0 = time.time()
     notes = []
-    for w in range(4, 11):
+    for w in range(4, 12):
         rep = hoffman_reduce(w)
         assert rep.rank == 2 ** (w - 2) - hoffman_dim(w), w
         assert rep.ok, rep.as_dict()
@@ -156,7 +156,7 @@ def test_criterion_5_rank_dimension():
             notes.append(f"w={w}: duality rank {repd.rank} vs {rep.rank}")
     assert time.time() - t0 < 300
     suffix = ("; " + "; ".join(notes)) if notes else "; duality never changed the rank"
-    report(5, f"ranks 4..10 all equal 2^(w-2) - delta_w{suffix}", t0)
+    report(5, f"ranks 4..11 all equal 2^(w-2) - delta_w{suffix}", t0)
 
 
 def test_criterion_6_numeric_referee():

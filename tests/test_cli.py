@@ -1,8 +1,11 @@
 import json
+from pathlib import Path
 
 import pytest
 
 from polyzeta.cli import main
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
 def run(capsys, *argv):
@@ -114,6 +117,19 @@ class TestFilesAndCache:
         assert lines[0].split(",")[0] == "4"
         assert len(lines) == 1 + 3  # header + three relations
 
+    def test_truncated_cache_is_regenerated(self, capsys, tmp_path):
+        argv = ("reduce", "--weight", "6", "--report", "table", "--format", "json",
+                "--data-dir", str(tmp_path))
+        code, cold = run(capsys, *argv)
+        assert code == 0
+        (cached,) = tmp_path.glob("rels_w6_*.json")
+        text = cached.read_text()
+        cached.write_text(text[: len(text) // 2])
+        code, out = run(capsys, *argv)
+        assert code == 0 and out == cold
+        assert cached.read_text() == text
+        assert [p.name for p in tmp_path.iterdir()] == [cached.name]
+
     def test_reconcile_report(self, capsys, tmp_path):
         out = tmp_path / "report.json"
         code = main(["reconcile", "--g", "21", "--side", "stuffle",
@@ -144,3 +160,27 @@ class TestReduceVerify:
         assert code == 0
         assert "all checks passed" in out
         assert "rank: 6" in out
+
+
+@pytest.mark.parametrize("golden, argv", [
+    ("reduce_table_w6.json", ["--weight", "6", "--report", "table", "--format", "json"]),
+    ("reduce_table_w8.json", ["--weight", "8", "--report", "table", "--format", "json"]),
+    ("reduce_no_hoffman_last_w6.json", ["--weight", "6", "--no-hoffman-last", "--format", "json"]),
+    ("reduce_no_hoffman_last_w8.json", ["--weight", "8", "--no-hoffman-last", "--format", "json"]),
+    ("matrix_w6_hoffman_last.csv", ["--weight", "6"]),
+    ("matrix_w6.csv", ["--weight", "6", "--no-hoffman-last"]),
+])
+def test_reduce_golden_output(tmp_path, golden, argv):
+    """Reduce output is frozen byte for byte (JSON reports, matrix CSV)."""
+    out = tmp_path / golden
+    code = main(["reduce", *argv, "--data-dir", str(tmp_path), "--out", str(out)])
+    assert code == 0
+    assert out.read_bytes() == (GOLDEN / golden).read_bytes()
+
+
+def test_verify_golden_output(tmp_path):
+    out = tmp_path / "verify_w6.json"
+    code = main(["verify", "--weight", "6", "--format", "json",
+                 "--data-dir", str(tmp_path), "--out", str(out)])
+    assert code == 0
+    assert out.read_bytes() == (GOLDEN / "verify_w6.json").read_bytes()

@@ -1,11 +1,18 @@
+import hashlib
+import json
+import math
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from polyzeta.core import Composition, format_composition
 from polyzeta.counting import hoffman_dim, is_hoffman
 from polyzeta.engine import (
+    PRIMES,
     RationalMatrix,
     assemble_matrix,
     exact_rref,
@@ -14,9 +21,58 @@ from polyzeta.engine import (
     hoffman_reduce,
     verify_numeric,
 )
+from polyzeta.oracle import InternalConsistencyError
 from polyzeta.ordering import enumerate_weight
 
 C = Composition
+GOLDEN = Path(__file__).resolve().parents[1] / "perfbench" / "golden.json"
+
+
+def sparse(rows):
+    """Dense rows -> the sparse rows of a RationalMatrix."""
+    return [{j: Fraction(x) for j, x in enumerate(r) if x} for r in rows]
+
+
+def naive_rref(rows, ncols):
+    """Plain rational Gauss-Jordan on dense rows: pivot columns and the
+    table {pivot: {free: coefficient}}, by column index."""
+    rows = [[Fraction(x) for x in r] for r in rows]
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        pr = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if pr is None:
+            continue
+        rows[r], rows[pr] = rows[pr], rows[r]
+        rows[r] = [x / rows[r][c] for x in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][c]:
+                f = rows[i][c]
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+    table = {}
+    for k, c in enumerate(pivots):
+        table[c] = {
+            j: -rows[k][j]
+            for j in range(ncols)
+            if j not in pivots and rows[k][j]
+        }
+    return pivots, table
+
+
+def assert_matches_naive(rows, ncols):
+    cols = tuple(enumerate_weight((ncols - 1).bit_length() + 2))[:ncols]
+    m = RationalMatrix(cols[0].weight, cols, sparse(rows), [("t", cols[0])] * len(rows))
+    red = exact_rref(m)
+    pivots, table = naive_rref(rows, ncols)
+    assert red.rank == len(pivots)
+    assert [cols[c] for c in pivots] == red.pivot_columns
+    assert red.free_columns == [c for k, c in enumerate(cols) if k not in pivots]
+    assert red.table == {
+        cols[c]: {cols[j]: x for j, x in sorted(expr.items())}
+        for c, expr in table.items()
+    }
 
 
 class TestGenerate:
@@ -101,10 +157,7 @@ class TestRref:
         m = RationalMatrix(
             weight=4,
             columns=tuple(enumerate_weight(4)),
-            rows=[
-                [Fraction(2), Fraction(0), Fraction(0), Fraction(0)],
-                [Fraction(0), Fraction(0), Fraction(3), Fraction(0)],
-            ],
+            rows=[{0: Fraction(2)}, {2: Fraction(3)}],
             row_meta=[("t", C((4,)))] * 2,
         )
         red = exact_rref(m)
@@ -146,35 +199,9 @@ class TestRref:
         assert a == b
 
     def test_against_plain_gauss_jordan(self):
-        # the fraction-free pass must agree with a naive rational RREF on
+        # the modular pass must agree with a naive rational RREF on
         # arbitrary (often singular) matrices
-        def naive(rows, ncols):
-            rows = [r[:] for r in rows]
-            pivots = []
-            r = 0
-            for c in range(ncols):
-                pr = next((i for i in range(r, len(rows)) if rows[i][c]), None)
-                if pr is None:
-                    continue
-                rows[r], rows[pr] = rows[pr], rows[r]
-                rows[r] = [x / rows[r][c] for x in rows[r]]
-                for i in range(len(rows)):
-                    if i != r and rows[i][c]:
-                        f = rows[i][c]
-                        rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
-                pivots.append(c)
-                r += 1
-            table = {}
-            for k, c in enumerate(pivots):
-                table[c] = {
-                    j: -rows[k][j]
-                    for j in range(ncols)
-                    if j not in pivots and rows[k][j]
-                }
-            return pivots, table
-
         rng = random.Random(99)
-        cols = tuple(enumerate_weight(5))
         for _ in range(30):
             nrows = rng.randint(1, 6)
             rows = [
@@ -183,22 +210,59 @@ class TestRref:
             ]
             if rng.random() < 0.5 and nrows >= 2:
                 rows[-1] = [2 * x for x in rows[0]]  # force a dependency
-            m = RationalMatrix(5, cols, [r[:] for r in rows], [("t", cols[0])] * nrows)
-            red = exact_rref(m)
-            pivots, table = naive(rows, 8)
-            assert [cols[c] for c in pivots] == red.pivot_columns
-            assert red.table == {
-                cols[c]: {cols[j]: x for j, x in sorted(expr.items())}
-                for c, expr in table.items()
-            }
+            assert_matches_naive(rows, 8)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_sparse_random_against_naive(self, data):
+        ncols = data.draw(st.integers(1, 16), label="ncols")
+        entry = st.fractions(-50, 50, max_denominator=30).filter(bool)
+        rows = [
+            [r.get(j, Fraction(0)) for j in range(ncols)]
+            for r in data.draw(st.lists(
+                st.dictionaries(st.integers(0, ncols - 1), entry, max_size=4),
+                max_size=12,
+            ), label="rows")
+        ]
+        # rank-deficient: append combinations of the rows drawn so far
+        for _ in range(data.draw(st.integers(0, 3), label="dependent")):
+            if not rows:
+                break
+            a, b = data.draw(st.sampled_from(rows)), data.draw(st.sampled_from(rows))
+            k = data.draw(st.fractions(-5, 5, max_denominator=7))
+            rows.append([x + k * y for x, y in zip(a, b)])
+        assert_matches_naive(rows, ncols)
+
+    def test_unlucky_prime(self):
+        # 1 + p makes the first row equal the second mod the first prime
+        p = PRIMES[0]
+        rows = [[1 + p, 1, 0, 2], [1, 1, 0, 2], [0, 0, 3, 1]]
+        assert_matches_naive(rows, 4)
+        # a multiple of p: the whole first column vanishes mod p
+        rows = [[p, 1, 0], [0, 1, 1], [0, 2, 2]]
+        assert_matches_naive(rows, 3)
+
+    def test_primes_exhausted_raises(self):
+        # every prime sees rank 1 where the rank over Q is 2: the table is
+        # never certified, so none is returned
+        big = math.prod(PRIMES)
+        cols = tuple(enumerate_weight(4))
+        m = RationalMatrix(4, cols, sparse([[big, 1], [0, 1]]), [("t", cols[0])] * 2)
+        with pytest.raises(InternalConsistencyError):
+            exact_rref(m)
+
+    def test_table_lifted_from_several_primes(self):
+        # entries of about 400 bits need seven primes before they lift
+        big = 3 ** 250
+        assert_matches_naive([[big + 1, 0, 7], [0, 5, big - 2]], 3)
 
     def test_fractional_rows(self):
         m = RationalMatrix(
             weight=4,
             columns=tuple(enumerate_weight(4)),
             rows=[
-                [Fraction(1, 2), Fraction(1, 3), Fraction(0), Fraction(0)],
-                [Fraction(1, 2), Fraction(1, 3), Fraction(0), Fraction(5)],
+                {0: Fraction(1, 2), 1: Fraction(1, 3)},
+                {0: Fraction(1, 2), 1: Fraction(1, 3), 3: Fraction(5)},
             ],
             row_meta=[("t", C((4,)))] * 2,
         )
@@ -224,6 +288,20 @@ class TestHoffmanReduce:
     def test_duality_does_not_change_rank_small(self):
         for w in (5, 6, 7):
             assert hoffman_reduce(w).rank == hoffman_reduce(w, include_duality=True).rank
+
+    @pytest.mark.parametrize("w", (9, 10, 11))
+    def test_golden_table_digest(self, w):
+        want = json.loads(GOLDEN.read_text())["tables"][str(w)]
+        table = hoffman_reduce(w).result.table
+        doc = {
+            format_composition(p): {
+                format_composition(f): [str(x.numerator), str(x.denominator)]
+                for f, x in expr.items()
+            }
+            for p, expr in table.items()
+        }
+        text = json.dumps(doc, sort_keys=True, separators=(",", ":"))
+        assert hashlib.sha256(text.encode()).hexdigest() == want
 
     def test_failure_is_reported_not_raised(self):
         rep = hoffman_reduce(6, families=("1",))
