@@ -33,13 +33,12 @@ from .core import (
     parse_composition,
     signature,
 )
-from .counting import count_report, hoffman_dim, n_total, n_wd, n_wdh
+from .counting import count_report, n_total, n_wd, n_wdh
 from .engine import (
     GENERATOR_VERSION,
     RelationSet,
     Relation,
     assemble_matrix,
-    exact_rref,
     expected_relation_count,
     generate_relations,
     reduce_relations,
@@ -180,6 +179,8 @@ def _load_or_generate(args, w: int, families, duality: bool, mode: str) -> Relat
 
 def _families_arg(text: str) -> tuple[str, ...]:
     fams = tuple(x.strip() for x in text.split(",") if x.strip())
+    if not fams:
+        raise argparse.ArgumentTypeError("no family given (use 1,2,3,21)")
     for f in fams:
         if f not in LEFT_FACTORS:
             raise argparse.ArgumentTypeError(f"unknown family {f!r} (use 1,2,3,21)")
@@ -331,22 +332,20 @@ def _cmd_reduce(args) -> int:
     if args.out and args.out.endswith(".csv"):
         _matrix_csv(rs, args.hoffman_last, args.out)
         return 0
+    rep = reduce_relations(rs, args.hoffman_last)
     if not args.hoffman_last:
-        red = exact_rref(assemble_matrix(rs, hoffman_last=False))
-        expected = 2 ** (args.weight - 2) - hoffman_dim(args.weight)
         payload = {
             "schema": SCHEMA,
-            "weight": args.weight,
-            "rank": red.rank,
-            "expected_rank": expected,
-            "free_columns": [list(c) for c in red.free_columns],
+            "weight": rep.weight,
+            "rank": rep.rank,
+            "expected_rank": rep.expected_rank,
+            "free_columns": [list(c) for c in rep.free_columns],
         }
-        text = f"rank {red.rank} (expected {expected}), free columns: " + ", ".join(
-            format_composition(c) for c in red.free_columns
+        text = f"rank {rep.rank} (expected {rep.expected_rank}), free columns: " + ", ".join(
+            format_composition(c) for c in rep.free_columns
         )
         _emit_payload(args, payload, text)
-        return 0 if red.rank == expected else 1
-    rep = reduce_relations(rs)
+        return 0 if rep.rank == rep.expected_rank else 1
     if args.report == "rank":
         payload = {"schema": SCHEMA, **rep.as_dict()}
         text = f"rank {rep.rank} (expected {rep.expected_rank}), ok={rep.ok}"

@@ -556,16 +556,23 @@ def _shuffle_3(e: _Emitter, printed: bool) -> None:
                                 j3: e.longer(j3, 1)})
 
 
-def _dsr_3(e: _Emitter, printed: bool) -> None:
-    before = len(e.out)
-    _stuffle_3(e, printed)
-    negated = [
-        FamilyTerm("-" + t.family, t.composition, -t.coeff, t.depth, t.height)
-        for t in e.out[before:]
-    ]
-    del e.out[before:]
-    e.out.extend(negated)
-    _shuffle_3(e, printed)
+def _shuffle_minus_stuffle(stuffle, shuffle) -> Callable[[_Emitter, bool], None]:
+    """The dsr generator shuffle - stuffle: the stuffle families come
+    first, negated and renamed ``-family``."""
+
+    def dsr(e: _Emitter, printed: bool) -> None:
+        before = len(e.out)
+        stuffle(e, printed)
+        e.out[before:] = [
+            FamilyTerm("-" + t.family, t.composition, -t.coeff, t.depth, t.height)
+            for t in e.out[before:]
+        ]
+        shuffle(e, printed)
+
+    return dsr
+
+
+_dsr_3 = _shuffle_minus_stuffle(_stuffle_3, _shuffle_3)
 
 
 # ---------------------------------------------------------------------------
@@ -877,16 +884,7 @@ def _shuffle_21(e: _Emitter, printed: bool) -> None:
     e.family("011->end").emit(1, 2, 1, back=(2, 1))
 
 
-def _dsr_21(e: _Emitter, printed: bool) -> None:
-    before = len(e.out)
-    _stuffle_21(e, printed)
-    negated = [
-        FamilyTerm("-" + t.family, t.composition, -t.coeff, t.depth, t.height)
-        for t in e.out[before:]
-    ]
-    del e.out[before:]
-    e.out.extend(negated)
-    _shuffle_21(e, printed)
+_dsr_21 = _shuffle_minus_stuffle(_stuffle_21, _shuffle_21)
 
 
 _GENERATORS: dict[tuple[str, str], Callable[[_Emitter, bool], None]] = {
@@ -932,14 +930,7 @@ def closed_terms(g: str, side: str, z, variant: str = "corrected") -> list[Famil
 
 
 def _sum_terms(terms: list[FamilyTerm]) -> LinComb:
-    out: dict[Composition, Fraction] = {}
-    for t in terms:
-        s = out.get(t.composition, Fraction(0)) + t.coeff
-        if s:
-            out[t.composition] = s
-        else:
-            out.pop(t.composition, None)
-    return LinComb(out)
+    return LinComb((t.composition, t.coeff) for t in terms)
 
 
 def closed_stuffle(g: str, z, variant: str = "corrected") -> LinComb:
@@ -1023,11 +1014,24 @@ def _oracle_product(g: str, side: str, z: Composition) -> LinComb:
     return oracle_dsr(gc, z)
 
 
+def _family_sums(terms: list[FamilyTerm], families) -> dict[str, dict]:
+    """family -> {composition: summed coefficient} for the named families
+    (a negated ``-family`` counts as ``family``)."""
+    out: dict[str, dict] = {}
+    for t in terms:
+        base = t.family.removeprefix("-")
+        if base in families:
+            fam = out.setdefault(base, {})
+            fam[t.composition] = fam.get(t.composition, 0) + t.coeff
+    return out
+
+
 def reconcile_one(g: str, side: str, z) -> DiscrepancyReport:
     """Compare the shipped closed form against the oracle for one z."""
     z = z if isinstance(z, Composition) else Composition(z)
-    shipped = _sum_terms(closed_terms(g, side, z, "corrected"))
-    printed = _sum_terms(closed_terms(g, side, z, "printed"))
+    corrected = closed_terms(g, side, z, "corrected")
+    printed = closed_terms(g, side, z, "printed")
+    shipped = _sum_terms(corrected)
     target = _oracle_product(g, side, z)
     rep = DiscrepancyReport(g=g, side=side, z=z)
     for t, c in target.items():
@@ -1039,20 +1043,13 @@ def reconcile_one(g: str, side: str, z) -> DiscrepancyReport:
     for t, c in shipped.items():
         if target[t] == 0:
             rep.extra[t] = c
-    rep.beyond_printed = (shipped - printed).terms()
+    rep.beyond_printed = (shipped - _sum_terms(printed)).terms()
     corrected_here = _corrections_for(g, side)
-    if corrected_here:
-        by_family_c: dict[str, dict] = {}
-        by_family_p: dict[str, dict] = {}
-        for variant, acc in (("corrected", by_family_c), ("printed", by_family_p)):
-            for t in closed_terms(g, side, z, variant):
-                base = t.family[1:] if t.family.startswith("-") else t.family
-                if base in corrected_here:
-                    fam = acc.setdefault(base, {})
-                    fam[t.composition] = fam.get(t.composition, 0) + t.coeff
-        for fam in corrected_here:
-            if by_family_c.get(fam, {}) != by_family_p.get(fam, {}):
-                rep.corrections_engaged.append(fam)
+    by_family_c = _family_sums(corrected, corrected_here)
+    by_family_p = _family_sums(printed, corrected_here)
+    rep.corrections_engaged = [
+        fam for fam in corrected_here if by_family_c.get(fam, {}) != by_family_p.get(fam, {})
+    ]
     clean = not (rep.missing or rep.extra or rep.mismatched)
     structural = any(corrected_here[fam] for fam in rep.corrections_engaged)
     rep.verdict = ("exact" if not structural else "reconciled") if clean else "mismatch"

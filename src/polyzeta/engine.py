@@ -20,7 +20,7 @@ from typing import Iterable
 from .closedforms import LEFT_FACTORS, closed_dsr
 from .core import Composition, dual
 from .counting import hoffman_dim, is_hoffman
-from .numeric import eval_mzv
+from .numeric import ToleranceUnreachable, eval_mzv
 from .oracle import InternalConsistencyError, LinComb, dsr as oracle_dsr
 from .ordering import enumerate_weight, index_of
 
@@ -168,22 +168,11 @@ class ReductionResult:
     def substitute(self, body: LinComb) -> dict[Composition, Fraction]:
         """Rewrite a combination over the free columns only (zero iff the
         combination lies in the row space)."""
-        acc: dict[Composition, Fraction] = {}
-
-        def add(t: Composition, c: Fraction) -> None:
-            s = acc.get(t, Fraction(0)) + c
-            if s:
-                acc[t] = s
-            else:
-                acc.pop(t, None)
-
-        for term, coeff in body.items():
-            if term in self.table:
-                for free, x in self.table[term].items():
-                    add(free, Fraction(coeff) * x)
-            else:
-                add(term, Fraction(coeff))
-        return acc
+        return LinComb(
+            (free, coeff * x)
+            for term, coeff in body.items()
+            for free, x in self.table.get(term, {term: 1}).items()
+        ).terms()
 
 
 # The primes just below 2^127.  One prime lifts every table up to w=11;
@@ -426,13 +415,12 @@ def hoffman_reduce(
     return reduce_relations(generate_relations(w, families, include_duality, mode))
 
 
-def reduce_relations(rs: RelationSet) -> HoffmanReport:
-    """Assemble with the {2,3} columns last, reduce, and check that
-    exactly the {2,3}-entry polyzetas remain free."""
+def reduce_relations(rs: RelationSet, hoffman_last: bool = True) -> HoffmanReport:
+    """Assemble (by default with the {2,3} columns last), reduce, and check
+    that exactly the {2,3}-entry polyzetas remain free.  This is the one
+    place that reduces a relation set."""
     w = rs.weight
-    if w < 4:
-        raise ValueError("hoffman_reduce needs w >= 4")
-    red = exact_rref(assemble_matrix(rs, hoffman_last=True))
+    red = exact_rref(assemble_matrix(rs, hoffman_last))
     free = set(red.free_columns)
     return HoffmanReport(
         weight=w,
@@ -467,7 +455,8 @@ def verify_numeric(rs: RelationSet, tol: float = 1e-3, max_terms: int = 10**8) -
     by design, and every polyzeta value is >= 1, so the relative residual
     of a true relation stays well under tol).  The cap default is raised
     above the evaluator's own because deep 1-runs converge like powers of
-    log.
+    log.  A term that cannot reach tol within max_terms enters at its
+    best-effort value, and its relation is recorded as a failure.
     """
     residuals = []
     failures = []
@@ -475,13 +464,17 @@ def verify_numeric(rs: RelationSet, tol: float = 1e-3, max_terms: int = 10**8) -
     for rel in rs.relations:
         total = 0.0
         signed = []
+        reached = True
         for term, coeff in rel.body.items():
-            v = eval_mzv(term, tol, max_terms).value
+            try:
+                v = eval_mzv(term, tol, max_terms).value
+            except ToleranceUnreachable as exc:
+                v, reached = exc.best.value, False
             signed.append(float(coeff) * v)
             total += abs(float(coeff)) * abs(v)
         ratio = abs(math.fsum(signed)) / total if total else 0.0
         residuals.append((rel.family, rel.source, ratio))
         worst[rel.family] = max(worst.get(rel.family, 0.0), ratio)
-        if ratio > tol:
+        if ratio > tol or not reached:
             failures.append((rel.family, rel.source, ratio))
     return NumericReport(tol, residuals, worst, failures)

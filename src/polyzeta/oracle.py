@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from itertools import chain
 from typing import Iterable, Iterator, Mapping
 
 from .core import Composition, Word, decode_word, encode_word, format_composition
@@ -20,12 +21,24 @@ class InternalConsistencyError(AssertionError):
     """A structural guarantee was violated (e.g. a divergent residue)."""
 
 
+_ZERO = Fraction(0)
+
+
 class LinComb:
     """A finite formal sum of terms with exact rational coefficients.
 
     Terms are Compositions (or Words for the word-level shuffle); all
     terms of one combination share a single weight.  Zero coefficients
-    are never stored.
+    are never stored, and every stored coefficient is a ``Fraction``.
+
+    The constructor is the one accumulator of the package: products,
+    sums and relation bodies all hand it (term, coefficient) pairs, in a
+    mapping or any iterable, and a term may repeat.  It adds the
+    coefficients of each term, drops the zero sums and checks that one
+    weight remains.  A coefficient that is not already an ``int`` or a
+    ``Fraction`` is converted exactly with ``Fraction(c)`` before it is
+    added, so ``"1/3"`` is a third and ``0.1`` is the binary value of
+    the float, not a tenth.
     """
 
     __slots__ = ("_terms",)
@@ -35,18 +48,17 @@ class LinComb:
         if terms:
             items = terms.items() if isinstance(terms, Mapping) else terms
             for t, c in items:
-                c = Fraction(c)
-                if c:
-                    data[t] = data.get(t, Fraction(0)) + c
-                    if not data[t]:
-                        del data[t]
-        self._terms = data
-        self._check_weights()
-
-    def _check_weights(self) -> None:
-        weights = {t.weight for t in self._terms}
+                if type(c) is not int and type(c) is not Fraction:
+                    c = Fraction(c)
+                s = data.get(t, _ZERO) + c
+                if s:
+                    data[t] = s
+                else:
+                    data.pop(t, None)
+        weights = {t.weight for t in data}
         if len(weights) > 1:
             raise ValueError(f"mixed weights in one combination: {sorted(weights)}")
+        self._terms = data
 
     @property
     def weight(self) -> int | None:
@@ -78,26 +90,17 @@ class LinComb:
         return hash(frozenset(self._terms.items()))
 
     def __add__(self, other: "LinComb") -> "LinComb":
-        out = dict(self._terms)
-        for t, c in other._terms.items():
-            s = out.get(t, Fraction(0)) + c
-            if s:
-                out[t] = s
-            else:
-                out.pop(t, None)
-        return LinComb(out)
+        return LinComb(chain(self._terms.items(), other._terms.items()))
 
     def __sub__(self, other: "LinComb") -> "LinComb":
-        return self + (-other)
+        return LinComb(chain(self._terms.items(), ((t, -c) for t, c in other._terms.items())))
 
     def __neg__(self) -> "LinComb":
-        return LinComb({t: -c for t, c in self._terms.items()})
+        return LinComb((t, -c) for t, c in self._terms.items())
 
     def __rmul__(self, scalar) -> "LinComb":
         scalar = Fraction(scalar)
-        if not scalar:
-            return LinComb()
-        return LinComb({t: scalar * c for t, c in self._terms.items()})
+        return LinComb((t, scalar * c) for t, c in self._terms.items())
 
     def mass(self) -> Fraction:
         """Total coefficient mass (sum of coefficients)."""
@@ -201,21 +204,30 @@ def _as_lincomb(x) -> LinComb:
     return LinComb({Composition(x): 1})
 
 
+def _bilinear(x, y, product) -> LinComb:
+    """Extend a product of two terms bilinearly to combinations;
+    ``product(tx, ty)`` yields the (term, multiplicity) pairs of one
+    product of terms."""
+    lx, ly = _as_lincomb(x), _as_lincomb(y)
+
+    def pairs():
+        for tx, cx in lx.items():
+            for ty, cy in ly.items():
+                c = cx * cy
+                for t, n in product(tx, ty):
+                    yield t, c * n
+
+    return LinComb(pairs())
+
+
+def _stuffle_terms(tx: Composition, ty: Composition) -> Iterator[tuple[Composition, int]]:
+    for t, n in _stuffle(tuple(tx), tuple(ty)):
+        yield Composition(t), n
+
+
 def stuffle(x, y) -> LinComb:
     """Quasi-shuffle product of compositions, extended bilinearly."""
-    lx, ly = _as_lincomb(x), _as_lincomb(y)
-    out: dict[Composition, Fraction] = {}
-    for tx, cx in lx.items():
-        for ty, cy in ly.items():
-            c = cx * cy
-            for t, n in _stuffle(tuple(tx), tuple(ty)):
-                key = Composition(t)
-                s = out.get(key, Fraction(0)) + c * n
-                if s:
-                    out[key] = s
-                else:
-                    out.pop(key, None)
-    return LinComb(out)
+    return _bilinear(x, y, _stuffle_terms)
 
 
 def shuffle_words(u: Word, v: Word) -> LinComb:
@@ -237,6 +249,15 @@ def _shuffle_encode(c: Composition) -> Word:
     return encode_word(c)
 
 
+def _shuffle_terms(tx: Composition, ty: Composition) -> Iterator[tuple[Composition, int]]:
+    for wt, n in _shuffle_words(str(_shuffle_encode(tx)), str(_shuffle_encode(ty))):
+        try:
+            t = decode_word(wt)
+        except ValueError as exc:  # unreachable: inputs end in 1
+            raise InternalConsistencyError(str(exc)) from exc
+        yield t, n
+
+
 def shuffle(x, y) -> LinComb:
     """Shuffle product on compositions via the word encoding.
 
@@ -244,23 +265,7 @@ def shuffle(x, y) -> LinComb:
     allowed (encoded as the bare word "1"); its products carry one
     divergent term that regularization cancels.
     """
-    lx, ly = _as_lincomb(x), _as_lincomb(y)
-    out: dict[Composition, Fraction] = {}
-    for tx, cx in lx.items():
-        for ty, cy in ly.items():
-            c = cx * cy
-            wu, wv = _shuffle_encode(tx), _shuffle_encode(ty)
-            for wt, n in _shuffle_words(str(wu), str(wv)):
-                try:
-                    key = decode_word(wt)
-                except ValueError as exc:  # unreachable: inputs end in 1
-                    raise InternalConsistencyError(str(exc)) from exc
-                s = out.get(key, Fraction(0)) + c * n
-                if s:
-                    out[key] = s
-                else:
-                    out.pop(key, None)
-    return LinComb(out)
+    return _bilinear(x, y, _shuffle_terms)
 
 
 def dsr(g, z) -> LinComb:

@@ -154,6 +154,20 @@ class TestReduceVerify:
         assert "(4) = 4/3*(2,2)" in out
         assert "(3,1) = 1/3*(2,2)" in out
 
+    @pytest.mark.parametrize("order", ["--hoffman-last", "--no-hoffman-last"])
+    @pytest.mark.parametrize("w, rank", [(2, 0), (3, 1)])
+    def test_reduce_low_weights(self, capsys, tmp_path, w, rank, order):
+        code, out = run(capsys, "reduce", "--weight", str(w), order, "--format", "json",
+                        "--data-dir", str(tmp_path))
+        doc = json.loads(out)
+        assert code == 0
+        assert doc["rank"] == doc["expected_rank"] == rank
+
+    def test_empty_families_is_usage_error(self, capsys, tmp_path):
+        with pytest.raises(SystemExit) as err:
+            main(["reduce", "--weight", "5", "--families", "", "--data-dir", str(tmp_path)])
+        assert err.value.code == 2
+
     def test_verify_weight_five(self, capsys, tmp_path):
         code, out = run(capsys, "verify", "--weight", "5", "--numeric-tol", "1e-3",
                         "--data-dir", str(tmp_path))
@@ -174,6 +188,20 @@ def test_reduce_golden_output(tmp_path, golden, argv):
     """Reduce output is frozen byte for byte (JSON reports, matrix CSV)."""
     out = tmp_path / golden
     code = main(["reduce", *argv, "--data-dir", str(tmp_path), "--out", str(out)])
+    assert code == 0
+    assert out.read_bytes() == (GOLDEN / golden).read_bytes()
+
+
+@pytest.mark.parametrize("golden, argv", [
+    ("relations_w8.json", ["relations", "--weight", "8"]),
+    ("reconcile_21_dsr_w9.json", ["reconcile", "--g", "21", "--side", "dsr", "--max-weight", "9"]),
+    ("reconcile_3_shuffle_w9.json",
+     ["reconcile", "--g", "3", "--side", "shuffle", "--max-weight", "9"]),
+])
+def test_golden_output(tmp_path, golden, argv):
+    """Relation and reconcile JSON output is frozen byte for byte."""
+    out = tmp_path / golden
+    code = main([*argv, "--format", "json", "--data-dir", str(tmp_path), "--out", str(out)])
     assert code == 0
     assert out.read_bytes() == (GOLDEN / golden).read_bytes()
 

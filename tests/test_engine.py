@@ -19,8 +19,10 @@ from polyzeta.engine import (
     expected_relation_count,
     generate_relations,
     hoffman_reduce,
+    reduce_relations,
     verify_numeric,
 )
+from polyzeta.numeric import ToleranceUnreachable, eval_mzv
 from polyzeta.oracle import InternalConsistencyError
 from polyzeta.ordering import enumerate_weight
 
@@ -303,6 +305,25 @@ class TestHoffmanReduce:
         text = json.dumps(doc, sort_keys=True, separators=(",", ":"))
         assert hashlib.sha256(text.encode()).hexdigest() == want
 
+    @pytest.mark.parametrize("hoffman_last, free, table", [
+        (True, {2: [(2,)], 3: [(3,)]}, {2: {}, 3: {(2, 1): {(3,): 1}}}),
+        (False, {2: [(2,)], 3: [(2, 1)]}, {2: {}, 3: {(3,): {(2, 1): 1}}}),
+    ])
+    @pytest.mark.parametrize("w", (2, 3))
+    def test_weights_two_and_three(self, w, hoffman_last, free, table):
+        # w=2 has no relations at all; w=3 has one, zeta(2,1) = zeta(3)
+        rep = reduce_relations(generate_relations(w), hoffman_last)
+        assert rep.rank == rep.expected_rank == 2 ** (w - 2) - hoffman_dim(w)
+        assert rep.free_columns == [C(f) for f in free[w]]
+        assert rep.result.table == {
+            C(p): {C(f): Fraction(x) for f, x in expr.items()} for p, expr in table[w].items()
+        }
+        assert rep.ok == (hoffman_last or w == 2)
+
+    def test_weight_below_two_rejected(self):
+        with pytest.raises(ValueError):
+            hoffman_reduce(1)
+
     def test_failure_is_reported_not_raised(self):
         rep = hoffman_reduce(6, families=("1",))
         assert not rep.ok
@@ -312,6 +333,23 @@ class TestHoffmanReduce:
 
 
 class TestVerifyNumeric:
+    def test_unreachable_tolerance_is_a_failure(self):
+        # 512 terms cannot reach 1e-3 for the slowly converging terms
+        def unreachable(term):
+            try:
+                eval_mzv(term, 1e-3, 512)
+            except ToleranceUnreachable:
+                return True
+            return False
+
+        rs = generate_relations(6)
+        rep = verify_numeric(rs, 1e-3, max_terms=512)
+        want = {(r.family, r.source) for r in rs.relations
+                if any(unreachable(t) for t, _ in r.body.items())}
+        assert want and want <= {(f, s) for f, s, _ in rep.failures}
+        assert len(rep.residuals) == len(rs.relations)
+        assert all(math.isfinite(r) for _, _, r in rep.residuals)
+
     def test_weight_five(self):
         rs = generate_relations(5)
         rep = verify_numeric(rs, 1e-3)

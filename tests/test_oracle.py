@@ -3,7 +3,8 @@ from fractions import Fraction
 from math import comb
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from conftest import compositions
 from polyzeta.core import Composition, Word
@@ -39,6 +40,65 @@ class TestLinComb:
         assert str(lc) == "3*(3,1^2,4,1) + (2,2,1,4,1)"
         assert str(LinComb()) == "0"
         assert str(LinComb({C((3,)): -1, C((2, 1)): 1})) == "-(3) + (2,1)"
+
+
+POOL = enumerate_weight(5)  # eight terms of one weight, so repeats are common
+COEFFS = st.one_of(
+    st.integers(-3, 3),
+    st.fractions(-4, 4, max_denominator=6),
+    st.fractions(-4, 4, max_denominator=6).map(str),
+    st.floats(-4, 4, allow_nan=False, allow_infinity=False),
+)
+
+
+@st.composite
+def pair_lists(draw):
+    """(term, coeff) pairs with repeats, plus exact cancellations of some."""
+    pairs = draw(st.lists(st.tuples(st.sampled_from(POOL), COEFFS), max_size=12))
+    cancel = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    return pairs + [(t, -Fraction(c)) for (t, c), k in zip(pairs, cancel) if k]
+
+
+def naive(pairs) -> dict:
+    acc: dict = {}
+    for t, c in pairs:
+        acc[t] = acc.get(t, Fraction(0)) + Fraction(c)
+    return {t: c for t, c in acc.items() if c}
+
+
+def add(a: dict, b: dict, sign=1) -> dict:
+    return naive(list(a.items()) + [(t, sign * c) for t, c in b.items()])
+
+
+class TestLinCombAccumulator:
+    """The constructor against a naive fold of Fraction(c)."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(pair_lists())
+    def test_construct(self, pairs):
+        lc = LinComb(pairs)
+        assert lc.terms() == naive(pairs)
+        assert all(type(c) is Fraction and c for _, c in lc.items())
+        assert LinComb(dict(lc.items())) == lc
+
+    @settings(max_examples=100, deadline=None)
+    @given(pair_lists(), pair_lists(), COEFFS.filter(lambda k: not isinstance(k, str)))
+    def test_arithmetic(self, pa, pb, k):
+        a, b = LinComb(pa), LinComb(pb)
+        for lc, want in (
+            (a + b, add(a.terms(), b.terms())),
+            (a - b, add(a.terms(), b.terms(), -1)),
+            (k * a, naive((t, Fraction(k) * c) for t, c in a.items())),
+        ):
+            assert lc.terms() == want
+            assert all(type(c) is Fraction and c for _, c in lc.items())
+
+    @settings(max_examples=50, deadline=None)
+    @given(pair_lists(), COEFFS)
+    def test_mixed_weights_raise(self, pairs, c):
+        assume(naive(pairs) and Fraction(c))
+        with pytest.raises(ValueError, match="mixed weights"):
+            LinComb(pairs + [(C((4,)), c)])
 
 
 class TestStuffle:
