@@ -44,7 +44,7 @@ from .engine import (
     reduce_relations,
     verify_numeric,
 )
-from .numeric import ToleranceUnreachable, eval_mzv
+from .numeric import ToleranceUnreachable, check_tolerance, eval_mzv
 from .oracle import InternalConsistencyError, LinComb, shuffle, stuffle
 from .ordering import enumerate_weight
 
@@ -398,6 +398,7 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    check_tolerance(args.numeric_tol)
     w = args.weight
     failures: list[dict] = []
     summary: list[str] = []

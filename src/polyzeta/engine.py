@@ -20,7 +20,7 @@ from typing import Iterable
 from .closedforms import LEFT_FACTORS, closed_dsr
 from .core import Composition, dual
 from .counting import hoffman_dim, is_hoffman
-from .numeric import ToleranceUnreachable, eval_mzv
+from .numeric import ToleranceUnreachable, check_tolerance, eval_mzv
 from .oracle import InternalConsistencyError, LinComb, dsr as oracle_dsr
 from .ordering import enumerate_weight, index_of
 
@@ -448,33 +448,54 @@ class NumericReport:
 
 
 def verify_numeric(rs: RelationSet, tol: float = 1e-3, max_terms: int = 10**8) -> NumericReport:
-    """Evaluate every relation; the residual must vanish relative to the
-    total evaluated mass sum |coeff| * |value|.
+    """Check every relation against proven enclosures of its terms.
 
-    Terms are evaluated at tolerance tol (the adaptive stop over-delivers
-    by design, and every polyzeta value is >= 1, so the relative residual
-    of a true relation stays well under tol).  The cap default is raised
-    above the evaluator's own because deep 1-runs converge like powers of
-    log.  A term that cannot reach tol within max_terms enters at its
-    best-effort value, and its relation is recorded as a failure.
+    ``eval_mzv`` puts each polyzeta in an interval [V_i - E_i, V_i + E_i].
+    The residual R = sum c_i V_i is summed exactly, so a true relation has
+    |R| <= bound = sum |c_i| E_i, and a relation fails iff |R| > bound or a
+    term hit the cutoff cap ``max_terms``.  The terms are evaluated at
+    rising precision until the bound is at most tol times the mass
+    sum |c_i| |V_i|, so a false relation whose true residual exceeds twice
+    that is always caught.  The recorded residual is |R| / mass.
     """
+    check_tolerance(tol, max_terms)
     residuals = []
     failures = []
     worst: dict[str, float] = {}
+    limit = Fraction(tol)
+    p0 = max(0, math.ceil(-math.log2(tol)))
     for rel in rs.relations:
-        total = 0.0
-        signed = []
-        reached = True
-        for term, coeff in rel.body.items():
-            try:
-                v = eval_mzv(term, tol, max_terms).value
-            except ToleranceUnreachable as exc:
-                v, reached = exc.best.value, False
-            signed.append(float(coeff) * v)
-            total += abs(float(coeff)) * abs(v)
-        ratio = abs(math.fsum(signed)) / total if total else 0.0
+        p = p0
+        while True:
+            r, bound, mass, reached = _residual(rel.body, 2.0**-p, max_terms)
+            if not reached or bound <= limit * mass:
+                break
+            p += max(8, math.ceil(math.log2(bound / (limit * mass))) + 1)
+        ratio = abs(r) / mass if mass else 0.0
         residuals.append((rel.family, rel.source, ratio))
         worst[rel.family] = max(worst.get(rel.family, 0.0), ratio)
-        if ratio > tol or not reached:
+        if abs(r) > bound or not reached:
             failures.append((rel.family, rel.source, ratio))
     return NumericReport(tol, residuals, worst, failures)
+
+
+def _residual(body: LinComb, tol: float, max_terms: int) -> tuple[int, int, int, bool]:
+    """(R, bound, mass) of one relation, exact integers at a common scale,
+    and whether every term reached tol."""
+    vals = []
+    reached = True
+    for term, coeff in body.items():
+        try:
+            v = eval_mzv(term, tol, max_terms)
+        except ToleranceUnreachable as exc:
+            v, reached = exc.best, False
+        vals.append((coeff, v))
+    den = math.lcm(*(c.denominator for c, _ in vals))
+    bits = max((v.bits for _, v in vals), default=0)
+    r = bound = mass = 0
+    for c, v in vals:
+        k = c.numerator * (den // c.denominator) << (bits - v.bits)
+        r += k * v.fixed
+        bound += abs(k) * v.ulps
+        mass += abs(k * v.fixed)
+    return r, bound, mass, reached

@@ -1,34 +1,62 @@
-"""Floating-point evaluation of convergent polyzetas.
+"""Convergent polyzetas as intervals proven to contain them.
 
-The nested sum is evaluated by dynamic programming over the summation
-variable (cost linear in the cutoff times the depth), with the cutoff
-doubled until successive estimates stabilize.  A first-order integral
-tail correction is added to the partial sum, and the reported
-tail_estimate heuristically bounds what the correction cannot see.
-Tolerances below 1e-9 are out of contract.
+Method: the Hölder convolution at p = 2 (Borwein, Bradley, Broadhurst,
+Lisoněk, *Special values of multiple polylogarithms*, arXiv:math/9910045).
+Write s as the binary word a_1...a_w = 0^(s_1-1) 1 0^(s_2-1) 1 ...
+Splitting the iterated integral of zeta(s) over [0, 1] at 1/2 gives
+
+    zeta(s) = sum_{k=0..w} lam(rev-dual(a_1...a_k)) * lam(a_{k+1}...a_w),
+
+where rev-dual reverses a word and swaps 0 and 1, and lam of a word
+ending in 1, read as a composition t of depth m, is the multiple
+polylogarithm at 1/2 (lam of the empty word is 1):
+
+    lam(t) = Li_t(1/2) = sum_{n_1 > ... > n_m >= 1} 2^(-n_1) prod n_i^(-t_i).
+
+Since s_1 >= 2, every word here ends in 1, every term is positive and
+each series converges like 2^(-n).
+
+Each lam is summed over n_1 <= N by one forward recursion in integers at
+scale 2^-P, every division rounded down, so the sum is a lower bound.
+The same loop counts the rounding loss in units of 2^-P, and a closed
+bound covers the terms n_1 > N.  So ``eval_mzv`` returns an interval that
+provably holds zeta(s), with no floating point inside it.  The products
+for s and for dual(s) are the same, so the evaluation is no independent
+check of duality.
 """
 
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass
-
-import numpy as np
+from functools import lru_cache
 
 from .core import Composition, format_composition
 
-__all__ = ["EvalResult", "ToleranceUnreachable", "eval_mzv", "eval_lincomb"]
+__all__ = ["EvalResult", "ToleranceUnreachable", "check_tolerance", "eval_mzv", "eval_lincomb"]
 
-_CHUNK = 1 << 20
-_EPS = float(np.finfo(float).eps)
+# bits carried beyond log2(1/tol); the rounding loss of one value is a few
+# thousand units of the last place at weight <= 12, well under 2^16
+_GUARD = 16
+_SWAP = str.maketrans("01", "10")
 
 
 @dataclass(frozen=True)
 class EvalResult:
+    """zeta(s) lies in [(fixed - ulps) 2^-bits, (fixed + ulps) 2^-bits].
+
+    ``value`` is the float nearest to fixed * 2^-bits, ``tail_estimate``
+    bounds ulps * 2^-bits from above (so |zeta(s) - value| is at most
+    tail_estimate plus half a unit in the last place of value), and
+    ``terms_used`` is the largest cutoff N of the series summed.
+    """
+
     value: float
     tail_estimate: float
     terms_used: int
+    fixed: int
+    ulps: int
+    bits: int
 
 
 class ToleranceUnreachable(RuntimeError):
@@ -39,88 +67,132 @@ class ToleranceUnreachable(RuntimeError):
         self.best = best
 
 
-def _partial_sums(s: tuple[int, ...], n_max: int) -> tuple[float, float]:
-    """Return (S_1(N), S_2(N)) for the nested sum with exponents s.
+def check_tolerance(tol: float, max_terms: int = 1) -> None:
+    """Raise ValueError unless tol is finite and positive and max_terms >= 1."""
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError(f"tol must be finite and positive, got {tol!r}")
+    if max_terms < 1:
+        raise ValueError(f"max_terms must be at least 1, got {max_terms!r}")
 
-    S_k(n) sums the inner (k..d)-fold nested tail over outermost index
-    <= n; S_2 is the factor multiplying the outermost power (1 when the
-    depth is 1).  Processed in chunks so memory stays bounded.
+
+def _ceil_div(a: int, b: int) -> int:
+    return -(-a // b)
+
+
+def _tail(t1: int, m: int, bits: int, n: int) -> int:
+    """Bound, in units of 2^-bits, on the terms n_1 > n of Li_t(1/2), for t
+    of depth m and first entry t1.
+
+    The inner sum over n_1 > n_2 > ... > n_m is at most H^(m-1) / (m-1)!,
+    with H = H_(n_1 - 1) <= bit_length(n_1).  Up to n_1 = K = max(2n, 4m)
+    that gives 2^-n bit_length(K)^(m-1) / ((m-1)! (n+1)^t1).  Beyond K the
+    cruder inner bound n_1^(m-1) lets consecutive terms shrink by at least
+    e^(1/4)/2 < 0.65, so they sum to under 3 (K+1)^(m-1) 2^-(K+1).
     """
-    d = len(s)
-    carry = [0.0] * (d + 2)  # carry[k] = S_k at the last processed index
-    carry[d + 1] = 1.0
-    lo = 0
-    while lo < n_max:
-        hi = min(lo + _CHUNK, n_max)
-        n = np.arange(lo + 1, hi + 1, dtype=np.float64)
-        # shifted[k] holds S_{k+1}(n-1) for the current chunk
-        shifted = np.full(hi - lo, carry[d + 1])
-        for k in range(d, 0, -1):
-            t = n ** (-float(s[k - 1])) * shifted
-            cum = carry[k] + np.cumsum(t)
-            if k > 1:
-                shifted = np.empty_like(cum)
-                shifted[0] = carry[k]
-                shifted[1:] = cum[:-1]
-            carry[k] = float(cum[-1])
-        lo = hi
-    return carry[1], (carry[2] if d > 1 else 1.0)
+    k = max(2 * n, 4 * m)
+    near = _ceil_div(k.bit_length() ** (m - 1) << bits,
+                     math.factorial(m - 1) * (n + 1) ** t1 << n)
+    far = _ceil_div(3 * (k + 1) ** (m - 1) << bits, 1 << (k + 1))
+    return near + far
 
 
-def _tail_integral(s1: int, n: int) -> float:
-    """Midpoint integral estimate of sum_{m > n} m^(-s1)."""
-    return (n + 0.5) ** (1 - s1) / (s1 - 1)
+@lru_cache(maxsize=None)
+def _cutoff(t1: int, m: int, bits: int) -> int:
+    """The least N whose tail bound is at most 2 units of 2^-bits."""
+    n = 1
+    while _tail(t1, m, bits, n) > 2:
+        n += 1
+    return n
+
+
+_lam_memo: dict[tuple[tuple[int, ...], int, int], tuple[int, int]] = {}
+
+
+def _lam(t: tuple[int, ...], bits: int, n: int) -> tuple[int, int]:
+    """(V, E) with V <= 2^bits Li_t(1/2) <= V + E, summing n_1 <= n."""
+    m = len(t)
+    acc = [0] * m + [1 << bits]  # acc[i]: inner sum over the exponents t[i:]
+    loss = [0] * (m + 1)  # its rounding loss, in units of 2^-bits
+    total = lost = 0
+    for k in range(1, n + 1):
+        d = k ** t[0] << k
+        total += acc[1] // d
+        lost += _ceil_div(loss[1], d) + 1
+        for i in range(1, m):  # acc[i + 1] still holds its value at k - 1
+            d = k ** t[i]
+            acc[i] += acc[i + 1] // d
+            loss[i] += _ceil_div(loss[i + 1], d) + 1
+    return total, lost + _tail(t[0], m, bits, n)
+
+
+def _factor(word: str, bits: int, max_terms: int) -> tuple[int, int, int, bool]:
+    """(V, E, N, capped) for lam(word), memoised per word, scale and N."""
+    if not word:
+        return 1 << bits, 0, 0, False
+    t = tuple(len(z) + 1 for z in word.split("1")[:-1])
+    need = _cutoff(t[0], len(t), bits)
+    n = min(need, max_terms)
+    key = (t, bits, n)
+    got = _lam_memo.get(key)
+    if got is None:
+        got = _lam_memo[key] = _lam(t, bits, n)
+    return (*got, n, need > n)
+
+
+def _evaluate(s: tuple[int, ...], bits: int, max_terms: int) -> tuple[EvalResult, bool]:
+    """The Hölder sum at scale 2^-bits, and whether a cutoff hit the cap."""
+    word = "".join("0" * (e - 1) + "1" for e in s)
+    flipped = word[::-1].translate(_SWAP)  # rev-dual(a_1..a_k) = flipped[w-k:]
+    w = len(word)
+    v = e = n_used = 0
+    capped = False
+    for k in range(w + 1):
+        va, ea, na, ca = _factor(flipped[w - k:], bits, max_terms)
+        vb, eb, nb, cb = _factor(word[k:], bits, max_terms)
+        v += va * vb >> bits
+        e += ((ea * vb + eb * va + ea * eb) >> bits) + 2
+        n_used = max(n_used, na, nb)
+        capped = capped or ca or cb
+    # the sum lies in [v, v + e]; centre it at scale 2^-(bits + 1)
+    fixed, ulps, bits = 2 * v + e, e, bits + 1
+    tail = math.nextafter(ulps / (1 << bits), math.inf)  # rounded up
+    return EvalResult(fixed / (1 << bits), tail, n_used, fixed, ulps, bits), capped
 
 
 _memo: dict[tuple[tuple[int, ...], float, int], EvalResult] = {}
-_memo_lock = threading.Lock()
 
 
 def eval_mzv(c: Composition, tol: float = 1e-6, max_terms: int = 10**7) -> EvalResult:
-    """Adaptive evaluation of a convergent polyzeta to tolerance ``tol``.
+    """A convergent polyzeta with a proven bound, tail_estimate <= tol
+    (see EvalResult).
 
-    Raises ToleranceUnreachable (with the best effort attached) if the
-    cutoff would exceed ``max_terms`` first.
+    ``max_terms`` caps the cutoff N of every series.  If the bound at the
+    cap still exceeds tol, raises ToleranceUnreachable with that (still
+    proven) result attached.  Raises ValueError unless tol is finite and
+    positive and max_terms >= 1.
     """
     if not isinstance(c, Composition):
         c = Composition(c)
     if not c.convergent():
         raise ValueError(f"eval_mzv: {format_composition(c)} is not convergent")
-    if not tol > 0:
-        raise ValueError("tol must be positive")
+    check_tolerance(tol, max_terms)
     key = (tuple(c), float(tol), int(max_terms))
     got = _memo.get(key)
     if got is not None:
         return got
-
-    s = tuple(c)
-    n = min(256, max_terms)
-    est_prev = inner_prev = None
-    n_prev = 0
+    bits = max(0, math.ceil(-math.log2(tol))) + _GUARD
     while True:
-        outer, inner = _partial_sums(s, n)
-        est = outer + inner * _tail_integral(s[0], n)
-        if est_prev is not None:
-            delta = abs(est - est_prev)
-            # inner-factor growth normalized to one octave, so a cap-clamped
-            # last step cannot shrink the estimate
-            drift = max(inner - inner_prev, 0.0) * (math.log(2.0) / math.log(n / n_prev))
-            tail = 3.0 * _tail_integral(s[0], n) * drift + 8.0 * _EPS * abs(est)
-            tail = max(tail, 0.5 * delta)
-            if delta < tol / 10 and tail < tol:
-                result = EvalResult(est, tail, n)
-                with _memo_lock:
-                    _memo[key] = result
-                return result
-        if n >= max_terms:
-            tail = tail if est_prev is not None else float("inf")
+        r, capped = _evaluate(key[0], bits, max_terms)
+        if r.tail_estimate <= tol:
+            _memo[key] = r
+            return r
+        if capped:
             raise ToleranceUnreachable(
                 f"eval_mzv({format_composition(c)}): tolerance {tol} "
                 f"unreachable within {max_terms} terms",
-                EvalResult(est, tail, n),
+                r,
             )
-        est_prev, inner_prev, n_prev = est, inner, n
-        n = min(2 * n, max_terms)
+        bits += max(_GUARD, math.ceil(math.log2(r.tail_estimate / tol)) + 1)
 
 
 def eval_lincomb(x, tol: float = 1e-6, max_terms: int = 10**7) -> float:

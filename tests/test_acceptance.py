@@ -7,6 +7,8 @@ All bounds are fixed here, not tuned at runtime.
 import itertools
 import random
 import time
+from dataclasses import replace
+from fractions import Fraction
 from math import comb
 
 import pytest
@@ -160,11 +162,12 @@ def test_criterion_5_rank_dimension():
 
 
 def test_criterion_6_numeric_referee():
-    """Residuals: relations at w <= 7, Euler, and the w=4 reduction table."""
+    """Proven residual bounds: relations at w <= 10, Euler, the w=4
+    reduction table, and a relation perturbed by 1e-12 is caught."""
     t0 = time.time()
     worst = 0.0
-    for w in range(4, 8):
-        rep = verify_numeric(generate_relations(w), 1e-3)
+    for w in range(4, 11):
+        rep = verify_numeric(generate_relations(w), 1e-12)
         assert rep.ok, rep.failures
         worst = max(worst, max(r for _, _, r in rep.residuals))
     euler = eval_lincomb(LinComb({C((2, 1)): 1, C((3,)): -1}), 1e-6)
@@ -174,9 +177,16 @@ def test_criterion_6_numeric_referee():
         lhs = eval_mzv(piv, 1e-4).value
         rhs = sum(float(x) * eval_mzv(f, 1e-4).value for f, x in expr.items())
         assert abs(lhs - rhs) <= 1e-4, piv
+    rs = generate_relations(6)
+    rel = next(r for r in rs.relations if len(r.body) > 2)
+    term, _ = next(rel.body.items())
+    bad = replace(rel, body=rel.body + LinComb({term: Fraction(1, 10**12)}))
+    rep = verify_numeric(replace(rs, relations=[rel, bad]), 1e-15)
+    assert [(f, s) for f, s, _ in rep.failures] == [(bad.family, bad.source)]
     assert time.time() - t0 < 120
-    report(6, f"relations at w<=7 vanish (worst ratio {worst:.1e}), Euler "
-              f"residual {abs(euler):.1e}, w=4 table confirmed", t0)
+    report(6, f"relations at w<=10 vanish (worst ratio {worst:.1e} at tol 1e-12), "
+              f"Euler residual {abs(euler):.1e}, w=4 table confirmed, "
+              f"a 1e-12 perturbation caught at tol 1e-15", t0)
 
 
 def test_criterion_7_structural_invariants():

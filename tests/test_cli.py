@@ -71,12 +71,29 @@ class TestBasics:
         code = main(["dual", "0,2"])
         assert code == 2
 
-    def test_determinism(self, capsys):
+    def test_determinism(self, capsys, tmp_path):
+        # two fresh caches, so both runs generate the relations
         _, a = run(capsys, "relations", "--weight", "5", "--format", "json",
-                   "--data-dir", "/tmp/pz-deterministic")
+                   "--data-dir", str(tmp_path / "a"))
         _, b = run(capsys, "relations", "--weight", "5", "--format", "json",
-                   "--data-dir", "/tmp/pz-deterministic")
+                   "--data-dir", str(tmp_path / "b"))
         assert a == b
+        assert list((tmp_path / "a").glob("rels_w5_*.json"))
+        assert list((tmp_path / "b").glob("rels_w5_*.json"))
+
+    @pytest.mark.parametrize("argv", [
+        ["eval", "2", "--tol", "inf"],
+        ["eval", "2", "--tol", "nan"],
+        ["eval", "2", "--tol=-1e-3"],
+        ["eval", "2", "--max-terms", "0"],
+        ["verify", "--weight", "5", "--numeric-tol", "inf"],
+        ["verify", "--weight", "5", "--numeric-tol", "nan"],
+    ])
+    def test_bad_tolerance_exits_two(self, capsys, tmp_path, argv):
+        code = main([*argv, "--data-dir", str(tmp_path)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: ") and "Traceback" not in err
 
 
 class TestFilesAndCache:
@@ -167,6 +184,12 @@ class TestReduceVerify:
         with pytest.raises(SystemExit) as err:
             main(["reduce", "--weight", "5", "--families", "", "--data-dir", str(tmp_path)])
         assert err.value.code == 2
+
+    def test_verify_weight_ten_tight_tolerance(self, capsys, tmp_path):
+        code, out = run(capsys, "verify", "--weight", "10", "--numeric-tol", "1e-20",
+                        "--data-dir", str(tmp_path))
+        assert code == 0
+        assert "all checks passed" in out
 
     def test_verify_weight_five(self, capsys, tmp_path):
         code, out = run(capsys, "verify", "--weight", "5", "--numeric-tol", "1e-3",

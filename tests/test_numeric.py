@@ -1,13 +1,18 @@
 import math
+import os
+import subprocess
+import sys
+from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
 
+from conftest import compositions
 from polyzeta.core import Composition, dual
 from polyzeta.numeric import (
     EvalResult,
     ToleranceUnreachable,
-    _partial_sums,
-    _tail_integral,
     eval_lincomb,
     eval_mzv,
 )
@@ -20,6 +25,57 @@ PI = math.pi
 ZETA2 = PI**2 / 6
 ZETA3 = 1.2020569031595943
 ZETA4 = PI**4 / 90
+
+
+def _arctan_inv(x: int, k: int) -> Fraction:
+    """The first k terms of the alternating series of arctan(1/x)."""
+    return sum(Fraction((-1) ** j, (2 * j + 1) * x ** (2 * j + 1)) for j in range(k))
+
+
+def _pi_interval(k: int = 100) -> tuple[Fraction, Fraction]:
+    """Machin, pi = 16 arctan(1/5) - 4 arctan(1/239), in exact rationals:
+    the partial sums with k and k + 1 terms bracket each arctan, so the
+    interval (about 2^-470 wide) holds pi."""
+    a = sorted((_arctan_inv(5, k), _arctan_inv(5, k + 1)))
+    b = sorted((_arctan_inv(239, k), _arctan_inv(239, k + 1)))
+    return 16 * a[0] - 4 * b[1], 16 * a[1] - 4 * b[0]
+
+
+def _bernoulli(n: int) -> list[Fraction]:
+    b = [Fraction(1)]
+    for m in range(1, n + 1):
+        b.append(-sum(math.comb(m + 1, j) * b[j] for j in range(m)) / (m + 1))
+    return b
+
+
+PI_LO, PI_HI = _pi_interval()
+BERNOULLI = _bernoulli(12)
+
+
+def _even_zeta(k: int, pi: Fraction) -> Fraction:
+    """zeta(2k) = |B_2k| (2 pi)^(2k) / (2 (2k)!), increasing in pi."""
+    return abs(BERNOULLI[2 * k]) * (2 * pi) ** (2 * k) / (2 * math.factorial(2 * k))
+
+
+def _encloses(r: EvalResult, lo: Fraction, hi: Fraction) -> bool:
+    """[lo, hi] meets [(fixed - ulps) 2^-bits, (fixed + ulps) 2^-bits]."""
+    scale = 1 << r.bits
+    return Fraction(r.fixed - r.ulps, scale) <= hi and lo <= Fraction(r.fixed + r.ulps, scale)
+
+
+def _overlap(a: EvalResult, b: EvalResult) -> bool:
+    bits = max(a.bits, b.bits)
+    fa, ua = a.fixed << (bits - a.bits), a.ulps << (bits - a.bits)
+    fb, ub = b.fixed << (bits - b.bits), b.ulps << (bits - b.bits)
+    return abs(fa - fb) <= ua + ub
+
+
+def _anchor(c, f) -> None:
+    """eval_mzv at 2^-200 holds f(pi) for pi in the Machin interval;
+    f is increasing in pi."""
+    r = eval_mzv(C(c), 2.0**-200)
+    assert r.ulps << 200 <= 1 << r.bits  # the bound is at most 2^-200
+    assert _encloses(r, f(PI_LO), f(PI_HI)), c
 
 
 class TestEvalMzv:
@@ -48,42 +104,61 @@ class TestEvalMzv:
         with pytest.raises(ValueError):
             eval_mzv(C((2,)), 0.0)
 
+    @pytest.mark.parametrize("tol, max_terms", [
+        (math.inf, 10), (math.nan, 10), (-1e-3, 10), (0.0, 10), (1e-3, 0), (1e-3, -5),
+    ])
+    def test_input_contract(self, tol, max_terms):
+        with pytest.raises(ValueError):
+            eval_mzv(C((2,)), tol, max_terms)
+
     def test_tolerance_unreachable(self):
+        # 1e-9 needs a cutoff near 40; a cap of 10 leaves a bound near 1e-3
         with pytest.raises(ToleranceUnreachable) as err:
-            eval_mzv(C((2, 1)), 1e-9, max_terms=10**4)
+            eval_mzv(C((2, 1)), 1e-9, max_terms=10)
         best = err.value.best
         assert isinstance(best, EvalResult)
+        assert best.terms_used == 10
         assert abs(best.value - ZETA3) < 1e-2
+        assert abs(best.value - ZETA3) <= best.tail_estimate
 
     def test_tail_estimate_decreases(self):
-        for comp in [C((2,)), C((2, 1)), C((2, 1, 1))]:
-            s = tuple(comp)
+        # the proven bound meets every tolerance, shrinks with it, and the
+        # cutoff grows only linearly in log(1/tol): each series falls like 2^-n
+        for comp in [C((2,)), C((2, 1)), C((2, 1, 1)), C((3, 1, 2)), C((2, 1, 1, 1, 1, 1))]:
             tails = []
-            for n in (4096, 16384, 65536, 262144):
-                o1, i1 = _partial_sums(s, n)
-                o0, i0 = _partial_sums(s, n // 2)
-                est1 = o1 + i1 * _tail_integral(s[0], n)
-                est0 = o0 + i0 * _tail_integral(s[0], n // 2)
-                t = 3.0 * _tail_integral(s[0], n) * max(i1 - i0, 0.0)
-                tails.append(max(t, 0.5 * abs(est1 - est0)))
+            for p in (10, 30, 60, 120, 240):
+                r = eval_mzv(comp, 2.0**-p)
+                assert r.tail_estimate <= 2.0**-p
+                assert r.terms_used <= p + 32, (comp, p)
+                tails.append(r.tail_estimate)
             assert tails == sorted(tails, reverse=True)
+            assert len(set(tails)) == len(tails)
 
-    def test_monotone_refinement(self):
-        # one doubling step never moves the estimate by more than the tail
-        # estimate the evaluator would have reported at the current cutoff
-        for comp in [C((2,)), C((2, 1)), C((3, 1)), C((2, 1, 1)), C((2, 2, 1))]:
-            s = tuple(comp)
-            for n in (2048, 8192, 65536):
-                o1, i1 = _partial_sums(s, n)
-                o0, i0 = _partial_sums(s, n // 2)
-                est1 = o1 + i1 * _tail_integral(s[0], n)
-                est0 = o0 + i0 * _tail_integral(s[0], n // 2)
-                drift = max(i1 - i0, 0.0)
-                tail = 3.0 * _tail_integral(s[0], n) * drift + 8e-16 * abs(est1)
-                tail = max(tail, 0.5 * abs(est1 - est0))
-                o2, i2 = _partial_sums(s, 2 * n)
-                est2 = o2 + i2 * _tail_integral(s[0], 2 * n)
-                assert abs(est2 - est1) <= tail
+    @settings(max_examples=40, deadline=None)
+    @given(compositions(max_entry=4, max_depth=4))
+    def test_monotone_refinement(self, c):
+        # the intervals of one polyzeta at two precisions overlap
+        a = eval_mzv(c, 2.0**-24)
+        b = eval_mzv(c, 2.0**-90)
+        assert b.bits > a.bits
+        assert _overlap(a, b), c
+
+    def test_even_zeta_anchors(self):
+        for k in range(1, 6):
+            _anchor((2 * k,), lambda pi, k=k: _even_zeta(k, pi))
+
+    def test_twos_anchors(self):
+        # zeta({2}^n) = pi^(2n) / (2n+1)!
+        for n in range(1, 6):
+            _anchor((2,) * n, lambda pi, n=n: pi ** (2 * n) / math.factorial(2 * n + 1))
+
+    def test_three_one_anchor(self):
+        _anchor((3, 1), lambda pi: pi**4 / 360)
+
+    def test_two_ones_anchors(self):
+        # zeta(2, 1^k) = zeta(k + 2), anchored where k + 2 is even
+        for k in (0, 2, 4, 6, 8):
+            _anchor((2,) + (1,) * k, lambda pi, k=k: _even_zeta(k // 2 + 1, pi))
 
 
 class TestEvalLincomb:
@@ -118,8 +193,20 @@ class TestConsistency:
             assert abs(lhs - rhs) <= 1e-4, (x, y)
 
     def test_duality_numerics(self):
-        for w in range(3, 7):
+        # the proven intervals of z and dual(z) overlap at 2^-60
+        for w in range(3, 11):
             for z in enumerate_weight(w):
-                a = eval_mzv(z, 1e-4, max_terms=10**8).value
-                b = eval_mzv(dual(z), 1e-4, max_terms=10**8).value
-                assert abs(a - b) <= 3e-4, z
+                a = eval_mzv(z, 2.0**-60)
+                b = eval_mzv(dual(z), 2.0**-60)
+                assert max(a.tail_estimate, b.tail_estimate) <= 2.0**-60
+                assert _overlap(a, b), z
+
+
+def test_import_leaves_numpy_out():
+    # the package runs on the standard library alone
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    code = ("import sys, polyzeta, polyzeta.cli, polyzeta.numeric; "
+            "sys.exit('numpy' in sys.modules)")
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
