@@ -58,6 +58,6 @@ from .engine import (
     hoffman_reduce,
     verify_numeric,
 )
-from .numeric import EvalResult, ToleranceUnreachable, eval_lincomb, eval_mzv
+from .numeric import EvalResult, ToleranceUnreachable, eval_mzv
 
 __version__ = "0.1.0"

@@ -380,21 +380,16 @@ def _cmd_reduce(args) -> int:
 def _cmd_eval(args) -> int:
     c = _parse_comp(args.composition)
     try:
-        r = eval_mzv(c, args.tol, args.max_terms)
+        r, reached = eval_mzv(c, args.tol, args.max_terms), True
     except ToleranceUnreachable as exc:
-        r = exc.best
+        r, reached = exc.best, False
         print(f"warning: {exc}", file=sys.stderr)
-        _emit_payload(args, {"schema": SCHEMA, "composition": list(c),
-                             "value": r.value, "tail_estimate": float(r.tail_estimate),
-                             "terms_used": r.terms_used, "reached_tol": False},
-                      f"value={r.value!r} tail<={float(r.tail_estimate):.3e} "
-                      f"terms={r.terms_used} (tolerance unreachable)")
-        return 1
+    text = f"value={r.value!r} tail<={float(r.tail_estimate):.3e} terms={r.terms_used}"
     _emit_payload(args, {"schema": SCHEMA, "composition": list(c), "value": r.value,
                          "tail_estimate": float(r.tail_estimate),
-                         "terms_used": r.terms_used, "reached_tol": True},
-                  f"value={r.value!r} tail<={float(r.tail_estimate):.3e} terms={r.terms_used}")
-    return 0
+                         "terms_used": r.terms_used, "reached_tol": reached},
+                  text if reached else text + " (tolerance unreachable)")
+    return 0 if reached else 1
 
 
 def _cmd_verify(args) -> int:

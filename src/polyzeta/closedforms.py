@@ -3,9 +3,15 @@
 Each product is a finite sum of *families*.  A family walks the blocks
 (a_1, 1^b_1, ..., a_h, 1^b_h) of the right factor and emits terms with an
 integer coefficient and the predicted depth/height of every term.  Family
-names record where the inserted letters land: ``a`` in a 0-run (an entry
->= 2), ``b`` in a 1-run; ``a1 a2`` distinct blocks, a repeated letter the
-same block; ``front``/``end`` the special unit insertions.
+names record where the inserted letters land: ``a`` in a 0-run (the head
+a_k, grown or split), ``b`` in a 1-run (the ones 1^b_k, one merged or a new
+entry inserted); ``a1 a2`` distinct blocks, a repeated letter the same
+block; ``front``/``end`` the special unit insertions.
+
+In the word ``0^(a_k-1) 1 1^b_k`` of block k, the head a_k and the run
+1^b_k are disjoint segments.  A term therefore replaces heads and runs
+separately, and an edit of a_i composes with an edit of 1^b_j in the same
+way whether i == j or not: a family over i <= j has no same-block case.
 
 The printed source statements of several of these expansions carry
 typographical defects (a wrong guard, a dropped coefficient, an index
@@ -140,10 +146,6 @@ def _corrections_for(g: str, side: str) -> dict[str, bool]:
     return out
 
 
-def _seg(a: int, b: int) -> tuple[int, ...]:
-    return (a,) + (1,) * b
-
-
 def _splits2(total: int) -> Iterator[tuple[int, int]]:
     """All (p, q) >= 0 with p + q = total (empty when total < 0)."""
     for p in range(total + 1):
@@ -168,13 +170,35 @@ def _asplits3(total: int) -> Iterator[tuple[int, int, int]]:
             yield a1, a2, total - a1 - a2
 
 
+def _ins(p: int, v: int, q: int) -> tuple[int, ...]:
+    """A run with the entry v placed among its ones: 1^p, v, 1^q."""
+    return (1,) * p + (v,) + (1,) * q
+
+
+def _ins2(p: int, v1: int, q: int, v2: int, r: int) -> tuple[int, ...]:
+    return (1,) * p + (v1,) + (1,) * q + (v2,) + (1,) * r
+
+
 class _Emitter:
-    """Builds terms over the blocks of z with bookkeeping for one family."""
+    """Builds terms over the blocks of z with bookkeeping for one family.
+
+    Block k is the head ``(a_k,)`` followed by the run ``(1,) * b_k``.
+    ``emit`` takes the replaced heads and the replaced runs as two dicts
+    keyed by block and rebuilds each touched block k as
+    ``heads.get(k, head_k) + runs.get(k, run_k)``.  A head may grow
+    (``grown``) or split (``(a1, a2)``, ``(a1, 1, a2)``, ...); a run may
+    grow (``longer``) or take new entries (``_ins``, ``_ins2``).  Head and
+    run are disjoint segments of the block's word, so a family that edits
+    the head of block i and the run of block j passes the same two dicts
+    whether i == j or not.
+    """
 
     def __init__(self, blocks: ABForm):
-        self.pieces = [_seg(a, b) for a, b in blocks]
         self.a = [a for a, _ in blocks]
         self.b = [b for _, b in blocks]
+        self.heads = [(a,) for a in self.a]
+        self.runs = [(1,) * b for b in self.b]
+        self.blocks = [hd + run for hd, run in zip(self.heads, self.runs)]
         self.h = len(blocks)
         self.d = sum(1 + b for b in self.b)
         self.out: list[FamilyTerm] = []
@@ -185,44 +209,41 @@ class _Emitter:
         return self
 
     def emit(self, coeff: int, dd: int, dh: int,
-             repl: dict[int, tuple[int, ...]] | None = None,
+             heads: dict[int, tuple[int, ...]] | None = None,
+             runs: dict[int, tuple[int, ...]] | None = None,
              front: tuple[int, ...] = (), back: tuple[int, ...] = ()) -> None:
         if coeff == 0:
             return
-        parts = list(self.pieces)
-        if repl:
-            for k, piece in repl.items():
-                parts[k] = piece
+        heads = heads or {}
+        runs = runs or {}
+        parts = list(self.blocks)
+        for k in heads.keys() | runs.keys():
+            parts[k] = heads.get(k, self.heads[k]) + runs.get(k, self.runs[k])
         comp = Composition(front + tuple(chain.from_iterable(parts)) + back)
         self.out.append(
             FamilyTerm(self._family, comp, coeff, self.d + dd, self.h + dh)
         )
 
-    # piece builders -----------------------------------------------------
     def grown(self, i: int, k: int) -> tuple[int, ...]:
-        return (self.a[i] + k,) + (1,) * self.b[i]
+        """Head i with k more zeros."""
+        return (self.a[i] + k,)
 
     def longer(self, j: int, k: int) -> tuple[int, ...]:
-        return _seg(self.a[j], self.b[j] + k)
+        """Run j with k more ones."""
+        return (1,) * (self.b[j] + k)
 
-    def grown_longer(self, i: int, ka: int, kb: int) -> tuple[int, ...]:
-        return _seg(self.a[i] + ka, self.b[i] + kb)
 
-    def ins(self, j: int, p: int, v: int, q: int, grow_a: int = 0) -> tuple[int, ...]:
-        """Block j with entry v placed in the 1-run: a, 1^p, v, 1^q."""
-        return (self.a[j] + grow_a,) + (1,) * p + (v,) + (1,) * q
-
-    def ins2(self, j: int, p: int, v1: int, q: int, v2: int, r: int) -> tuple[int, ...]:
-        return (self.a[j],) + (1,) * p + (v1,) + (1,) * q + (v2,) + (1,) * r
-
-    def asplit(self, i: int, a1: int, a2: int) -> tuple[int, ...]:
-        return (a1, a2) + (1,) * self.b[i]
-
-    def asplit_pair(self, i: int, a1: int, a2: int) -> tuple[int, ...]:
-        return (a1, 1, a2) + (1,) * self.b[i]
-
-    def asplit3(self, i: int, a1: int, a2: int, a3: int) -> tuple[int, ...]:
-        return (a1, a2, a3) + (1,) * self.b[i]
+def _merge(e: _Emitter, k: int, sign: int = 1) -> None:
+    """The single entry k merged into z: into a head (``k->a``) or into a
+    one of a run, which becomes k + 1 (``k->b:merge``).  A negative sign
+    negates the terms and prefixes the names with ``-``."""
+    minus = "-" if sign < 0 else ""
+    for i in range(e.h):
+        e.family(f"{minus}{k}->a").emit(sign, 0, 0, {i: e.grown(i, k)})
+    for j in range(e.h):
+        e.family(f"{minus}{k}->b:merge")
+        for p, q in _splits2(e.b[j] - 1):
+            e.emit(sign, 0, 1, runs={j: _ins(p, k + 1, q)})
 
 
 # ---------------------------------------------------------------------------
@@ -230,83 +251,77 @@ class _Emitter:
 # ---------------------------------------------------------------------------
 
 def _stuffle_1(e: _Emitter, printed: bool) -> None:
-    for i in range(e.h):
-        e.family("1->a").emit(1, 0, 0, {i: e.grown(i, 1)})
-    for j in range(e.h):
-        e.family("1->b:merge")
-        for p, q in _splits2(e.b[j] - 1):
-            e.emit(1, 0, 1, {j: e.ins(j, p, 2, q)})
+    _merge(e, 1)
     e.family("1->front").emit(1, 1, 0, front=(1,))  # divergent, cancels in dsr
     for j in range(e.h):
-        e.family("1->b:ins").emit(e.b[j] + 1, 1, 0, {j: e.longer(j, 1)})
+        e.family("1->b:ins").emit(e.b[j] + 1, 1, 0, runs={j: e.longer(j, 1)})
 
 
 def _shuffle_1(e: _Emitter, printed: bool) -> None:
     for j in range(e.h):
-        e.family("1->b").emit(e.b[j] + 2, 1, 0, {j: e.longer(j, 1)})
+        e.family("1->b").emit(e.b[j] + 2, 1, 0, runs={j: e.longer(j, 1)})
     e.family("1->front").emit(1, 1, 0, front=(1,))  # divergent, cancels in dsr
     for i in range(e.h):
         e.family("1->a")
         for a1, a2 in _asplits(e.a[i] + 1):
-            e.emit(1, 1, 1, {i: e.asplit(i, a1, a2)})
+            e.emit(1, 1, 1, {i: (a1, a2)})
 
 
 def _dsr_1(e: _Emitter, printed: bool) -> None:
-    for i in range(e.h):
-        e.family("-1->a").emit(-1, 0, 0, {i: e.grown(i, 1)})
+    _merge(e, 1, -1)
     for j in range(e.h):
-        e.family("-1->b:merge")
-        for p, q in _splits2(e.b[j] - 1):
-            e.emit(-1, 0, 1, {j: e.ins(j, p, 2, q)})
-    for j in range(e.h):
-        e.family("1->b").emit(1, 1, 0, {j: e.longer(j, 1)})
+        e.family("1->b").emit(1, 1, 0, runs={j: e.longer(j, 1)})
     for i in range(e.h):
         e.family("1->a")
         for a1, a2 in _asplits(e.a[i] + 1):
-            e.emit(1, 1, 1, {i: e.asplit(i, a1, a2)})
+            e.emit(1, 1, 1, {i: (a1, a2)})
+
+
+# ---------------------------------------------------------------------------
+# left factors (2) and (3): the stuffle side
+# ---------------------------------------------------------------------------
+
+def _stuffle_entry(k: int) -> Callable[[_Emitter, bool], None]:
+    """The stuffle generator of the single entry k >= 2 (for k = 1 the
+    inserted 1 joins a run of ones and the front unit adds no height)."""
+
+    def stuffle(e: _Emitter, printed: bool) -> None:
+        _merge(e, k)
+        e.family(f"{k}->front").emit(1, 1, 1, front=(k,))
+        for j in range(e.h):
+            e.family(f"{k}->b:ins")
+            for p, q in _splits2(e.b[j]):
+                e.emit(1, 1, 1, runs={j: _ins(p, k, q)})
+
+    return stuffle
+
+
+_stuffle_2 = _stuffle_entry(2)
+_stuffle_3 = _stuffle_entry(3)
 
 
 # ---------------------------------------------------------------------------
 # left factor (2)
 # ---------------------------------------------------------------------------
 
-def _stuffle_2(e: _Emitter, printed: bool) -> None:
-    for i in range(e.h):
-        e.family("2->a").emit(1, 0, 0, {i: e.grown(i, 2)})
-    for j in range(e.h):
-        e.family("2->b:merge")
-        for p, q in _splits2(e.b[j] - 1):
-            e.emit(1, 0, 1, {j: e.ins(j, p, 3, q)})
-    e.family("2->front").emit(1, 1, 1, front=(2,))
-    for j in range(e.h):
-        e.family("2->b:ins")
-        for p, q in _splits2(e.b[j]):
-            e.emit(1, 1, 1, {j: e.ins(j, p, 2, q)})
-
-
 def _shuffle_2_families(e: _Emitter, printed: bool, dsr: bool = False) -> None:
     # 0 -> a_i, 1 -> 1-run j (same block allowed)
     for i in range(e.h):
         for j in range(i, e.h):
-            e.family("0->a,1->b")
-            if i == j:
-                e.emit(e.a[i] * (e.b[j] + 2), 1, 0, {i: e.grown_longer(i, 1, 1)})
-            else:
-                e.emit(e.a[i] * (e.b[j] + 2), 1, 0,
-                       {i: e.grown(i, 1), j: e.longer(j, 1)})
+            e.family("0->a,1->b").emit(e.a[i] * (e.b[j] + 2), 1, 0,
+                                       {i: e.grown(i, 1)}, {j: e.longer(j, 1)})
     # 0 -> 1-run j1 (new 2), 1 -> 1-run j2
     for j1 in range(e.h):
         for j2 in range(j1 + 1, e.h):
             e.family("0->b1,1->b2")
             for p, q in _splits2(e.b[j1] - 1):
-                e.emit(e.b[j2] + 2, 1, 1,
-                       {j1: e.ins(j1, p, 2, q), j2: e.longer(j2, 1)})
+                e.emit(e.b[j2] + 2, 1, 1, runs={j1: _ins(p, 2, q), j2: e.longer(j2, 1)})
     # 0 and 1 in the same 1-run
     for j in range(e.h):
         e.family("0->b,1->b(same)")
         for p, q in _splits2(e.b[j]):
             coeff = q if dsr else q + 1
-            e.emit(coeff, 1, 1, {j: e.ins(j, p, 2, q)})
+            e.emit(coeff, 1, 1, runs={j: _ins(p, 2, q)})
     # 0 and 1 in the same 0-run (plus the front unit when not subtracted)
     if not dsr:
         e.family("00->a,1->a").emit(1, 1, 1, front=(2,))
@@ -316,20 +331,20 @@ def _shuffle_2_families(e: _Emitter, printed: bool, dsr: bool = False) -> None:
         if e.a[i] < lo:
             continue
         for a1, a2 in _asplits(e.a[i] + 2, lo1=3):
-            e.emit(a1 - 1, 1, 1, {i: e.asplit(i, a1, a2)})
+            e.emit(a1 - 1, 1, 1, {i: (a1, a2)})
     # 0 -> a_i1, 1 -> a_i2
     for i1 in range(e.h):
         for i2 in range(i1 + 1, e.h):
             e.family("0->a1,1->a2")
             for a1, a2 in _asplits(e.a[i2] + 1):
-                e.emit(e.a[i1], 1, 1, {i1: e.grown(i1, 1), i2: e.asplit(i2, a1, a2)})
+                e.emit(e.a[i1], 1, 1, {i1: e.grown(i1, 1), i2: (a1, a2)})
     # 0 -> 1-run j, 1 -> a_i with j < i
     for j in range(e.h):
         for i in range(j + 1, e.h):
             e.family("0->b,1->a")
             for p, q in _splits2(e.b[j] - 1):
                 for a1, a2 in _asplits(e.a[i] + 1):
-                    e.emit(1, 1, 2, {j: e.ins(j, p, 2, q), i: e.asplit(i, a1, a2)})
+                    e.emit(1, 1, 2, {i: (a1, a2)}, {j: _ins(p, 2, q)})
 
 
 def _shuffle_2(e: _Emitter, printed: bool) -> None:
@@ -337,32 +352,13 @@ def _shuffle_2(e: _Emitter, printed: bool) -> None:
 
 
 def _dsr_2(e: _Emitter, printed: bool) -> None:
-    for i in range(e.h):
-        e.family("-2->a").emit(-1, 0, 0, {i: e.grown(i, 2)})
-    for j in range(e.h):
-        e.family("-2->b:merge")
-        for p, q in _splits2(e.b[j] - 1):
-            e.emit(-1, 0, 1, {j: e.ins(j, p, 3, q)})
+    _merge(e, 2, -1)
     _shuffle_2_families(e, printed, dsr=True)
 
 
 # ---------------------------------------------------------------------------
 # left factor (3)
 # ---------------------------------------------------------------------------
-
-def _stuffle_3(e: _Emitter, printed: bool) -> None:
-    for i in range(e.h):
-        e.family("3->a").emit(1, 0, 0, {i: e.grown(i, 3)})
-    for j in range(e.h):
-        e.family("3->b:merge")
-        for p, q in _splits2(e.b[j] - 1):
-            e.emit(1, 0, 1, {j: e.ins(j, p, 4, q)})
-    e.family("3->front").emit(1, 1, 1, front=(3,))
-    for j in range(e.h):
-        e.family("3->b:ins")
-        for p, q in _splits2(e.b[j]):
-            e.emit(1, 1, 1, {j: e.ins(j, p, 3, q)})
-
 
 def _shuffle_3(e: _Emitter, printed: bool) -> None:
     a, b, h = e.a, e.b, e.h
@@ -371,93 +367,81 @@ def _shuffle_3(e: _Emitter, printed: bool) -> None:
     for i in range(h):
         e.family("00->a,1->a(same)")
         for a1, a2 in _asplits(a[i] + 3, lo1=4):
-            e.emit((a1 - 1) * (a1 - 2) // 2, 1, 1, {i: e.asplit(i, a1, a2)})
+            e.emit((a1 - 1) * (a1 - 2) // 2, 1, 1, {i: (a1, a2)})
     # 00 adjacent in a 1-run (new 3), 1 in the same run
     for j in range(h):
         e.family("00->b:3,1->b(same)")
         for p, q in _splits2(b[j]):
-            e.emit(q + 1, 1, 1, {j: e.ins(j, p, 3, q)})
+            e.emit(q + 1, 1, 1, runs={j: _ins(p, 3, q)})
     # 00 split in a 1-run (two 2s), 1 in the same run
     for j in range(h):
         e.family("00->b:22,1->b(same)")
         for p, q, r in _splits3(b[j] - 1):
-            e.emit(r + 1, 1, 2, {j: e.ins2(j, p, 2, q, 2, r)})
+            e.emit(r + 1, 1, 2, runs={j: _ins2(p, 2, q, 2, r)})
     # both 0s in a_i1, 1 splits a_i2
     for i1 in range(h):
         for i2 in range(i1 + 1, h):
             e.family("00->a1,1->a2")
             for a1, a2 in _asplits(a[i2] + 1):
-                e.emit(a[i1] * (a[i1] + 1) // 2, 1, 1,
-                       {i1: e.grown(i1, 2), i2: e.asplit(i2, a1, a2)})
+                e.emit(a[i1] * (a[i1] + 1) // 2, 1, 1, {i1: e.grown(i1, 2), i2: (a1, a2)})
     # both 0s in a_i, 1 in 1-run j
     for i in range(h):
         for j in range(i, h):
-            e.family("00->a,1->b")
-            c = a[i] * (a[i] + 1) // 2 * (b[j] + 2)
-            if i == j:
-                e.emit(c, 1, 0, {i: e.grown_longer(i, 2, 1)})
-            else:
-                e.emit(c, 1, 0, {i: e.grown(i, 2), j: e.longer(j, 1)})
+            e.family("00->a,1->b").emit(a[i] * (a[i] + 1) // 2 * (b[j] + 2), 1, 0,
+                                        {i: e.grown(i, 2)}, {j: e.longer(j, 1)})
     # 00 adjacent in 1-run j (new 3), 1 splits a_i
     for j in range(h):
         for i in range(j + 1, h):
             e.family("00->b:3,1->a")
             for p, q in _splits2(b[j] - 1):
                 for a1, a2 in _asplits(a[i] + 1):
-                    e.emit(1, 1, 2, {j: e.ins(j, p, 3, q), i: e.asplit(i, a1, a2)})
+                    e.emit(1, 1, 2, {i: (a1, a2)}, {j: _ins(p, 3, q)})
     # 00 split in 1-run j (two 2s), 1 splits a_i
     for j in range(h):
         for i in range(j + 1, h):
             e.family("00->b:22,1->a")
             for p, q, r in _splits3(b[j] - 2):
                 for a1, a2 in _asplits(a[i] + 1):
-                    e.emit(1, 1, 3, {j: e.ins2(j, p, 2, q, 2, r), i: e.asplit(i, a1, a2)})
+                    e.emit(1, 1, 3, {i: (a1, a2)}, {j: _ins2(p, 2, q, 2, r)})
     # 00 adjacent in 1-run j1 (new 3), 1 in 1-run j2
     for j1 in range(h):
         for j2 in range(j1 + 1, h):
             e.family("00->b1:3,1->b2")
             coeff = (b[j2] + 1) if printed else (b[j2] + 2)
             for p, q in _splits2(b[j1] - 1):
-                e.emit(coeff, 1, 1, {j1: e.ins(j1, p, 3, q), j2: e.longer(j2, 1)})
+                e.emit(coeff, 1, 1, runs={j1: _ins(p, 3, q), j2: e.longer(j2, 1)})
     # 00 split in 1-run j1 (two 2s), 1 in 1-run j2
     for j1 in range(h):
         for j2 in range(j1 + 1, h):
             e.family("00->b1:22,1->b2")
             for p, q, r in _splits3(b[j1] - 2):
-                e.emit(b[j2] + 2, 1, 2,
-                       {j1: e.ins2(j1, p, 2, q, 2, r), j2: e.longer(j2, 1)})
+                e.emit(b[j2] + 2, 1, 2, runs={j1: _ins2(p, 2, q, 2, r), j2: e.longer(j2, 1)})
     # 0 -> a_i1, 0 and 1 -> a_i2
     for i1 in range(h):
         for i2 in range(i1 + 1, h):
             e.family("0->a1,0->a2,1->a2")
             for a1, a2 in _asplits(a[i2] + 2, lo1=3):
-                e.emit(a[i1] * (a1 - 1), 1, 1,
-                       {i1: e.grown(i1, 1), i2: e.asplit(i2, a1, a2)})
+                e.emit(a[i1] * (a1 - 1), 1, 1, {i1: e.grown(i1, 1), i2: (a1, a2)})
     # 0 -> a_i, 0 and 1 in 1-run j
     for i in range(h):
         for j in range(i, h):
             e.family("0->a,0->b,1->b(same)")
             for p, q in _splits2(b[j]):
-                if i == j:
-                    e.emit(a[i] * (q + 1), 1, 1, {j: e.ins(j, p, 2, q, grow_a=1)})
-                else:
-                    e.emit(a[i] * (q + 1), 1, 1,
-                           {i: e.grown(i, 1), j: e.ins(j, p, 2, q)})
+                e.emit(a[i] * (q + 1), 1, 1, {i: e.grown(i, 1)}, {j: _ins(p, 2, q)})
     # 0 -> 1-run j (new 2), 0 and 1 -> a_i
     for j in range(h):
         for i in range(j + 1, h):
             e.family("0->b,0->a,1->a(same)")
             for p, q in _splits2(b[j] - 1):
                 for a1, a2 in _asplits(a[i] + 2, lo1=3):
-                    e.emit(a1 - 1, 1, 2, {j: e.ins(j, p, 2, q), i: e.asplit(i, a1, a2)})
+                    e.emit(a1 - 1, 1, 2, {i: (a1, a2)}, {j: _ins(p, 2, q)})
     # 0 -> 1-run j1 (new 2), 0 and 1 -> 1-run j2
     for j1 in range(h):
         for j2 in range(j1 + 1, h):
             e.family("0->b1,0->b2,1->b2")
             for p1, q1 in _splits2(b[j1] - 1):
                 for p2, q2 in _splits2(b[j2]):
-                    e.emit(q2 + 1, 1, 2,
-                           {j1: e.ins(j1, p1, 2, q1), j2: e.ins(j2, p2, 2, q2)})
+                    e.emit(q2 + 1, 1, 2, runs={j1: _ins(p1, 2, q1), j2: _ins(p2, 2, q2)})
     # 0 -> a_i1, 0 -> a_i2, 1 -> a_i3
     for i1 in range(h):
         for i2 in range(i1 + 1, h):
@@ -465,21 +449,14 @@ def _shuffle_3(e: _Emitter, printed: bool) -> None:
                 e.family("0->a1,0->a2,1->a3")
                 for a1, a2 in _asplits(a[i3] + 1):
                     e.emit(a[i1] * a[i2], 1, 1,
-                           {i1: e.grown(i1, 1), i2: e.grown(i2, 1),
-                            i3: e.asplit(i3, a1, a2)})
+                           {i1: e.grown(i1, 1), i2: e.grown(i2, 1), i3: (a1, a2)})
     # 0 -> a_i1, 0 -> a_i2, 1 -> 1-run j
     for i1 in range(h):
         for i2 in range(i1 + 1, h):
             for j in range(i2, h):
-                e.family("0->a1,0->a2,1->b")
-                c = a[i1] * a[i2] * (b[j] + 2)
-                repl = {i1: e.grown(i1, 1)}
-                if i2 == j:
-                    repl[i2] = e.grown_longer(i2, 1, 1)
-                else:
-                    repl[i2] = e.grown(i2, 1)
-                    repl[j] = e.longer(j, 1)
-                e.emit(c, 1, 0, repl)
+                e.family("0->a1,0->a2,1->b").emit(
+                    a[i1] * a[i2] * (b[j] + 2), 1, 0,
+                    {i1: e.grown(i1, 1), i2: e.grown(i2, 1)}, {j: e.longer(j, 1)})
     # 0 -> a_i1, 0 -> 1-run j, 1 -> a_i2   (i1 <= j < i2)
     for i1 in range(h):
         for j in range(i1, h):
@@ -487,26 +464,16 @@ def _shuffle_3(e: _Emitter, printed: bool) -> None:
                 e.family("0->a1,0->b,1->a2")
                 for p, q in _splits2(b[j] - 1):
                     for a1, a2 in _asplits(a[i2] + 1):
-                        repl = {i2: e.asplit(i2, a1, a2)}
-                        if i1 == j:
-                            repl[i1] = e.ins(j, p, 2, q, grow_a=1)
-                        else:
-                            repl[i1] = e.grown(i1, 1)
-                            repl[j] = e.ins(j, p, 2, q)
-                        e.emit(a[i1], 1, 2, repl)
+                        e.emit(a[i1], 1, 2, {i1: e.grown(i1, 1), i2: (a1, a2)},
+                               {j: _ins(p, 2, q)})
     # 0 -> a_i, 0 -> 1-run j1, 1 -> 1-run j2   (i <= j1 < j2)
     for i in range(h):
         for j1 in range(i, h):
             for j2 in range(j1 + 1, h):
                 e.family("0->a,0->b1,1->b2")
                 for p, q in _splits2(b[j1] - 1):
-                    repl = {j2: e.longer(j2, 1)}
-                    if i == j1:
-                        repl[i] = e.ins(j1, p, 2, q, grow_a=1)
-                    else:
-                        repl[i] = e.grown(i, 1)
-                        repl[j1] = e.ins(j1, p, 2, q)
-                    e.emit(a[i] * (b[j2] + 2), 1, 1, repl)
+                    e.emit(a[i] * (b[j2] + 2), 1, 1, {i: e.grown(i, 1)},
+                           {j1: _ins(p, 2, q), j2: e.longer(j2, 1)})
     # 0 -> 1-run j (new 2), 0 -> a_i1, 1 -> a_i2   (j < i1 < i2)
     for j in range(h):
         for i1 in range(j + 1, h):
@@ -515,22 +482,16 @@ def _shuffle_3(e: _Emitter, printed: bool) -> None:
                 coeff = 1 if printed else a[i1]
                 for p, q in _splits2(b[j] - 1):
                     for a1, a2 in _asplits(a[i2] + 1):
-                        e.emit(coeff, 1, 2,
-                               {j: e.ins(j, p, 2, q), i1: e.grown(i1, 1),
-                                i2: e.asplit(i2, a1, a2)})
+                        e.emit(coeff, 1, 2, {i1: e.grown(i1, 1), i2: (a1, a2)},
+                               {j: _ins(p, 2, q)})
     # 0 -> 1-run j1 (new 2), 0 -> a_i, 1 -> 1-run j2   (j1 < i <= j2)
     for j1 in range(h):
         for i in range(j1 + 1, h):
             for j2 in range(i, h):
                 e.family("0->b1,0->a,1->b2")
                 for p, q in _splits2(b[j1] - 1):
-                    repl = {j1: e.ins(j1, p, 2, q)}
-                    if i == j2:
-                        repl[i] = e.grown_longer(i, 1, 1)
-                    else:
-                        repl[i] = e.grown(i, 1)
-                        repl[j2] = e.longer(j2, 1)
-                    e.emit(a[i] * (b[j2] + 2), 1, 1, repl)
+                    e.emit(a[i] * (b[j2] + 2), 1, 1, {i: e.grown(i, 1)},
+                           {j1: _ins(p, 2, q), j2: e.longer(j2, 1)})
     # 0 -> 1-run j1, 0 -> 1-run j2, 1 -> a_i   (j1 < j2 < i)
     for j1 in range(h):
         for j2 in range(j1 + 1, h):
@@ -539,10 +500,8 @@ def _shuffle_3(e: _Emitter, printed: bool) -> None:
                 for p1, q1 in _splits2(b[j1] - 1):
                     for p2, q2 in _splits2(b[j2] - 1):
                         for a1, a2 in _asplits(a[i] + 1):
-                            e.emit(1, 1, 3,
-                                   {j1: e.ins(j1, p1, 2, q1),
-                                    j2: e.ins(j2, p2, 2, q2),
-                                    i: e.asplit(i, a1, a2)})
+                            e.emit(1, 1, 3, {i: (a1, a2)},
+                                   {j1: _ins(p1, 2, q1), j2: _ins(p2, 2, q2)})
     # 0 -> 1-run j1, 0 -> 1-run j2, 1 -> 1-run j3
     for j1 in range(h):
         for j2 in range(j1 + 1, h):
@@ -551,9 +510,8 @@ def _shuffle_3(e: _Emitter, printed: bool) -> None:
                 for p1, q1 in _splits2(b[j1] - 1):
                     for p2, q2 in _splits2(b[j2] - 1):
                         e.emit(b[j3] + 2, 1, 2,
-                               {j1: e.ins(j1, p1, 2, q1),
-                                j2: e.ins(j2, p2, 2, q2),
-                                j3: e.longer(j3, 1)})
+                               runs={j1: _ins(p1, 2, q1), j2: _ins(p2, 2, q2),
+                                     j3: e.longer(j3, 1)})
 
 
 def _shuffle_minus_stuffle(stuffle, shuffle) -> Callable[[_Emitter, bool], None]:
@@ -584,59 +542,50 @@ def _stuffle_21(e: _Emitter, printed: bool) -> None:
     # both entries merge into entries >= 2
     for i1 in range(h):
         for i2 in range(i1 + 1, h):
-            e.family("2->a1,1->a2").emit(
-                1, 0, 0, {i1: e.grown(i1, 2), i2: e.grown(i2, 1)})
+            e.family("2->a1,1->a2").emit(1, 0, 0, {i1: e.grown(i1, 2), i2: e.grown(i2, 1)})
     # 2 merges into a_i, 1 merges into a one of run j >= i
     for i in range(h):
         for j in range(i, h):
             e.family("2->a,1->b")
             for p, q in _splits2(b[j] - 1):
-                if i == j:
-                    e.emit(1, 0, 1, {j: e.ins(j, p, 2, q, grow_a=2)})
-                else:
-                    e.emit(1, 0, 1, {i: e.grown(i, 2), j: e.ins(j, p, 2, q)})
+                e.emit(1, 0, 1, {i: e.grown(i, 2)}, {j: _ins(p, 2, q)})
     # 2 merges into a one of run j (3), 1 merges into a_i, j < i
     for j in range(h):
         for i in range(j + 1, h):
             e.family("2->b:3,1->a")
             for p, q in _splits2(b[j] - 1):
-                e.emit(1, 0, 1, {j: e.ins(j, p, 3, q), i: e.grown(i, 1)})
+                e.emit(1, 0, 1, {i: e.grown(i, 1)}, {j: _ins(p, 3, q)})
     # both merge into ones of distinct runs
     for j1 in range(h):
         for j2 in range(j1 + 1, h):
             e.family("2->b1:3,1->b2")
             for p1, q1 in _splits2(b[j1] - 1):
                 for p2, q2 in _splits2(b[j2] - 1):
-                    e.emit(1, 0, 2,
-                           {j1: e.ins(j1, p1, 3, q1), j2: e.ins(j2, p2, 2, q2)})
+                    e.emit(1, 0, 2, runs={j1: _ins(p1, 3, q1), j2: _ins(p2, 2, q2)})
     # both merge into ones of the same run (missing from the printed list)
     if not printed:
         for j in range(h):
             e.family("2->b:3,1->b(same)")
             for p, q, r in _splits3(b[j] - 2):
-                e.emit(1, 0, 2, {j: e.ins2(j, p, 3, q, 2, r)})
+                e.emit(1, 0, 2, runs={j: _ins2(p, 3, q, 2, r)})
     # 2 merges into a_i, 1 inserted in run j >= i
     for i in range(h):
         for j in range(i, h):
-            e.family("2->a,1->b:ins")
-            if i == j:
-                e.emit(b[j] + 1, 1, 0, {i: e.grown_longer(i, 2, 1)})
-            else:
-                e.emit(b[j] + 1, 1, 0, {i: e.grown(i, 2), j: e.longer(j, 1)})
+            e.family("2->a,1->b:ins").emit(
+                b[j] + 1, 1, 0, {i: e.grown(i, 2)}, {j: e.longer(j, 1)})
     # 2 merges into a one of run j1 (3), 1 inserted in run j2 > j1
     for j1 in range(h):
         for j2 in range(j1 + 1, h):
             e.family("2->b1:3,1->b2:ins")
             for p, q in _splits2(b[j1] - 1):
-                e.emit(b[j2] + 1, 1, 1,
-                       {j1: e.ins(j1, p, 3, q), j2: e.longer(j2, 1)})
+                e.emit(b[j2] + 1, 1, 1, runs={j1: _ins(p, 3, q), j2: e.longer(j2, 1)})
     # 2 merges into a one of run j (3), 1 inserted after it in the same run
     # (printed with an index slip that breaks the weight)
     if not printed:
         for j in range(h):
             e.family("2->b:3,1->b+1(same)")
             for p, q in _splits2(b[j]):
-                e.emit(q, 1, 1, {j: e.ins(j, p, 3, q)})
+                e.emit(q, 1, 1, runs={j: _ins(p, 3, q)})
     # 2 inserted at the front, 1 merges into a_i
     for i in range(h):
         e.family("2->front,1->a").emit(1, 1, 1, {i: e.grown(i, 1)}, front=(2,))
@@ -645,46 +594,44 @@ def _stuffle_21(e: _Emitter, printed: bool) -> None:
         for i in range(j + 1, h):
             e.family("2->b:ins,1->a")
             for p, q in _splits2(b[j]):
-                e.emit(1, 1, 1, {j: e.ins(j, p, 2, q), i: e.grown(i, 1)})
+                e.emit(1, 1, 1, {i: e.grown(i, 1)}, {j: _ins(p, 2, q)})
     # 2 inserted at the front, 1 merges into a one of run j
     for j in range(h):
         e.family("2->front,1->b")
         for p, q in _splits2(b[j] - 1):
-            e.emit(1, 1, 2, {j: e.ins(j, p, 2, q)}, front=(2,))
+            e.emit(1, 1, 2, runs={j: _ins(p, 2, q)}, front=(2,))
     # 2 inserted in run j1, 1 merges into a one of run j2 > j1
     for j1 in range(h):
         for j2 in range(j1 + 1, h):
             e.family("2->b1:ins,1->b2")
             for p1, q1 in _splits2(b[j1]):
                 for p2, q2 in _splits2(b[j2] - 1):
-                    e.emit(1, 1, 2,
-                           {j1: e.ins(j1, p1, 2, q1), j2: e.ins(j2, p2, 2, q2)})
+                    e.emit(1, 1, 2, runs={j1: _ins(p1, 2, q1), j2: _ins(p2, 2, q2)})
     # 2 inserted in run j, 1 merges into a one after it in the same run
     # (printed with an index slip that breaks the weight)
     if not printed:
         for j in range(h):
             e.family("2->b:ins,1->b(same)")
             for p, q, r in _splits3(b[j] - 1):
-                e.emit(1, 1, 2, {j: e.ins2(j, p, 2, q, 2, r)})
+                e.emit(1, 1, 2, runs={j: _ins2(p, 2, q, 2, r)})
     # the unit (2,1) at the front
     e.family("21->front").emit(1, 2, 1, front=(2, 1))
     # 2 inserted at the front, 1 inserted in run j (missing from print)
     if not printed:
         for j in range(h):
             e.family("2->front,1->b+1").emit(
-                b[j] + 1, 2, 1, {j: e.longer(j, 1)}, front=(2,))
+                b[j] + 1, 2, 1, runs={j: e.longer(j, 1)}, front=(2,))
     # 2 inserted in run j, 1 inserted after it in the same run
     for j in range(h):
         e.family("2->b:ins,1->b+1(same)")
         for p, q in _splits2(b[j]):
-            e.emit(q + 1, 2, 1, {j: e.ins(j, p, 2, q + 1)})
+            e.emit(q + 1, 2, 1, runs={j: _ins(p, 2, q + 1)})
     # 2 inserted in run j1, 1 inserted in run j2 > j1
     for j1 in range(h):
         for j2 in range(j1 + 1, h):
             e.family("2->b1:ins,1->b2:ins")
             for p, q in _splits2(b[j1]):
-                e.emit(b[j2] + 1, 2, 1,
-                       {j1: e.ins(j1, p, 2, q), j2: e.longer(j2, 1)})
+                e.emit(b[j2] + 1, 2, 1, runs={j1: _ins(p, 2, q), j2: e.longer(j2, 1)})
 
 
 def _shuffle_21(e: _Emitter, printed: bool) -> None:
@@ -693,17 +640,17 @@ def _shuffle_21(e: _Emitter, printed: bool) -> None:
     for i in range(h):
         e.family("0->a,11->a(pair)")
         for a1, a2 in _asplits(a[i] + 2):
-            e.emit(a1 - 1, 2, 1, {i: e.asplit_pair(i, a1, a2)})
+            e.emit(a1 - 1, 2, 1, {i: (a1, 1, a2)})
     # 0 and both 1s split one 0-run twice
     for i in range(h):
         e.family("0->a,1->a,1->a(same)")
         for a1, a2, a3 in _asplits3(a[i] + 3):
-            e.emit(a1 - 1, 2, 2, {i: e.asplit3(i, a1, a2, a3)})
+            e.emit(a1 - 1, 2, 2, {i: (a1, a2, a3)})
     # 0 in 1-run j (new 2), both 1s after it in the same run
     for j in range(h):
         e.family("0->b,11->b(same)")
         for p, q in _splits2(b[j] - 1):
-            e.emit((q + 3) * (q + 2) // 2, 2, 1, {j: e.ins(j, p, 2, q + 2)})
+            e.emit((q + 3) * (q + 2) // 2, 2, 1, runs={j: _ins(p, 2, q + 2)})
     # 0 and one 1 split a_i1, the other 1 splits a_i2 (the printed inner
     # sums dangle, so this family is reconstructed; absent as printed)
     if not printed:
@@ -712,19 +659,13 @@ def _shuffle_21(e: _Emitter, printed: bool) -> None:
                 e.family("0->a1,1->a1,1->a2")
                 for a1, a2 in _asplits(a[i1] + 2):
                     for A1, A2 in _asplits(a[i2] + 1):
-                        e.emit(a1 - 1, 2, 2,
-                               {i1: e.asplit(i1, a1, a2), i2: e.asplit(i2, A1, A2)})
+                        e.emit(a1 - 1, 2, 2, {i1: (a1, a2), i2: (A1, A2)})
     # 0 and one 1 split a_i, the other 1 in 1-run j >= i
     for i in range(h):
         for j in range(i, h):
             e.family("0->a,1->a,1->b")
             for a1, a2 in _asplits(a[i] + 2):
-                if i == j:
-                    e.emit((a1 - 1) * (b[j] + 2), 2, 1,
-                           {i: (a1, a2) + (1,) * (b[i] + 1)})
-                else:
-                    e.emit((a1 - 1) * (b[j] + 2), 2, 1,
-                           {i: e.asplit(i, a1, a2), j: e.longer(j, 1)})
+                e.emit((a1 - 1) * (b[j] + 2), 2, 1, {i: (a1, a2)}, {j: e.longer(j, 1)})
     # 0 in 1-run j (new 2), one 1 after it, the other splits a_i > j
     for j in range(h):
         for i in range(j + 1, h):
@@ -732,61 +673,53 @@ def _shuffle_21(e: _Emitter, printed: bool) -> None:
             coeff_shift = 1 if printed else 2
             for p, q in _splits2(b[j] - 1):
                 for a1, a2 in _asplits(a[i] + 1):
-                    e.emit(q + coeff_shift, 2, 2,
-                           {j: e.ins(j, p, 2, q + 1), i: e.asplit(i, a1, a2)})
+                    e.emit(q + coeff_shift, 2, 2, {i: (a1, a2)}, {j: _ins(p, 2, q + 1)})
     # 0 in 1-run j1 (new 2), one 1 after it, the other in 1-run j2
     for j1 in range(h):
         for j2 in range(j1 + 1, h):
             e.family("0->b1,1->b1(same),1->b2")
             for p, q in _splits2(b[j1] - 1):
                 e.emit((q + 2) * (b[j2] + 2), 2, 1,
-                       {j1: e.ins(j1, p, 2, q + 1), j2: e.longer(j2, 1)})
+                       runs={j1: _ins(p, 2, q + 1), j2: e.longer(j2, 1)})
     # 0 into a_i1, adjacent 11 inside a_i2
     for i1 in range(h):
         for i2 in range(i1 + 1, h):
             e.family("0->a1,11->a2(pair)")
             for a1, a2 in _asplits(a[i2] + 1):
-                e.emit(a[i1], 2, 1,
-                       {i1: e.grown(i1, 1), i2: e.asplit_pair(i2, a1, a2)})
+                e.emit(a[i1], 2, 1, {i1: e.grown(i1, 1), i2: (a1, 1, a2)})
     # 0 into a_i1, both 1s split a_i2 twice
     for i1 in range(h):
         for i2 in range(i1 + 1, h):
             e.family("0->a1,1->a2,1->a2")
             for a1, a2, a3 in _asplits3(a[i2] + 2):
-                e.emit(a[i1], 2, 2,
-                       {i1: e.grown(i1, 1), i2: e.asplit3(i2, a1, a2, a3)})
+                e.emit(a[i1], 2, 2, {i1: e.grown(i1, 1), i2: (a1, a2, a3)})
     # 0 into a_i, both 1s into 1-run j >= i
     for i in range(h):
         for j in range(i, h):
-            e.family("0->a,1->b,1->b(same)")
-            c = a[i] * (b[j] + 3) * (b[j] + 2) // 2
-            if i == j:
-                e.emit(c, 2, 0, {i: e.grown_longer(i, 1, 2)})
-            else:
-                e.emit(c, 2, 0, {i: e.grown(i, 1), j: e.longer(j, 2)})
+            e.family("0->a,1->b,1->b(same)").emit(
+                a[i] * (b[j] + 3) * (b[j] + 2) // 2, 2, 0,
+                {i: e.grown(i, 1)}, {j: e.longer(j, 2)})
     # 0 in 1-run j (new 2), adjacent 11 inside a_i > j
     for j in range(h):
         for i in range(j + 1, h):
             e.family("0->b,11->a(pair)")
             for p, q in _splits2(b[j] - 1):
                 for a1, a2 in _asplits(a[i] + 1):
-                    e.emit(1, 2, 2,
-                           {j: e.ins(j, p, 2, q), i: e.asplit_pair(i, a1, a2)})
+                    e.emit(1, 2, 2, {i: (a1, 1, a2)}, {j: _ins(p, 2, q)})
     # 0 in 1-run j (new 2), both 1s split a_i > j twice
     for j in range(h):
         for i in range(j + 1, h):
             e.family("0->b,1->a,1->a")
             for p, q in _splits2(b[j] - 1):
                 for a1, a2, a3 in _asplits3(a[i] + 2):
-                    e.emit(1, 2, 3,
-                           {j: e.ins(j, p, 2, q), i: e.asplit3(i, a1, a2, a3)})
+                    e.emit(1, 2, 3, {i: (a1, a2, a3)}, {j: _ins(p, 2, q)})
     # 0 in 1-run j1 (new 2), both 1s into 1-run j2
     for j1 in range(h):
         for j2 in range(j1 + 1, h):
             e.family("0->b1,1->b2,1->b2")
             for p, q in _splits2(b[j1] - 1):
                 e.emit((b[j2] + 3) * (b[j2] + 2) // 2, 2, 1,
-                       {j1: e.ins(j1, p, 2, q), j2: e.longer(j2, 2)})
+                       runs={j1: _ins(p, 2, q), j2: e.longer(j2, 2)})
     # 0 into a_i1, 1 splits a_i2, 1 splits a_i3
     for i1 in range(h):
         for i2 in range(i1 + 1, h):
@@ -794,47 +727,30 @@ def _shuffle_21(e: _Emitter, printed: bool) -> None:
                 e.family("0->a1,1->a2,1->a3")
                 for a1, a2 in _asplits(a[i2] + 1):
                     for A1, A2 in _asplits(a[i3] + 1):
-                        e.emit(a[i1], 2, 2,
-                               {i1: e.grown(i1, 1), i2: e.asplit(i2, a1, a2),
-                                i3: e.asplit(i3, A1, A2)})
+                        e.emit(a[i1], 2, 2, {i1: e.grown(i1, 1), i2: (a1, a2), i3: (A1, A2)})
     # 0 into a_i1, 1 splits a_i2, 1 into 1-run j >= i2
     for i1 in range(h):
         for i2 in range(i1 + 1, h):
             for j in range(i2, h):
                 e.family("0->a1,1->a2,1->b")
                 for a1, a2 in _asplits(a[i2] + 1):
-                    repl = {i1: e.grown(i1, 1)}
-                    if i2 == j:
-                        repl[i2] = (a1, a2) + (1,) * (b[i2] + 1)
-                    else:
-                        repl[i2] = e.asplit(i2, a1, a2)
-                        repl[j] = e.longer(j, 1)
-                    e.emit(a[i1] * (b[j] + 2), 2, 1, repl)
+                    e.emit(a[i1] * (b[j] + 2), 2, 1,
+                           {i1: e.grown(i1, 1), i2: (a1, a2)}, {j: e.longer(j, 1)})
     # 0 into a_i1, 1 into 1-run j, 1 splits a_i2   (i1 <= j < i2)
     for i1 in range(h):
         for j in range(i1, h):
             for i2 in range(j + 1, h):
                 e.family("0->a1,1->b,1->a2")
                 for a1, a2 in _asplits(a[i2] + 1):
-                    repl = {i2: e.asplit(i2, a1, a2)}
-                    if i1 == j:
-                        repl[i1] = e.grown_longer(i1, 1, 1)
-                    else:
-                        repl[i1] = e.grown(i1, 1)
-                        repl[j] = e.longer(j, 1)
-                    e.emit(a[i1] * (b[j] + 2), 2, 1, repl)
+                    e.emit(a[i1] * (b[j] + 2), 2, 1,
+                           {i1: e.grown(i1, 1), i2: (a1, a2)}, {j: e.longer(j, 1)})
     # 0 into a_i, 1 into 1-run j1, 1 into 1-run j2   (i <= j1 < j2)
     for i in range(h):
         for j1 in range(i, h):
             for j2 in range(j1 + 1, h):
-                e.family("0->a,1->b1,1->b2")
-                repl = {j2: e.longer(j2, 1)}
-                if i == j1:
-                    repl[i] = e.grown_longer(i, 1, 1)
-                else:
-                    repl[i] = e.grown(i, 1)
-                    repl[j1] = e.longer(j1, 1)
-                e.emit(a[i] * (b[j1] + 2) * (b[j2] + 2), 2, 0, repl)
+                e.family("0->a,1->b1,1->b2").emit(
+                    a[i] * (b[j1] + 2) * (b[j2] + 2), 2, 0,
+                    {i: e.grown(i, 1)}, {j1: e.longer(j1, 1), j2: e.longer(j2, 1)})
     # 0 in 1-run j (new 2), 1 splits a_i1, 1 splits a_i2   (j < i1 < i2)
     for j in range(h):
         for i1 in range(j + 1, h):
@@ -843,10 +759,7 @@ def _shuffle_21(e: _Emitter, printed: bool) -> None:
                 for p, q in _splits2(b[j] - 1):
                     for a1, a2 in _asplits(a[i1] + 1):
                         for A1, A2 in _asplits(a[i2] + 1):
-                            e.emit(1, 2, 3,
-                                   {j: e.ins(j, p, 2, q),
-                                    i1: e.asplit(i1, a1, a2),
-                                    i2: e.asplit(i2, A1, A2)})
+                            e.emit(1, 2, 3, {i1: (a1, a2), i2: (A1, A2)}, {j: _ins(p, 2, q)})
     # 0 in 1-run j1 (new 2), 1 splits a_i, 1 into 1-run j2   (j1 < i <= j2)
     for j1 in range(h):
         for i in range(j1 + 1, h):
@@ -854,13 +767,8 @@ def _shuffle_21(e: _Emitter, printed: bool) -> None:
                 e.family("0->b1,1->a,1->b2")
                 for p, q in _splits2(b[j1] - 1):
                     for a1, a2 in _asplits(a[i] + 1):
-                        repl = {j1: e.ins(j1, p, 2, q)}
-                        if i == j2:
-                            repl[i] = (a1, a2) + (1,) * (b[i] + 1)
-                        else:
-                            repl[i] = e.asplit(i, a1, a2)
-                            repl[j2] = e.longer(j2, 1)
-                        e.emit(b[j2] + 2, 2, 2, repl)
+                        e.emit(b[j2] + 2, 2, 2, {i: (a1, a2)},
+                               {j1: _ins(p, 2, q), j2: e.longer(j2, 1)})
     # 0 in 1-run j1 (new 2), 1 into 1-run j2, 1 splits a_i   (j1 < j2 < i)
     for j1 in range(h):
         for j2 in range(j1 + 1, h):
@@ -868,9 +776,8 @@ def _shuffle_21(e: _Emitter, printed: bool) -> None:
                 e.family("0->b1,1->b2,1->a")
                 for p, q in _splits2(b[j1] - 1):
                     for a1, a2 in _asplits(a[i] + 1):
-                        e.emit(b[j2] + 2, 2, 2,
-                               {j1: e.ins(j1, p, 2, q), j2: e.longer(j2, 1),
-                                i: e.asplit(i, a1, a2)})
+                        e.emit(b[j2] + 2, 2, 2, {i: (a1, a2)},
+                               {j1: _ins(p, 2, q), j2: e.longer(j2, 1)})
     # 0 in 1-run j1 (new 2), 1 into 1-run j2, 1 into 1-run j3
     for j1 in range(h):
         for j2 in range(j1 + 1, h):
@@ -878,8 +785,7 @@ def _shuffle_21(e: _Emitter, printed: bool) -> None:
                 e.family("0->b1,1->b2,1->b3")
                 for p, q in _splits2(b[j1] - 1):
                     e.emit((b[j2] + 2) * (b[j3] + 2), 2, 1,
-                           {j1: e.ins(j1, p, 2, q), j2: e.longer(j2, 1),
-                            j3: e.longer(j3, 1)})
+                           runs={j1: _ins(p, 2, q), j2: e.longer(j2, 1), j3: e.longer(j3, 1)})
     # the unit (2,1) appended at the very end
     e.family("011->end").emit(1, 2, 1, back=(2, 1))
 
@@ -981,7 +887,8 @@ class DiscrepancyReport:
     def as_dict(self) -> dict:
         def comb(d):
             return [
-                {"composition": list(t), "coeff": {"num": str(c.numerator), "den": str(c.denominator)}}
+                {"composition": list(t),
+                 "coeff": {"num": str(c.numerator), "den": str(c.denominator)}}
                 for t, c in sorted(d.items())
             ]
 

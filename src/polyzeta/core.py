@@ -53,8 +53,8 @@ class Composition(tuple):
     __slots__ = ()
 
     def __new__(cls, entries: Iterable[int] = ()) -> "Composition":
-        entries = tuple(int(e) for e in entries)
-        if any(e < 1 for e in entries):
+        entries = tuple(map(int, entries))
+        if entries and min(entries) < 1:
             raise ValueError(f"composition entries must be >= 1, got {entries}")
         return super().__new__(cls, entries)
 

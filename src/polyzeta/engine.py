@@ -135,7 +135,6 @@ class RationalMatrix:
     weight: int
     columns: tuple[Composition, ...]
     rows: list[dict[int, Fraction]]
-    row_meta: list[tuple[str, Composition]]
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -153,8 +152,7 @@ def assemble_matrix(rs: RelationSet, hoffman_last: bool = False) -> RationalMatr
         ]
     col_index = {c: k for k, c in enumerate(columns)}
     rows = [{col_index[t]: c for t, c in rel.body.items()} for rel in rs.relations]
-    meta = [(rel.family, rel.source) for rel in rs.relations]
-    return RationalMatrix(rs.weight, tuple(columns), rows, meta)
+    return RationalMatrix(rs.weight, tuple(columns), rows)
 
 
 @dataclass
@@ -439,7 +437,6 @@ def reduce_relations(rs: RelationSet, hoffman_last: bool = True) -> HoffmanRepor
 class NumericReport:
     tol: float
     residuals: list[tuple[str, Composition, float]]  # family, source, ratio
-    worst_by_family: dict[str, float]
     failures: list[tuple[str, Composition, float]]
 
     @property
@@ -461,7 +458,6 @@ def verify_numeric(rs: RelationSet, tol: float = 1e-3, max_terms: int = 10**8) -
     check_tolerance(tol, max_terms)
     residuals = []
     failures = []
-    worst: dict[str, float] = {}
     limit = Fraction(tol)
     p0 = max(0, math.ceil(-math.log2(tol)))
     for rel in rs.relations:
@@ -473,10 +469,9 @@ def verify_numeric(rs: RelationSet, tol: float = 1e-3, max_terms: int = 10**8) -
             p += max(8, math.ceil(math.log2(bound / (limit * mass))) + 1)
         ratio = abs(r) / mass if mass else 0.0
         residuals.append((rel.family, rel.source, ratio))
-        worst[rel.family] = max(worst.get(rel.family, 0.0), ratio)
         if abs(r) > bound or not reached:
             failures.append((rel.family, rel.source, ratio))
-    return NumericReport(tol, residuals, worst, failures)
+    return NumericReport(tol, residuals, failures)
 
 
 def _residual(body: LinComb, tol: float, max_terms: int) -> tuple[int, int, int, bool]:

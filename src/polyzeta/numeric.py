@@ -33,7 +33,7 @@ from functools import lru_cache
 
 from .core import Composition, format_composition
 
-__all__ = ["EvalResult", "ToleranceUnreachable", "check_tolerance", "eval_mzv", "eval_lincomb"]
+__all__ = ["EvalResult", "ToleranceUnreachable", "check_tolerance", "eval_mzv"]
 
 # bits carried beyond log2(1/tol); the rounding loss of one value is a few
 # thousand units of the last place at weight <= 12, well under 2^16
@@ -193,18 +193,3 @@ def eval_mzv(c: Composition, tol: float = 1e-6, max_terms: int = 10**7) -> EvalR
                 r,
             )
         bits += max(_GUARD, math.ceil(math.log2(r.tail_estimate / tol)) + 1)
-
-
-def eval_lincomb(x, tol: float = 1e-6, max_terms: int = 10**7) -> float:
-    """Evaluate a formal combination; aggregate error <= tol * sum |coeff|."""
-    from .oracle import LinComb
-
-    if not isinstance(x, LinComb):
-        raise TypeError("eval_lincomb expects a LinComb")
-    if x.has_divergent():
-        raise ValueError(
-            f"eval_lincomb: divergent terms present: {x.divergent_part()}"
-        )
-    return math.fsum(
-        float(coeff) * eval_mzv(term, tol, max_terms).value for term, coeff in x.items()
-    )

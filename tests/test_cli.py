@@ -215,17 +215,25 @@ def test_reduce_golden_output(tmp_path, golden, argv):
     assert out.read_bytes() == (GOLDEN / golden).read_bytes()
 
 
+GOLDEN_EXIT = {"eval_3_unreachable.json": 1}
+
+
 @pytest.mark.parametrize("golden, argv", [
-    ("relations_w8.json", ["relations", "--weight", "8"]),
-    ("reconcile_21_dsr_w9.json", ["reconcile", "--g", "21", "--side", "dsr", "--max-weight", "9"]),
+    ("relations_w8.json", ["relations", "--weight", "8", "--format", "json"]),
+    ("reconcile_21_dsr_w9.json",
+     ["reconcile", "--g", "21", "--side", "dsr", "--max-weight", "9", "--format", "json"]),
     ("reconcile_3_shuffle_w9.json",
-     ["reconcile", "--g", "3", "--side", "shuffle", "--max-weight", "9"]),
+     ["reconcile", "--g", "3", "--side", "shuffle", "--max-weight", "9", "--format", "json"]),
+    ("eval_21.txt", ["eval", "2,1", "--tol", "1e-6"]),
+    ("eval_21.json", ["eval", "2,1", "--tol", "1e-6", "--format", "json"]),
+    ("eval_3_unreachable.json",
+     ["eval", "3", "--tol", "1e-12", "--max-terms", "10", "--format", "json"]),
 ])
 def test_golden_output(tmp_path, golden, argv):
-    """Relation and reconcile JSON output is frozen byte for byte."""
+    """Relation, reconcile and eval output is frozen byte for byte."""
     out = tmp_path / golden
-    code = main([*argv, "--format", "json", "--data-dir", str(tmp_path), "--out", str(out)])
-    assert code == 0
+    code = main([*argv, "--data-dir", str(tmp_path), "--out", str(out)])
+    assert code == GOLDEN_EXIT.get(golden, 0)
     assert out.read_bytes() == (GOLDEN / golden).read_bytes()
 
 

@@ -1,4 +1,7 @@
+import hashlib
+import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -20,6 +23,9 @@ from polyzeta.ordering import enumerate_weight
 C = Composition
 SIDES = ("stuffle", "shuffle", "dsr")
 ORACLE = {"stuffle": stuffle, "shuffle": shuffle, "dsr": dsr}
+
+
+GOLDEN = Path(__file__).resolve().parent / "golden" / "closed_terms.json"
 
 
 def sweep(g, side, max_total_weight):
@@ -178,3 +184,27 @@ class TestIntegerCoefficients:
             for z in sweep(g, "dsr", 9):
                 for _, coeff in closed_dsr(g, z).items():
                     assert Fraction(coeff).denominator == 1
+
+
+def closed_terms_digest(g, side, variant, max_total_weight):
+    """sha256 over every emitted term of the sweep, in emission order."""
+    h = hashlib.sha256()
+    for z in sweep(g, side, max_total_weight):
+        h.update(f"z {list(z)}\n".encode())
+        for t in closed_terms(g, side, z, variant):
+            row = (t.family, tuple(t.composition), t.coeff, t.depth, t.height)
+            h.update(f"{row!r}\n".encode())
+    return h.hexdigest()
+
+
+def test_closed_terms_golden():
+    """Families, order, coefficients and predicted signatures are frozen:
+    a renamed, reordered or re-signed family changes a digest even when
+    the summed product stays the same."""
+    doc = json.loads(GOLDEN.read_text())
+    w = doc["max_total_weight"]
+    got = {
+        f"{g}/{side}/{variant}": closed_terms_digest(g, side, variant, w)
+        for g in LEFT_FACTORS for side in SIDES for variant in ("corrected", "printed")
+    }
+    assert got == doc["digests"]
