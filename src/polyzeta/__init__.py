@@ -3,7 +3,8 @@
 Compositions, the duality involution, the fixed-weight total order,
 closed stuffle/shuffle expansions for the left factors (1), (2), (3)
 and (2,1) validated against brute-force products, relation sets with
-exact rational rank reduction, and a floating-point referee.
+certified exact rank reduction, and a numeric referee that encloses
+every value in a proven interval.
 """
 
 from .core import (

@@ -25,7 +25,6 @@ difference.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from itertools import chain
 from typing import Callable, Iterator
 
@@ -877,11 +876,11 @@ class DiscrepancyReport:
     g: str
     side: str
     z: Composition
-    missing: dict[Composition, Fraction] = field(default_factory=dict)
-    extra: dict[Composition, Fraction] = field(default_factory=dict)
-    mismatched: dict[Composition, tuple[Fraction, Fraction]] = field(default_factory=dict)
+    missing: dict[Composition, int] = field(default_factory=dict)
+    extra: dict[Composition, int] = field(default_factory=dict)
+    mismatched: dict[Composition, tuple[int, int]] = field(default_factory=dict)
     corrections_engaged: list[str] = field(default_factory=list)
-    beyond_printed: dict[Composition, Fraction] = field(default_factory=dict)
+    beyond_printed: dict[Composition, int] = field(default_factory=dict)
     verdict: str = "exact"
 
     def as_dict(self) -> dict:
@@ -937,7 +936,6 @@ def reconcile_one(g: str, side: str, z) -> DiscrepancyReport:
     """Compare the shipped closed form against the oracle for one z."""
     z = z if isinstance(z, Composition) else Composition(z)
     corrected = closed_terms(g, side, z, "corrected")
-    printed = closed_terms(g, side, z, "printed")
     shipped = _sum_terms(corrected)
     target = _oracle_product(g, side, z)
     rep = DiscrepancyReport(g=g, side=side, z=z)
@@ -950,13 +948,16 @@ def reconcile_one(g: str, side: str, z) -> DiscrepancyReport:
     for t, c in shipped.items():
         if target[t] == 0:
             rep.extra[t] = c
-    rep.beyond_printed = (shipped - _sum_terms(printed)).terms()
     corrected_here = _corrections_for(g, side)
-    by_family_c = _family_sums(corrected, corrected_here)
-    by_family_p = _family_sums(printed, corrected_here)
-    rep.corrections_engaged = [
-        fam for fam in corrected_here if by_family_c.get(fam, {}) != by_family_p.get(fam, {})
-    ]
+    if corrected_here:  # else the printed terms are the corrected ones
+        printed = closed_terms(g, side, z, "printed")
+        rep.beyond_printed = (shipped - _sum_terms(printed)).terms()
+        by_family_c = _family_sums(corrected, corrected_here)
+        by_family_p = _family_sums(printed, corrected_here)
+        rep.corrections_engaged = [
+            fam for fam in corrected_here
+            if by_family_c.get(fam, {}) != by_family_p.get(fam, {})
+        ]
     clean = not (rep.missing or rep.extra or rep.mismatched)
     structural = any(corrected_here[fam] for fam in rep.corrections_engaged)
     rep.verdict = ("exact" if not structural else "reconciled") if clean else "mismatch"

@@ -134,7 +134,7 @@ class RationalMatrix:
 
     weight: int
     columns: tuple[Composition, ...]
-    rows: list[dict[int, Fraction]]
+    rows: list[dict[int, int | Fraction]]
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -163,9 +163,10 @@ class ReductionResult:
     # pivot composition -> {free composition: coefficient}
     table: dict[Composition, dict[Composition, Fraction]]
 
-    def substitute(self, body: LinComb) -> dict[Composition, Fraction]:
+    def substitute(self, body: LinComb) -> dict[Composition, int | Fraction]:
         """Rewrite a combination over the free columns only (zero iff the
-        combination lies in the row space)."""
+        combination lies in the row space); coefficients are ``Fraction``s
+        only where the table has them."""
         return LinComb(
             (free, coeff * x)
             for term, coeff in body.items()

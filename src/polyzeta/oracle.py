@@ -21,21 +21,23 @@ class InternalConsistencyError(AssertionError):
     """A structural guarantee was violated (e.g. a divergent residue)."""
 
 
-_ZERO = Fraction(0)
-
-
 class LinComb:
     """A finite formal sum of terms with exact rational coefficients.
 
     Terms are Compositions (or Words for the word-level shuffle); all
-    terms of one combination share a single weight.  Zero coefficients
-    are never stored, and every stored coefficient is a ``Fraction``.
+    terms of one combination share a single weight.  Every stored
+    coefficient is in one canonical form: a non-zero ``int``, or a
+    ``Fraction`` whose denominator is > 1.  Products of integer
+    combinations (stuffle, shuffle, the closed families) therefore stay
+    in ints end to end; a ``Fraction`` appears only where a division
+    did, as in the reduction table.
 
     The constructor is the one accumulator of the package: products,
     sums and relation bodies all hand it (term, coefficient) pairs, in a
     mapping or any iterable, and a term may repeat.  It adds the
-    coefficients of each term, drops the zero sums and checks that one
-    weight remains.  A coefficient that is not already an ``int`` or a
+    coefficients of each term, drops the zero sums, turns a sum with
+    denominator 1 back into its numerator and checks that one weight
+    remains.  A coefficient that is not already an ``int`` or a
     ``Fraction`` is converted exactly with ``Fraction(c)`` before it is
     added, so ``"1/3"`` is a third and ``0.1`` is the binary value of
     the float, not a tenth.
@@ -45,16 +47,23 @@ class LinComb:
 
     def __init__(self, terms: Mapping | Iterable[tuple] | None = None):
         data: dict = {}
+        all_ints = True
         if terms:
             items = terms.items() if isinstance(terms, Mapping) else terms
             for t, c in items:
-                if type(c) is not int and type(c) is not Fraction:
-                    c = Fraction(c)
-                s = data.get(t, _ZERO) + c
+                if type(c) is not int:
+                    all_ints = False
+                    if type(c) is not Fraction:
+                        c = Fraction(c)
+                s = data.get(t, 0) + c
                 if s:
                     data[t] = s
                 else:
                     data.pop(t, None)
+        if not all_ints:
+            for t, c in data.items():
+                if type(c) is not int and c.denominator == 1:
+                    data[t] = c.numerator
         weights = {t.weight for t in data}
         if len(weights) > 1:
             raise ValueError(f"mixed weights in one combination: {sorted(weights)}")
@@ -78,8 +87,8 @@ class LinComb:
     def __bool__(self) -> bool:
         return bool(self._terms)
 
-    def __getitem__(self, term) -> Fraction:
-        return self._terms.get(term, Fraction(0))
+    def __getitem__(self, term) -> int | Fraction:
+        return self._terms.get(term, 0)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, LinComb):
@@ -99,12 +108,13 @@ class LinComb:
         return LinComb((t, -c) for t, c in self._terms.items())
 
     def __rmul__(self, scalar) -> "LinComb":
-        scalar = Fraction(scalar)
+        if type(scalar) is not int:
+            scalar = Fraction(scalar)
         return LinComb((t, scalar * c) for t, c in self._terms.items())
 
-    def mass(self) -> Fraction:
+    def mass(self) -> int | Fraction:
         """Total coefficient mass (sum of coefficients)."""
-        return sum(self._terms.values(), Fraction(0))
+        return sum(self._terms.values())
 
     def has_divergent(self) -> bool:
         """True iff some term is a non-convergent composition."""

@@ -95,6 +95,18 @@ class TestBasics:
         assert code == 2
         assert err.startswith("error: ") and "Traceback" not in err
 
+    @pytest.mark.parametrize("exc", [RecursionError("maximum recursion depth exceeded"),
+                                     MemoryError()])
+    def test_other_failure_exits_three(self, capsys, monkeypatch, exc):
+        def boom(args):
+            raise exc
+
+        monkeypatch.setattr("polyzeta.cli._cmd_list", boom)
+        code = main(["list", "--weight", "4"])
+        err = capsys.readouterr().err
+        assert code == 3
+        assert err == f"internal error: {type(exc).__name__}: {exc}\n"
+
 
 class TestFilesAndCache:
     def test_out_file(self, capsys, tmp_path):
@@ -191,6 +203,29 @@ class TestReduceVerify:
         assert code == 0
         assert "all checks passed" in out
 
+    def test_verify_duality_residue_fails(self, capsys, tmp_path, monkeypatch):
+        from dataclasses import replace
+
+        from polyzeta import cli
+
+        real = cli.reduce_relations
+
+        def wrong_table(rs, *a):
+            # every table entry off by one: some duality relation no longer maps to 0
+            rep = real(rs, *a)
+            table = {piv: {f: x + 1 for f, x in expr.items()}
+                     for piv, expr in rep.result.table.items()}
+            return replace(rep, result=replace(rep.result, table=table))
+
+        monkeypatch.setattr(cli, "reduce_relations", wrong_table)
+        code, out = run(capsys, "verify", "--weight", "6", "--format", "json",
+                        "--data-dir", str(tmp_path))
+        doc = json.loads(out)
+        bad = [f for f in doc["failures"] if f["check"] == "duality"]
+        assert code == 1 and not doc["ok"]
+        assert bad and all(f["source"] and f["residue"] for f in bad)
+        assert f"duality: {len(bad)} of " in " ".join(doc["summary"])
+
     def test_verify_weight_five(self, capsys, tmp_path):
         code, out = run(capsys, "verify", "--weight", "5", "--numeric-tol", "1e-3",
                         "--data-dir", str(tmp_path))
@@ -228,9 +263,14 @@ GOLDEN_EXIT = {"eval_3_unreachable.json": 1}
     ("eval_21.json", ["eval", "2,1", "--tol", "1e-6", "--format", "json"]),
     ("eval_3_unreachable.json",
      ["eval", "3", "--tol", "1e-12", "--max-terms", "10", "--format", "json"]),
+    ("relations_w6.txt", ["relations", "--weight", "6"]),
+    ("stuffle_2_211.txt", ["stuffle", "2", "2,1,1"]),
+    ("shuffle_3_21.txt", ["shuffle", "3", "2,1"]),
+    ("closed_21_dsr_211.txt", ["closed", "--g", "21", "--side", "dsr", "2,1,1"]),
+    ("reduce_table_w6.txt", ["reduce", "--weight", "6", "--report", "table"]),
 ])
 def test_golden_output(tmp_path, golden, argv):
-    """Relation, reconcile and eval output is frozen byte for byte."""
+    """Relation, product, reconcile, eval and table output is frozen byte for byte."""
     out = tmp_path / golden
     code = main([*argv, "--data-dir", str(tmp_path), "--out", str(out)])
     assert code == GOLDEN_EXIT.get(golden, 0)

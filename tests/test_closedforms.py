@@ -8,6 +8,7 @@ import pytest
 from polyzeta.closedforms import (
     LEFT_FACTORS,
     PRINT_CORRECTIONS,
+    _corrections_for,
     closed_dsr,
     closed_shuffle,
     closed_stuffle,
@@ -165,6 +166,19 @@ class TestReconcile:
         corrected = closed_shuffle("2", C((3,)))
         assert corrected == shuffle(C((2,)), C((3,)))
         assert corrected[C((3, 2))] - printed[C((3, 2))] == 2
+
+    UNCORRECTED = [(g, side) for g in LEFT_FACTORS for side in SIDES
+                   if not _corrections_for(g, side)]
+
+    def test_uncorrected_pairs(self):
+        assert self.UNCORRECTED == [("1", "stuffle"), ("1", "shuffle"), ("1", "dsr"),
+                                    ("2", "stuffle"), ("3", "stuffle")]
+
+    @pytest.mark.parametrize("g, side", UNCORRECTED)
+    def test_uncorrected_printed_is_corrected(self, g, side):
+        # reconcile_one reuses the corrected terms as the printed ones here
+        for z in sweep(g, side, 10):
+            assert closed_terms(g, side, z, "printed") == closed_terms(g, side, z, "corrected")
 
     def test_corrections_registry_nonempty(self):
         keys = {(c.g, c.side) for c in PRINT_CORRECTIONS}

@@ -7,6 +7,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import compositions
+from polyzeta.closedforms import LEFT_FACTORS, closed_dsr
 from polyzeta.core import Composition, Word
 from polyzeta.oracle import LinComb, dsr, shuffle, shuffle_words, stuffle
 from polyzeta.ordering import enumerate_weight
@@ -66,6 +67,11 @@ def naive(pairs) -> dict:
     return {t: c for t, c in acc.items() if c}
 
 
+def canonical(c) -> bool:
+    """A stored coefficient: a non-zero int, or a Fraction that is not one."""
+    return c != 0 and (type(c) is int or (type(c) is Fraction and c.denominator > 1))
+
+
 def add(a: dict, b: dict, sign=1) -> dict:
     return naive(list(a.items()) + [(t, sign * c) for t, c in b.items()])
 
@@ -78,7 +84,7 @@ class TestLinCombAccumulator:
     def test_construct(self, pairs):
         lc = LinComb(pairs)
         assert lc.terms() == naive(pairs)
-        assert all(type(c) is Fraction and c for _, c in lc.items())
+        assert all(canonical(c) for _, c in lc.items())
         assert LinComb(dict(lc.items())) == lc
 
     @settings(max_examples=100, deadline=None)
@@ -91,7 +97,7 @@ class TestLinCombAccumulator:
             (k * a, naive((t, Fraction(k) * c) for t, c in a.items())),
         ):
             assert lc.terms() == want
-            assert all(type(c) is Fraction and c for _, c in lc.items())
+            assert all(canonical(c) for _, c in lc.items())
 
     @settings(max_examples=50, deadline=None)
     @given(pair_lists(), COEFFS)
@@ -99,6 +105,28 @@ class TestLinCombAccumulator:
         assume(naive(pairs) and Fraction(c))
         with pytest.raises(ValueError, match="mixed weights"):
             LinComb(pairs + [(C((4,)), c)])
+
+
+CONVERGENT = {w: enumerate_weight(w) for w in range(2, 7)}
+
+
+@st.composite
+def product_pairs(draw):
+    """Two convergent compositions of total weight <= 8."""
+    wx = draw(st.integers(2, 6))
+    wy = draw(st.integers(2, 8 - wx))
+    return draw(st.sampled_from(CONVERGENT[wx])), draw(st.sampled_from(CONVERGENT[wy]))
+
+
+@settings(max_examples=100, deadline=None)
+@given(product_pairs())
+def test_product_coefficients_are_ints(pair):
+    x, y = pair
+    bodies = [stuffle(x, y), shuffle(x, y), dsr(y, x)]
+    bodies += [closed_dsr(g, x) for g, lf in LEFT_FACTORS.items()
+               if lf.weight + x.weight <= 8]
+    for body in bodies:
+        assert body and all(type(c) is int for _, c in body.items())
 
 
 class TestStuffle:
