@@ -16,16 +16,19 @@ import json
 import os
 import sys
 from fractions import Fraction
+from functools import partial
 from pathlib import Path
 
 from . import __version__
 from .closedforms import (
     LEFT_FACTORS,
+    SIDES,
     closed_dsr,
     closed_shuffle,
     closed_stuffle,
     reconcile,
     reconcile_one,
+    sources,
 )
 from .core import (
     Composition,
@@ -47,16 +50,11 @@ from .engine import (
     verify_numeric,
 )
 from .numeric import ToleranceUnreachable, check_tolerance, eval_mzv
-from .oracle import InternalConsistencyError, LinComb, shuffle, stuffle
+from .oracle import InternalConsistencyError, LinComb, coeff_dict, shuffle, stuffle
 from .ordering import enumerate_weight
 
 SCHEMA = 1
 _GEN_HASH = hashlib.sha256(GENERATOR_VERSION.encode()).hexdigest()[:12]
-
-
-def _frac_dict(x: int | Fraction) -> dict:
-    x = Fraction(x)
-    return {"num": str(x.numerator), "den": str(x.denominator)}
 
 
 def _coeff_from_dict(d: dict) -> int | Fraction:
@@ -67,7 +65,7 @@ def _coeff_from_dict(d: dict) -> int | Fraction:
 def _lincomb_dict(lc: LinComb) -> dict:
     return {
         "terms": [
-            {"coeff": _frac_dict(c), "composition": list(t)}
+            {"coeff": coeff_dict(c), "composition": list(t)}
             for t, c in lc.sorted_items()
         ]
     }
@@ -92,11 +90,6 @@ def _data_dir(args) -> Path:
     p = Path(root)
     p.mkdir(parents=True, exist_ok=True)
     return p
-
-
-def _parse_comp(text: str) -> Composition:
-    # ParseError propagates to main(), which maps it to exit code 2
-    return parse_composition(text)
 
 
 # ---------------------------------------------------------------------------
@@ -166,12 +159,14 @@ def _read_cache(path: Path) -> RelationSet | None:
     return None
 
 
-def _load_or_generate(args, w: int, families, duality: bool, mode: str) -> RelationSet:
-    path = _cache_path(_data_dir(args), w, families, duality, mode)
+def _load_or_generate(args) -> RelationSet:
+    """The relation set that --weight, --families, --duality and --mode name."""
+    key = (args.weight, args.families, args.duality, args.mode)
+    path = _cache_path(_data_dir(args), *key)
     rs = _read_cache(path)
     if rs is not None:
         return rs
-    rs = generate_relations(w, families, duality, mode)
+    rs = generate_relations(*key)
     # write a temp file and rename it, so readers never see a partial entry
     tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
     try:
@@ -184,11 +179,12 @@ def _load_or_generate(args, w: int, families, duality: bool, mode: str) -> Relat
 
 def _families_arg(text: str) -> tuple[str, ...]:
     fams = tuple(x.strip() for x in text.split(",") if x.strip())
+    use = f"(use {','.join(LEFT_FACTORS)})"
     if not fams:
-        raise argparse.ArgumentTypeError("no family given (use 1,2,3,21)")
+        raise argparse.ArgumentTypeError(f"no family given {use}")
     for f in fams:
         if f not in LEFT_FACTORS:
-            raise argparse.ArgumentTypeError(f"unknown family {f!r} (use 1,2,3,21)")
+            raise argparse.ArgumentTypeError(f"unknown family {f!r} {use}")
     return fams
 
 
@@ -208,7 +204,7 @@ def _cmd_list(args) -> int:
 
 
 def _cmd_dual(args) -> int:
-    c = _parse_comp(args.composition)
+    c = parse_composition(args.composition)
     d = dual(c)
     _emit_payload(
         args,
@@ -219,7 +215,7 @@ def _cmd_dual(args) -> int:
 
 
 def _cmd_wdh(args) -> int:
-    c = _parse_comp(args.composition)
+    c = parse_composition(args.composition)
     sig = signature(c)
     _emit_payload(
         args,
@@ -269,15 +265,15 @@ def _cmd_count(args) -> int:
 
 
 def _product_cmd(args, op) -> int:
-    c1 = _parse_comp(args.left)
-    c2 = _parse_comp(args.right)
+    c1 = parse_composition(args.left)
+    c2 = parse_composition(args.right)
     lc = op(c1, c2)
     _emit_payload(args, {"schema": SCHEMA, **_lincomb_dict(lc)}, str(lc))
     return 0
 
 
 def _cmd_closed(args) -> int:
-    z = _parse_comp(args.composition)
+    z = parse_composition(args.composition)
     op = {"stuffle": closed_stuffle, "shuffle": closed_shuffle, "dsr": closed_dsr}[args.side]
     lc = op(args.g, z)
     _emit_payload(args, {"schema": SCHEMA, "g": args.g, "side": args.side,
@@ -307,7 +303,7 @@ def _cmd_reconcile(args) -> int:
 
 
 def _cmd_relations(args) -> int:
-    rs = _load_or_generate(args, args.weight, args.families, args.duality, args.mode)
+    rs = _load_or_generate(args)
     payload = _relset_dict(rs)
     text_lines = [
         f"# weight {rs.weight}, {len(rs.relations)} relations "
@@ -333,7 +329,7 @@ def _matrix_csv(rs: RelationSet, hoffman_last: bool, path: str) -> None:
 
 
 def _cmd_reduce(args) -> int:
-    rs = _load_or_generate(args, args.weight, args.families, args.duality, args.mode)
+    rs = _load_or_generate(args)
     if args.out and args.out.endswith(".csv"):
         _matrix_csv(rs, args.hoffman_last, args.out)
         return 0
@@ -365,7 +361,7 @@ def _cmd_reduce(args) -> int:
             **rep.as_dict(),
             "table": {
                 format_composition(piv): {
-                    format_composition(f): _frac_dict(x) for f, x in expr.items()
+                    format_composition(f): coeff_dict(x) for f, x in expr.items()
                 }
                 for piv, expr in rep.result.table.items()
             },
@@ -383,7 +379,7 @@ def _cmd_reduce(args) -> int:
 
 
 def _cmd_eval(args) -> int:
-    c = _parse_comp(args.composition)
+    c = parse_composition(args.composition)
     try:
         r, reached = eval_mzv(c, args.tol, args.max_terms), True
     except ToleranceUnreachable as exc:
@@ -408,12 +404,9 @@ def _cmd_verify(args) -> int:
         failures.append({"check": "enumeration", "got": n, "expected": n_total(w)})
     summary.append(f"enumeration: {n} polyzetas of weight {w}")
 
-    for g in ("1", "2", "3", "21"):
-        for side in ("stuffle", "shuffle", "dsr"):
-            gw = LEFT_FACTORS[g].weight
-            if w - gw < 2:
-                continue
-            for z in enumerate_weight(w - gw):
+    for g in LEFT_FACTORS:
+        for side in SIDES:
+            for z in sources(g, w):
                 rep = reconcile_one(g, side, z)
                 if rep.verdict == "mismatch":
                     failures.append(
@@ -465,8 +458,8 @@ def _cmd_verify(args) -> int:
         "summary": summary,
         "failures": failures,
     }
-    text = "\n".join(summary + ([f"FAILURES: {len(failures)}"] if failures else ["all checks passed"]))
-    _emit_payload(args, payload, text)
+    verdict = f"FAILURES: {len(failures)}" if failures else "all checks passed"
+    _emit_payload(args, payload, "\n".join([*summary, verdict]))
     return 1 if failures else 0
 
 
@@ -477,6 +470,16 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--format", choices=("text", "json"), default="text")
     common.add_argument("--out", metavar="FILE", default=None)
     common.add_argument("--data-dir", metavar="DIR", default=None)
+    # one product of the index: left factor and side
+    product = argparse.ArgumentParser(add_help=False)
+    product.add_argument("--g", choices=tuple(LEFT_FACTORS), required=True)
+    product.add_argument("--side", choices=SIDES, required=True)
+    # one relation set, as _load_or_generate reads it
+    relset = argparse.ArgumentParser(add_help=False)
+    relset.add_argument("--weight", type=int, required=True)
+    relset.add_argument("--families", type=_families_arg, default=tuple(LEFT_FACTORS))
+    relset.add_argument("--duality", action="store_true")
+    relset.add_argument("--mode", choices=("closed", "oracle"), default="closed")
 
     p = argparse.ArgumentParser(
         prog="polyzeta",
@@ -505,41 +508,27 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--table", action="store_true")
     sp.set_defaults(func=_cmd_count)
 
-    sp = sub.add_parser("stuffle", parents=[common], help="quasi-shuffle product")
-    sp.add_argument("left")
-    sp.add_argument("right")
-    sp.set_defaults(func=lambda a: _product_cmd(a, stuffle))
+    for name, op, text in (("stuffle", stuffle, "quasi-shuffle product"),
+                           ("shuffle", shuffle, "shuffle product")):
+        sp = sub.add_parser(name, parents=[common], help=text)
+        sp.add_argument("left")
+        sp.add_argument("right")
+        sp.set_defaults(func=partial(_product_cmd, op=op))
 
-    sp = sub.add_parser("shuffle", parents=[common], help="shuffle product")
-    sp.add_argument("left")
-    sp.add_argument("right")
-    sp.set_defaults(func=lambda a: _product_cmd(a, shuffle))
-
-    sp = sub.add_parser("closed", parents=[common], help="closed-form product")
-    sp.add_argument("--g", choices=("1", "2", "3", "21"), required=True)
-    sp.add_argument("--side", choices=("stuffle", "shuffle", "dsr"), required=True)
+    sp = sub.add_parser("closed", parents=[common, product], help="closed-form product")
     sp.add_argument("composition")
     sp.set_defaults(func=_cmd_closed)
 
-    sp = sub.add_parser("reconcile", parents=[common],
+    sp = sub.add_parser("reconcile", parents=[common, product],
                         help="closed forms vs brute force, with print-defect deltas")
-    sp.add_argument("--g", choices=("1", "2", "3", "21"), required=True)
-    sp.add_argument("--side", choices=("stuffle", "shuffle", "dsr"), required=True)
     sp.add_argument("--max-weight", type=int, default=12)
     sp.set_defaults(func=_cmd_reconcile)
 
-    sp = sub.add_parser("relations", parents=[common], help="generate one weight's relations")
-    sp.add_argument("--weight", type=int, required=True)
-    sp.add_argument("--families", type=_families_arg, default=("1", "2", "3", "21"))
-    sp.add_argument("--duality", action="store_true")
-    sp.add_argument("--mode", choices=("closed", "oracle"), default="closed")
+    sp = sub.add_parser("relations", parents=[common, relset],
+                        help="generate one weight's relations")
     sp.set_defaults(func=_cmd_relations)
 
-    sp = sub.add_parser("reduce", parents=[common], help="rank / basis / reduction table")
-    sp.add_argument("--weight", type=int, required=True)
-    sp.add_argument("--families", type=_families_arg, default=("1", "2", "3", "21"))
-    sp.add_argument("--duality", action="store_true")
-    sp.add_argument("--mode", choices=("closed", "oracle"), default="closed")
+    sp = sub.add_parser("reduce", parents=[common, relset], help="rank / basis / reduction table")
     sp.add_argument("--report", choices=("rank", "basis", "table"), default="rank")
     sp.add_argument("--hoffman-last", action=argparse.BooleanOptionalAction, default=True)
     sp.set_defaults(func=_cmd_reduce)

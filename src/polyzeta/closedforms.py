@@ -26,14 +26,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import chain
-from typing import Callable, Iterator
+from typing import Callable, Iterator, Sequence
 
 from .core import ABForm, Composition, format_composition, to_ab
-from .oracle import InternalConsistencyError, LinComb, dsr as oracle_dsr
+from .oracle import InternalConsistencyError, LinComb, coeff_dict, dsr as oracle_dsr
 from .oracle import shuffle as oracle_shuffle, stuffle as oracle_stuffle
+from .ordering import enumerate_weight
 
 __all__ = [
     "LEFT_FACTORS",
+    "SIDES",
+    "sources",
     "FamilyTerm",
     "PrintCorrection",
     "PRINT_CORRECTIONS",
@@ -51,6 +54,14 @@ LEFT_FACTORS = {
     "3": Composition((3,)),
     "21": Composition((2, 1)),
 }
+SIDES = ("stuffle", "shuffle", "dsr")
+
+
+def sources(g: str, w: int) -> Sequence[Composition]:
+    """The right factors of g at total weight w: every convergent z with
+    weight(g) + weight(z) = w, none when that leaves z below weight 2."""
+    wz = w - LEFT_FACTORS[g].weight
+    return enumerate_weight(wz) if wz >= 2 else ()
 
 
 @dataclass(frozen=True)
@@ -137,7 +148,7 @@ PRINT_CORRECTIONS: tuple[PrintCorrection, ...] = (
 
 def _corrections_for(g: str, side: str) -> dict[str, bool]:
     """family -> structural?  The dsr side inherits both product sides."""
-    sides = (side,) if side != "dsr" else ("dsr", "stuffle", "shuffle")
+    sides = SIDES if side == "dsr" else (side,)
     out: dict[str, bool] = {}
     for c in PRINT_CORRECTIONS:
         if c.g == g and c.side in sides:
@@ -157,9 +168,9 @@ def _splits3(total: int) -> Iterator[tuple[int, int, int]]:
             yield p, q, total - p - q
 
 
-def _asplits(total: int, lo1: int = 2, lo2: int = 2) -> Iterator[tuple[int, int]]:
-    """All (a', a'') with a' + a'' = total, a' >= lo1, a'' >= lo2."""
-    for a1 in range(lo1, total - lo2 + 1):
+def _asplits(total: int, lo1: int = 2) -> Iterator[tuple[int, int]]:
+    """All (a', a'') with a' + a'' = total, a' >= lo1, a'' >= 2."""
+    for a1 in range(lo1, total - 1):
         yield a1, total - a1
 
 
@@ -232,17 +243,26 @@ class _Emitter:
         return (1,) * (self.b[j] + k)
 
 
-def _merge(e: _Emitter, k: int, sign: int = 1) -> None:
+def _merge(e: _Emitter, k: int) -> None:
     """The single entry k merged into z: into a head (``k->a``) or into a
-    one of a run, which becomes k + 1 (``k->b:merge``).  A negative sign
-    negates the terms and prefixes the names with ``-``."""
-    minus = "-" if sign < 0 else ""
+    one of a run, which becomes k + 1 (``k->b:merge``)."""
     for i in range(e.h):
-        e.family(f"{minus}{k}->a").emit(sign, 0, 0, {i: e.grown(i, k)})
+        e.family(f"{k}->a").emit(1, 0, 0, {i: e.grown(i, k)})
     for j in range(e.h):
-        e.family(f"{minus}{k}->b:merge")
+        e.family(f"{k}->b:merge")
         for p, q in _splits2(e.b[j] - 1):
-            e.emit(sign, 0, 1, runs={j: _ins(p, k + 1, q)})
+            e.emit(1, 0, 1, runs={j: _ins(p, k + 1, q)})
+
+
+def _subtract(e: _Emitter, emit: Callable[..., None], *args) -> None:
+    """Run ``emit(e, *args)``, then negate the terms it appended and
+    prefix their family names with ``-``: the stuffle side of a dsr."""
+    before = len(e.out)
+    emit(e, *args)
+    e.out[before:] = [
+        FamilyTerm("-" + t.family, t.composition, -t.coeff, t.depth, t.height)
+        for t in e.out[before:]
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -267,7 +287,7 @@ def _shuffle_1(e: _Emitter, printed: bool) -> None:
 
 
 def _dsr_1(e: _Emitter, printed: bool) -> None:
-    _merge(e, 1, -1)
+    _subtract(e, _merge, 1)
     for j in range(e.h):
         e.family("1->b").emit(1, 1, 0, runs={j: e.longer(j, 1)})
     for i in range(e.h):
@@ -351,7 +371,7 @@ def _shuffle_2(e: _Emitter, printed: bool) -> None:
 
 
 def _dsr_2(e: _Emitter, printed: bool) -> None:
-    _merge(e, 2, -1)
+    _subtract(e, _merge, 2)
     _shuffle_2_families(e, printed, dsr=True)
 
 
@@ -518,12 +538,7 @@ def _shuffle_minus_stuffle(stuffle, shuffle) -> Callable[[_Emitter, bool], None]
     first, negated and renamed ``-family``."""
 
     def dsr(e: _Emitter, printed: bool) -> None:
-        before = len(e.out)
-        stuffle(e, printed)
-        e.out[before:] = [
-            FamilyTerm("-" + t.family, t.composition, -t.coeff, t.depth, t.height)
-            for t in e.out[before:]
-        ]
+        _subtract(e, stuffle, printed)
         shuffle(e, printed)
 
     return dsr
@@ -824,7 +839,7 @@ def closed_terms(g: str, side: str, z, variant: str = "corrected") -> list[Famil
     there; see PRINT_CORRECTIONS).
     """
     if g not in LEFT_FACTORS:
-        raise ValueError(f"unknown left factor key {g!r}; use one of 1, 2, 3, 21")
+        raise ValueError(f"unknown left factor key {g!r}; use one of {', '.join(LEFT_FACTORS)}")
     if (g, side) not in _GENERATORS:
         raise ValueError(f"unknown side {side!r}; use stuffle, shuffle or dsr")
     if variant not in ("corrected", "printed"):
@@ -885,11 +900,7 @@ class DiscrepancyReport:
 
     def as_dict(self) -> dict:
         def comb(d):
-            return [
-                {"composition": list(t),
-                 "coeff": {"num": str(c.numerator), "den": str(c.denominator)}}
-                for t, c in sorted(d.items())
-            ]
+            return [{"composition": list(t), "coeff": coeff_dict(c)} for t, c in sorted(d.items())]
 
         return {
             "g": self.g,
@@ -901,8 +912,8 @@ class DiscrepancyReport:
             "mismatched": [
                 {
                     "composition": list(t),
-                    "closed": {"num": str(a.numerator), "den": str(a.denominator)},
-                    "oracle": {"num": str(b.numerator), "den": str(b.denominator)},
+                    "closed": coeff_dict(a),
+                    "oracle": coeff_dict(b),
                 }
                 for t, (a, b) in sorted(self.mismatched.items())
             ],
@@ -911,13 +922,7 @@ class DiscrepancyReport:
         }
 
 
-def _oracle_product(g: str, side: str, z: Composition) -> LinComb:
-    gc = LEFT_FACTORS[g]
-    if side == "stuffle":
-        return oracle_stuffle(gc, z)
-    if side == "shuffle":
-        return oracle_shuffle(gc, z)
-    return oracle_dsr(gc, z)
+_ORACLE_PRODUCTS = {"stuffle": oracle_stuffle, "shuffle": oracle_shuffle, "dsr": oracle_dsr}
 
 
 def _family_sums(terms: list[FamilyTerm], families) -> dict[str, dict]:
@@ -937,7 +942,7 @@ def reconcile_one(g: str, side: str, z) -> DiscrepancyReport:
     z = z if isinstance(z, Composition) else Composition(z)
     corrected = closed_terms(g, side, z, "corrected")
     shipped = _sum_terms(corrected)
-    target = _oracle_product(g, side, z)
+    target = _ORACLE_PRODUCTS[side](LEFT_FACTORS[g], z)
     rep = DiscrepancyReport(g=g, side=side, z=z)
     for t, c in target.items():
         got = shipped[t]
@@ -969,15 +974,8 @@ RECONCILE_WEIGHT_CAP = 16  # the sweep is exponential in the weight
 
 def reconcile(g: str, side: str, max_weight: int = 12) -> list[DiscrepancyReport]:
     """Sweep all convergent z with weight(z) + weight(g) <= max_weight."""
-    from .ordering import enumerate_weight
-
     if max_weight > RECONCILE_WEIGHT_CAP:
         raise ValueError(
             f"max_weight {max_weight} exceeds the configured cap {RECONCILE_WEIGHT_CAP}"
         )
-    gw = LEFT_FACTORS[g].weight
-    reports = []
-    for wz in range(2, max_weight - gw + 1):
-        for z in enumerate_weight(wz):
-            reports.append(reconcile_one(g, side, z))
-    return reports
+    return [reconcile_one(g, side, z) for w in range(max_weight + 1) for z in sources(g, w)]

@@ -195,24 +195,26 @@ def format_composition(c: Composition) -> str:
     return ",".join(parts)
 
 
-def _require_convergent(c: Composition, what: str) -> None:
+def _require_convergent(c: Iterable[int], what: str) -> Composition:
+    """``c`` as a Composition, checked to be convergent."""
     if not isinstance(c, Composition):
         c = Composition(c)
     if len(c) == 0:
         raise NotConvergentError(f"{what}: empty composition is not a polyzeta")
     if c[0] == 1:
         raise NotConvergentError(f"{what}: leading entry 1 in {format_composition(c)}")
+    return c
 
 
 def signature(c: Composition) -> Signature:
     """Return (weight, depth, height); rejects non-convergent input."""
-    _require_convergent(c, "signature")
+    c = _require_convergent(c, "signature")
     return Signature(c.weight, c.depth, c.height)
 
 
 def to_ab(c: Composition) -> ABForm:
     """Convergent composition -> block form (a_1,b_1),...,(a_h,b_h)."""
-    _require_convergent(c, "to_ab")
+    c = _require_convergent(c, "to_ab")
     blocks: list[tuple[int, int]] = []
     i = 0
     while i < len(c):
@@ -240,7 +242,7 @@ def encode_word(c: Composition) -> Word:
 
     Each block (a, 1^b) maps to ``0^(a-1) 1 1^b``.
     """
-    _require_convergent(c, "encode_word")
+    c = _require_convergent(c, "encode_word")
     return Word("".join("0" * (e - 1) + "1" for e in c))
 
 
@@ -272,7 +274,7 @@ def dual(c: Composition) -> Composition:
     entry ``b+2`` and every entry ``a`` into the run ``1^(a-2)``.  Weight
     and height are preserved; depth maps to weight - depth.
     """
-    _require_convergent(c, "dual")
+    c = _require_convergent(c, "dual")
     entries: list[int] = []
     for a, b in reversed(to_ab(c)):
         entries.append(b + 2)

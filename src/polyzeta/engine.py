@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable
 
-from .closedforms import LEFT_FACTORS, closed_dsr
+from .closedforms import LEFT_FACTORS, closed_dsr, sources
 from .core import Composition, dual
 from .counting import hoffman_dim, is_hoffman
 from .numeric import ToleranceUnreachable, check_tolerance, eval_mzv
@@ -43,8 +43,6 @@ __all__ = [
 # bump when the generated relations could change (closed-form fixes, ordering)
 GENERATOR_VERSION = "relations-v1"
 
-ALL_FAMILIES = ("1", "2", "3", "21")
-
 
 @dataclass(frozen=True)
 class Relation:
@@ -53,10 +51,6 @@ class Relation:
     body: LinComb
     family: str  # "1" | "2" | "3" | "21" | "duality"
     source: Composition
-
-    @property
-    def weight(self) -> int:
-        return self.body.weight
 
 
 @dataclass
@@ -82,7 +76,7 @@ def expected_relation_count(w: int) -> int:
 
 def generate_relations(
     w: int,
-    families: Iterable[str] = ALL_FAMILIES,
+    families: Iterable[str] = tuple(LEFT_FACTORS),
     include_duality: bool = False,
     mode: str = "closed",
 ) -> RelationSet:
@@ -104,13 +98,12 @@ def generate_relations(
     notices: list[str] = []
     for f in families:
         g = LEFT_FACTORS[f]
-        wz = w - g.weight
-        if wz < 2:
+        zs = sources(f, w)
+        if not zs:
             notices.append(
                 f"family {f}: no sources at weight {w} (needs weight >= {g.weight + 2})"
             )
-            continue
-        for z in enumerate_weight(wz):
+        for z in zs:
             body = closed_dsr(f, z) if mode == "closed" else oracle_dsr(g, z)
             if body.has_divergent():
                 raise AssertionError(f"divergent relation body for family {f}, z={z}")
@@ -405,7 +398,7 @@ class HoffmanReport:
 
 def hoffman_reduce(
     w: int,
-    families: Iterable[str] = ALL_FAMILIES,
+    families: Iterable[str] = tuple(LEFT_FACTORS),
     include_duality: bool = False,
     mode: str = "closed",
 ) -> HoffmanReport:

@@ -14,7 +14,8 @@ from typing import Iterable, Iterator, Mapping
 
 from .core import Composition, Word, decode_word, encode_word, format_composition
 
-__all__ = ["LinComb", "InternalConsistencyError", "stuffle", "shuffle_words", "shuffle", "dsr"]
+__all__ = ["LinComb", "coeff_dict", "InternalConsistencyError", "stuffle", "shuffle_words",
+           "shuffle", "dsr"]
 
 
 class InternalConsistencyError(AssertionError):
@@ -165,6 +166,11 @@ class LinComb:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"LinComb({self._terms!r})"
+
+
+def coeff_dict(c: int | Fraction) -> dict[str, str]:
+    """The JSON form of a coefficient: numerator and denominator as strings."""
+    return {"num": str(c.numerator), "den": str(c.denominator)}
 
 
 @lru_cache(maxsize=None)

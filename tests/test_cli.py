@@ -1,7 +1,12 @@
+import io
 import json
+import shlex
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from polyzeta.cli import main
 
@@ -106,6 +111,70 @@ class TestBasics:
         err = capsys.readouterr().err
         assert code == 3
         assert err == f"internal error: {type(exc).__name__}: {exc}\n"
+
+
+def _opt(flag, values, required=False):
+    """``flag=value`` for one drawn value; absent at times unless required."""
+    present = values.map(lambda v: [f"{flag}={v}"])
+    return present if required else st.one_of(st.just([]), present)
+
+
+def _flag(flag):
+    return st.sampled_from([[], [flag]])
+
+
+def _cmd(name, *parts):
+    return st.tuples(*parts).map(lambda ps: [name, *(word for p in ps for word in p)])
+
+
+_COMP = st.sampled_from(["2", "3,1", "2,1", "4,1^2", "1", "1,2", "0", "2,1^-1", "2,,1", "x"])
+_ONE, _TWO = st.lists(_COMP, min_size=1, max_size=1), st.lists(_COMP, min_size=2, max_size=2)
+_WEIGHT = st.integers(-1, 6)
+_W = _opt("--weight", _WEIGHT, required=True)
+_TOL = st.sampled_from(["1e-3", "1e-6", "0", "-1e-3", "inf", "nan"])
+_G = _opt("--g", st.sampled_from(["1", "2", "3", "21", "4"]), required=True)
+_SIDE = _opt("--side", st.sampled_from(["stuffle", "shuffle", "dsr", "x"]), required=True)
+_RELSET = (
+    _W,
+    _opt("--families", st.sampled_from(["1,2,3,21", "21", "2,3", "1,7", ""])),
+    _flag("--duality"),
+    _opt("--mode", st.sampled_from(["closed", "oracle", "foo"])),
+)
+_ARGV = st.one_of(
+    _cmd("list", _W),
+    _cmd("dual", _ONE),
+    _cmd("wdh", _ONE),
+    _cmd("count", _W, _opt("--depth", _WEIGHT), _opt("--height", _WEIGHT), _flag("--table")),
+    _cmd("stuffle", _TWO),
+    _cmd("shuffle", _TWO),
+    _cmd("closed", _G, _SIDE, _ONE),
+    _cmd("reconcile", _G, _SIDE, _opt("--max-weight", st.integers(-1, 8), required=True)),
+    _cmd("relations", *_RELSET),
+    _cmd("reduce", *_RELSET, _opt("--report", st.sampled_from(["rank", "basis", "table"])),
+         _flag("--no-hoffman-last")),
+    _cmd("eval", _ONE, _opt("--tol", _TOL), _opt("--max-terms", st.sampled_from([0, 10]))),
+    _cmd("verify", _W, _opt("--numeric-tol", _TOL)),
+)
+
+
+@pytest.fixture(scope="module")
+def data_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("cli-contract")
+
+
+@settings(max_examples=150, deadline=None)
+@given(argv=_ARGV, fmt=st.sampled_from(["text", "json"]))
+def test_exit_code_contract(data_dir, argv, fmt):
+    """Any argv, well-formed or not, exits 0, 1, 2 or 3 (argparse's
+    SystemExit(2) counts as 2) and prints no traceback."""
+    err = io.StringIO()
+    with redirect_stdout(io.StringIO()), redirect_stderr(err):
+        try:
+            code = main([*argv, f"--format={fmt}", f"--data-dir={data_dir}"])
+        except SystemExit as exc:
+            code = exc.code
+    assert code in (0, 1, 2, 3), (argv, code, err.getvalue())
+    assert "Traceback" not in err.getvalue(), argv
 
 
 class TestFilesAndCache:
@@ -283,3 +352,40 @@ def test_verify_golden_output(tmp_path):
                  "--data-dir", str(tmp_path), "--out", str(out)])
     assert code == 0
     assert out.read_bytes() == (GOLDEN / "verify_w6.json").read_bytes()
+
+
+SUBCOMMANDS = ("list", "dual", "wdh", "count", "stuffle", "shuffle", "closed",
+               "reconcile", "relations", "reduce", "eval", "verify")
+USAGE_ERRORS = (
+    ["closed", "--g", "4", "--side", "dsr", "2"],
+    ["reconcile", "--g", "1", "--side", "x"],
+    ["relations", "--weight", "5", "--families", "1,7"],
+    ["reduce", "--weight", "5", "--families", ""],
+    ["relations"],
+    ["reduce", "--weight", "5", "--mode", "foo"],
+)
+
+
+def parser_transcript(argvs) -> str:
+    """Each argv's command line, exit code and output, for argv that end in
+    argparse (``--help`` or a usage error)."""
+    chunks = []
+    for argv in argvs:
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err), pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert not (out.getvalue() and err.getvalue()), argv
+        chunks.append(f"$ polyzeta {shlex.join(argv)}\n[exit {exc.value.code}]\n"
+                      f"{out.getvalue()}{err.getvalue()}")
+    return "".join(chunks)
+
+
+@pytest.mark.parametrize("golden, argvs", [
+    ("cli_help.txt", [["--help"]] + [[c, "--help"] for c in SUBCOMMANDS]),
+    ("cli_usage_errors.txt", USAGE_ERRORS),
+])
+def test_parser_golden_output(monkeypatch, golden, argvs):
+    """Help texts and usage errors are frozen byte for byte (at 80 columns,
+    so argparse wraps the same way on every terminal)."""
+    monkeypatch.setenv("COLUMNS", "80")
+    assert parser_transcript(argvs).encode() == (GOLDEN / golden).read_bytes()

@@ -67,6 +67,13 @@ class TestSignature:
         with pytest.raises(NotConvergentError, match="leading entry 1"):
             signature(Composition((1, 2)))
 
+    @pytest.mark.parametrize("entries", [(2, 1, 3), [2, 1, 3]], ids=["tuple", "list"])
+    def test_plain_sequence(self, entries):
+        """A tuple or list is accepted, as dual, to_ab and encode_word accept it."""
+        assert signature(entries) == (6, 3, 2)
+        with pytest.raises(NotConvergentError, match="leading entry 1"):
+            signature(type(entries)((1, 2)))
+
     def test_bounds(self):
         for w in range(2, 9):
             for c in enumerate_weight(w):
