@@ -144,16 +144,27 @@ def _cache_path(base: Path, w: int, families, duality: bool, mode: str) -> Path:
     return base / key
 
 
-def _read_cache(path: Path) -> RelationSet | None:
-    """The cached relation set, or None for a missing, stale, truncated or
-    otherwise unreadable entry (a cache miss)."""
+def _read_cache(path: Path, key: tuple) -> RelationSet | None:
+    """The cached relation set of ``key`` (weight, families, duality, mode),
+    or None for a missing, stale, truncated, corrupt or mismatched entry (a
+    cache miss)."""
     try:
         doc = json.loads(path.read_text())
         if doc.get("schema") == SCHEMA and doc["flags"].get("generator") == _GEN_HASH:
-            return _relset_from_dict(doc)
+            rs = _relset_from_dict(doc)
+            held = (rs.weight, rs.families, rs.duality, rs.mode)
+            if held != key:
+                raise ValueError(f"entry holds {held}")
+            w = key[0]
+            for r in rs.relations:
+                for t, _ in r.body.items():
+                    if t.weight != w or not t.convergent():
+                        raise ValueError(f"term {format_composition(t)} is not a "
+                                         f"convergent composition of weight {w}")
+            return rs
     except FileNotFoundError:
         pass
-    except (ValueError, KeyError, TypeError, AttributeError) as exc:
+    except (ValueError, KeyError, TypeError, AttributeError, ArithmeticError) as exc:
         print(f"warning: unreadable cache entry {path.name} ({exc!r}), regenerating",
               file=sys.stderr)
     return None
@@ -163,7 +174,7 @@ def _load_or_generate(args) -> RelationSet:
     """The relation set that --weight, --families, --duality and --mode name."""
     key = (args.weight, args.families, args.duality, args.mode)
     path = _cache_path(_data_dir(args), *key)
-    rs = _read_cache(path)
+    rs = _read_cache(path, key)
     if rs is not None:
         return rs
     rs = generate_relations(*key)

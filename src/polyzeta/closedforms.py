@@ -17,14 +17,17 @@ The printed source statements of several of these expansions carry
 typographical defects (a wrong guard, a dropped coefficient, an index
 slip, two absent families).  The shipped families are the corrected ones,
 validated coefficient-by-coefficient against the brute-force products in
-:mod:`polyzeta.oracle`; ``variant="printed"`` reproduces the defective
-text where it is even evaluable, and :func:`reconcile` reports the
-difference.
+:mod:`polyzeta.oracle`.  The print rides on the same single emission: each
+term also carries its printed coefficient, and the families of a
+``missing-family``, ``index-typo`` or ``unreadable`` correction are absent
+from the print.  ``variant="printed"`` reads the text that way, and
+:func:`reconcile` reports the difference.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from functools import partial
 from itertools import chain
 from typing import Callable, Iterator, Sequence
 
@@ -82,6 +85,9 @@ class PrintCorrection:
     ``structural`` families change the expansion itself (missing family,
     dropped coefficient); non-structural ones are evident slips whose
     intended reading is pinned down by the statement's own term counts.
+    A ``missing-family``, ``index-typo`` or ``unreadable`` family is absent
+    from the print; a ``guard`` or ``coefficient`` defect is the printed
+    coefficient of each term it touches (``_Emitter.emit(printed=...)``).
     """
 
     g: str
@@ -146,14 +152,13 @@ PRINT_CORRECTIONS: tuple[PrintCorrection, ...] = (
     ),
 )
 
-def _corrections_for(g: str, side: str) -> dict[str, bool]:
-    """family -> structural?  The dsr side inherits both product sides."""
+_ABSENT_FROM_PRINT = ("missing-family", "index-typo", "unreadable")  # see PrintCorrection
+
+
+def _corrections_for(g: str, side: str) -> list[PrintCorrection]:
+    """The records of (g, side) in registry order; dsr inherits both sides."""
     sides = SIDES if side == "dsr" else (side,)
-    out: dict[str, bool] = {}
-    for c in PRINT_CORRECTIONS:
-        if c.g == g and c.side in sides:
-            out[c.family] = out.get(c.family, False) or c.structural
-    return out
+    return [c for c in PRINT_CORRECTIONS if c.g == g and c.side in sides]
 
 
 def _splits2(total: int) -> Iterator[tuple[int, int]]:
@@ -201,6 +206,10 @@ class _Emitter:
     run are disjoint segments of the block's word, so a family that edits
     the head of block i and the run of block j passes the same two dicts
     whether i == j or not.
+
+    ``printed[n]`` is the print's coefficient of ``out[n]`` (``emit``'s
+    ``printed=``, else the corrected one).  While ``sign`` is -1, families
+    are named ``-family`` and coefficients negated: a dsr's stuffle side.
     """
 
     def __init__(self, blocks: ABForm):
@@ -212,16 +221,19 @@ class _Emitter:
         self.h = len(blocks)
         self.d = sum(1 + b for b in self.b)
         self.out: list[FamilyTerm] = []
+        self.printed: list[int] = []
+        self.sign = 1
         self._family = ""
 
     def family(self, name: str) -> "_Emitter":
-        self._family = name
+        self._family = "-" + name if self.sign < 0 else name
         return self
 
     def emit(self, coeff: int, dd: int, dh: int,
              heads: dict[int, tuple[int, ...]] | None = None,
              runs: dict[int, tuple[int, ...]] | None = None,
-             front: tuple[int, ...] = (), back: tuple[int, ...] = ()) -> None:
+             front: tuple[int, ...] = (), back: tuple[int, ...] = (),
+             printed: int | None = None) -> None:
         if coeff == 0:
             return
         heads = heads or {}
@@ -230,9 +242,8 @@ class _Emitter:
         for k in heads.keys() | runs.keys():
             parts[k] = heads.get(k, self.heads[k]) + runs.get(k, self.runs[k])
         comp = Composition(front + tuple(chain.from_iterable(parts)) + back)
-        self.out.append(
-            FamilyTerm(self._family, comp, coeff, self.d + dd, self.h + dh)
-        )
+        self.out.append(FamilyTerm(self._family, comp, self.sign * coeff, self.d + dd, self.h + dh))
+        self.printed.append(self.sign * (coeff if printed is None else printed))
 
     def grown(self, i: int, k: int) -> tuple[int, ...]:
         """Head i with k more zeros."""
@@ -255,28 +266,25 @@ def _merge(e: _Emitter, k: int) -> None:
 
 
 def _subtract(e: _Emitter, emit: Callable[..., None], *args) -> None:
-    """Run ``emit(e, *args)``, then negate the terms it appended and
-    prefix their family names with ``-``: the stuffle side of a dsr."""
-    before = len(e.out)
+    """Run ``emit(e, *args)`` with its terms negated and their family names
+    prefixed with ``-``: the stuffle side of a dsr."""
+    e.sign = -1
     emit(e, *args)
-    e.out[before:] = [
-        FamilyTerm("-" + t.family, t.composition, -t.coeff, t.depth, t.height)
-        for t in e.out[before:]
-    ]
+    e.sign = 1
 
 
 # ---------------------------------------------------------------------------
 # left factor (1)
 # ---------------------------------------------------------------------------
 
-def _stuffle_1(e: _Emitter, printed: bool) -> None:
+def _stuffle_1(e: _Emitter) -> None:
     _merge(e, 1)
     e.family("1->front").emit(1, 1, 0, front=(1,))  # divergent, cancels in dsr
     for j in range(e.h):
         e.family("1->b:ins").emit(e.b[j] + 1, 1, 0, runs={j: e.longer(j, 1)})
 
 
-def _shuffle_1(e: _Emitter, printed: bool) -> None:
+def _shuffle_1(e: _Emitter) -> None:
     for j in range(e.h):
         e.family("1->b").emit(e.b[j] + 2, 1, 0, runs={j: e.longer(j, 1)})
     e.family("1->front").emit(1, 1, 0, front=(1,))  # divergent, cancels in dsr
@@ -286,7 +294,7 @@ def _shuffle_1(e: _Emitter, printed: bool) -> None:
             e.emit(1, 1, 1, {i: (a1, a2)})
 
 
-def _dsr_1(e: _Emitter, printed: bool) -> None:
+def _dsr_1(e: _Emitter) -> None:
     _subtract(e, _merge, 1)
     for j in range(e.h):
         e.family("1->b").emit(1, 1, 0, runs={j: e.longer(j, 1)})
@@ -300,30 +308,26 @@ def _dsr_1(e: _Emitter, printed: bool) -> None:
 # left factors (2) and (3): the stuffle side
 # ---------------------------------------------------------------------------
 
-def _stuffle_entry(k: int) -> Callable[[_Emitter, bool], None]:
+def _stuffle_entry(e: _Emitter, k: int) -> None:
     """The stuffle generator of the single entry k >= 2 (for k = 1 the
     inserted 1 joins a run of ones and the front unit adds no height)."""
-
-    def stuffle(e: _Emitter, printed: bool) -> None:
-        _merge(e, k)
-        e.family(f"{k}->front").emit(1, 1, 1, front=(k,))
-        for j in range(e.h):
-            e.family(f"{k}->b:ins")
-            for p, q in _splits2(e.b[j]):
-                e.emit(1, 1, 1, runs={j: _ins(p, k, q)})
-
-    return stuffle
+    _merge(e, k)
+    e.family(f"{k}->front").emit(1, 1, 1, front=(k,))
+    for j in range(e.h):
+        e.family(f"{k}->b:ins")
+        for p, q in _splits2(e.b[j]):
+            e.emit(1, 1, 1, runs={j: _ins(p, k, q)})
 
 
-_stuffle_2 = _stuffle_entry(2)
-_stuffle_3 = _stuffle_entry(3)
+_stuffle_2 = partial(_stuffle_entry, k=2)
+_stuffle_3 = partial(_stuffle_entry, k=3)
 
 
 # ---------------------------------------------------------------------------
 # left factor (2)
 # ---------------------------------------------------------------------------
 
-def _shuffle_2_families(e: _Emitter, printed: bool, dsr: bool = False) -> None:
+def _shuffle_2(e: _Emitter, dsr: bool = False) -> None:
     # 0 -> a_i, 1 -> 1-run j (same block allowed)
     for i in range(e.h):
         for j in range(i, e.h):
@@ -344,13 +348,10 @@ def _shuffle_2_families(e: _Emitter, printed: bool, dsr: bool = False) -> None:
     # 0 and 1 in the same 0-run (plus the front unit when not subtracted)
     if not dsr:
         e.family("00->a,1->a").emit(1, 1, 1, front=(2,))
-    lo = 5 if printed else 3
     for i in range(e.h):
         e.family("00->a,1->a")
-        if e.a[i] < lo:
-            continue
         for a1, a2 in _asplits(e.a[i] + 2, lo1=3):
-            e.emit(a1 - 1, 1, 1, {i: (a1, a2)})
+            e.emit(a1 - 1, 1, 1, {i: (a1, a2)}, printed=a1 - 1 if e.a[i] >= 5 else 0)
     # 0 -> a_i1, 1 -> a_i2
     for i1 in range(e.h):
         for i2 in range(i1 + 1, e.h):
@@ -366,20 +367,16 @@ def _shuffle_2_families(e: _Emitter, printed: bool, dsr: bool = False) -> None:
                     e.emit(1, 1, 2, {i: (a1, a2)}, {j: _ins(p, 2, q)})
 
 
-def _shuffle_2(e: _Emitter, printed: bool) -> None:
-    _shuffle_2_families(e, printed, dsr=False)
-
-
-def _dsr_2(e: _Emitter, printed: bool) -> None:
+def _dsr_2(e: _Emitter) -> None:
     _subtract(e, _merge, 2)
-    _shuffle_2_families(e, printed, dsr=True)
+    _shuffle_2(e, dsr=True)
 
 
 # ---------------------------------------------------------------------------
 # left factor (3)
 # ---------------------------------------------------------------------------
 
-def _shuffle_3(e: _Emitter, printed: bool) -> None:
+def _shuffle_3(e: _Emitter) -> None:
     a, b, h = e.a, e.b, e.h
     e.family("001->front").emit(1, 1, 1, front=(3,))
     # both 0s and the 1 inside one 0-run
@@ -426,9 +423,9 @@ def _shuffle_3(e: _Emitter, printed: bool) -> None:
     for j1 in range(h):
         for j2 in range(j1 + 1, h):
             e.family("00->b1:3,1->b2")
-            coeff = (b[j2] + 1) if printed else (b[j2] + 2)
             for p, q in _splits2(b[j1] - 1):
-                e.emit(coeff, 1, 1, runs={j1: _ins(p, 3, q), j2: e.longer(j2, 1)})
+                e.emit(b[j2] + 2, 1, 1, runs={j1: _ins(p, 3, q), j2: e.longer(j2, 1)},
+                       printed=b[j2] + 1)
     # 00 split in 1-run j1 (two 2s), 1 in 1-run j2
     for j1 in range(h):
         for j2 in range(j1 + 1, h):
@@ -498,11 +495,10 @@ def _shuffle_3(e: _Emitter, printed: bool) -> None:
         for i1 in range(j + 1, h):
             for i2 in range(i1 + 1, h):
                 e.family("0->b,0->a1,1->a2")
-                coeff = 1 if printed else a[i1]
                 for p, q in _splits2(b[j] - 1):
                     for a1, a2 in _asplits(a[i2] + 1):
-                        e.emit(coeff, 1, 2, {i1: e.grown(i1, 1), i2: (a1, a2)},
-                               {j: _ins(p, 2, q)})
+                        e.emit(a[i1], 1, 2, {i1: e.grown(i1, 1), i2: (a1, a2)},
+                               {j: _ins(p, 2, q)}, printed=1)
     # 0 -> 1-run j1 (new 2), 0 -> a_i, 1 -> 1-run j2   (j1 < i <= j2)
     for j1 in range(h):
         for i in range(j1 + 1, h):
@@ -533,25 +529,16 @@ def _shuffle_3(e: _Emitter, printed: bool) -> None:
                                      j3: e.longer(j3, 1)})
 
 
-def _shuffle_minus_stuffle(stuffle, shuffle) -> Callable[[_Emitter, bool], None]:
-    """The dsr generator shuffle - stuffle: the stuffle families come
-    first, negated and renamed ``-family``."""
-
-    def dsr(e: _Emitter, printed: bool) -> None:
-        _subtract(e, stuffle, printed)
-        shuffle(e, printed)
-
-    return dsr
-
-
-_dsr_3 = _shuffle_minus_stuffle(_stuffle_3, _shuffle_3)
+def _dsr_3(e: _Emitter) -> None:
+    _subtract(e, _stuffle_3)
+    _shuffle_3(e)
 
 
 # ---------------------------------------------------------------------------
 # left factor (2,1)
 # ---------------------------------------------------------------------------
 
-def _stuffle_21(e: _Emitter, printed: bool) -> None:
+def _stuffle_21(e: _Emitter) -> None:
     a, b, h = e.a, e.b, e.h
     # both entries merge into entries >= 2
     for i1 in range(h):
@@ -577,11 +564,10 @@ def _stuffle_21(e: _Emitter, printed: bool) -> None:
                 for p2, q2 in _splits2(b[j2] - 1):
                     e.emit(1, 0, 2, runs={j1: _ins(p1, 3, q1), j2: _ins(p2, 2, q2)})
     # both merge into ones of the same run (missing from the printed list)
-    if not printed:
-        for j in range(h):
-            e.family("2->b:3,1->b(same)")
-            for p, q, r in _splits3(b[j] - 2):
-                e.emit(1, 0, 2, runs={j: _ins2(p, 3, q, 2, r)})
+    for j in range(h):
+        e.family("2->b:3,1->b(same)")
+        for p, q, r in _splits3(b[j] - 2):
+            e.emit(1, 0, 2, runs={j: _ins2(p, 3, q, 2, r)})
     # 2 merges into a_i, 1 inserted in run j >= i
     for i in range(h):
         for j in range(i, h):
@@ -595,11 +581,10 @@ def _stuffle_21(e: _Emitter, printed: bool) -> None:
                 e.emit(b[j2] + 1, 1, 1, runs={j1: _ins(p, 3, q), j2: e.longer(j2, 1)})
     # 2 merges into a one of run j (3), 1 inserted after it in the same run
     # (printed with an index slip that breaks the weight)
-    if not printed:
-        for j in range(h):
-            e.family("2->b:3,1->b+1(same)")
-            for p, q in _splits2(b[j]):
-                e.emit(q, 1, 1, runs={j: _ins(p, 3, q)})
+    for j in range(h):
+        e.family("2->b:3,1->b+1(same)")
+        for p, q in _splits2(b[j]):
+            e.emit(q, 1, 1, runs={j: _ins(p, 3, q)})
     # 2 inserted at the front, 1 merges into a_i
     for i in range(h):
         e.family("2->front,1->a").emit(1, 1, 1, {i: e.grown(i, 1)}, front=(2,))
@@ -623,18 +608,16 @@ def _stuffle_21(e: _Emitter, printed: bool) -> None:
                     e.emit(1, 1, 2, runs={j1: _ins(p1, 2, q1), j2: _ins(p2, 2, q2)})
     # 2 inserted in run j, 1 merges into a one after it in the same run
     # (printed with an index slip that breaks the weight)
-    if not printed:
-        for j in range(h):
-            e.family("2->b:ins,1->b(same)")
-            for p, q, r in _splits3(b[j] - 1):
-                e.emit(1, 1, 2, runs={j: _ins2(p, 2, q, 2, r)})
+    for j in range(h):
+        e.family("2->b:ins,1->b(same)")
+        for p, q, r in _splits3(b[j] - 1):
+            e.emit(1, 1, 2, runs={j: _ins2(p, 2, q, 2, r)})
     # the unit (2,1) at the front
     e.family("21->front").emit(1, 2, 1, front=(2, 1))
     # 2 inserted at the front, 1 inserted in run j (missing from print)
-    if not printed:
-        for j in range(h):
-            e.family("2->front,1->b+1").emit(
-                b[j] + 1, 2, 1, runs={j: e.longer(j, 1)}, front=(2,))
+    for j in range(h):
+        e.family("2->front,1->b+1").emit(
+            b[j] + 1, 2, 1, runs={j: e.longer(j, 1)}, front=(2,))
     # 2 inserted in run j, 1 inserted after it in the same run
     for j in range(h):
         e.family("2->b:ins,1->b+1(same)")
@@ -648,7 +631,7 @@ def _stuffle_21(e: _Emitter, printed: bool) -> None:
                 e.emit(b[j2] + 1, 2, 1, runs={j1: _ins(p, 2, q), j2: e.longer(j2, 1)})
 
 
-def _shuffle_21(e: _Emitter, printed: bool) -> None:
+def _shuffle_21(e: _Emitter) -> None:
     a, b, h = e.a, e.b, e.h
     # 0 and the adjacent 11 inside one 0-run
     for i in range(h):
@@ -667,13 +650,12 @@ def _shuffle_21(e: _Emitter, printed: bool) -> None:
             e.emit((q + 3) * (q + 2) // 2, 2, 1, runs={j: _ins(p, 2, q + 2)})
     # 0 and one 1 split a_i1, the other 1 splits a_i2 (the printed inner
     # sums dangle, so this family is reconstructed; absent as printed)
-    if not printed:
-        for i1 in range(h):
-            for i2 in range(i1 + 1, h):
-                e.family("0->a1,1->a1,1->a2")
-                for a1, a2 in _asplits(a[i1] + 2):
-                    for A1, A2 in _asplits(a[i2] + 1):
-                        e.emit(a1 - 1, 2, 2, {i1: (a1, a2), i2: (A1, A2)})
+    for i1 in range(h):
+        for i2 in range(i1 + 1, h):
+            e.family("0->a1,1->a1,1->a2")
+            for a1, a2 in _asplits(a[i1] + 2):
+                for A1, A2 in _asplits(a[i2] + 1):
+                    e.emit(a1 - 1, 2, 2, {i1: (a1, a2), i2: (A1, A2)})
     # 0 and one 1 split a_i, the other 1 in 1-run j >= i
     for i in range(h):
         for j in range(i, h):
@@ -684,10 +666,10 @@ def _shuffle_21(e: _Emitter, printed: bool) -> None:
     for j in range(h):
         for i in range(j + 1, h):
             e.family("0->b,1->b(same),1->a")
-            coeff_shift = 1 if printed else 2
             for p, q in _splits2(b[j] - 1):
                 for a1, a2 in _asplits(a[i] + 1):
-                    e.emit(q + coeff_shift, 2, 2, {i: (a1, a2)}, {j: _ins(p, 2, q + 1)})
+                    e.emit(q + 2, 2, 2, {i: (a1, a2)}, {j: _ins(p, 2, q + 1)},
+                           printed=q + 1)
     # 0 in 1-run j1 (new 2), one 1 after it, the other in 1-run j2
     for j1 in range(h):
         for j2 in range(j1 + 1, h):
@@ -804,10 +786,12 @@ def _shuffle_21(e: _Emitter, printed: bool) -> None:
     e.family("011->end").emit(1, 2, 1, back=(2, 1))
 
 
-_dsr_21 = _shuffle_minus_stuffle(_stuffle_21, _shuffle_21)
+def _dsr_21(e: _Emitter) -> None:
+    _subtract(e, _stuffle_21)
+    _shuffle_21(e)
 
 
-_GENERATORS: dict[tuple[str, str], Callable[[_Emitter, bool], None]] = {
+_GENERATORS: dict[tuple[str, str], Callable[[_Emitter], None]] = {
     ("1", "stuffle"): _stuffle_1,
     ("1", "shuffle"): _shuffle_1,
     ("1", "dsr"): _dsr_1,
@@ -831,6 +815,25 @@ def _blocks_of(z) -> ABForm:
     return to_ab(z)
 
 
+def _emission(g: str, side: str, z) -> _Emitter:
+    """Check the arguments and run the generator of (g, side) over z once."""
+    if g not in LEFT_FACTORS:
+        raise ValueError(f"unknown left factor key {g!r}; use one of {', '.join(LEFT_FACTORS)}")
+    if (g, side) not in _GENERATORS:
+        raise ValueError(f"unknown side {side!r}; use stuffle, shuffle or dsr")
+    e = _Emitter(_blocks_of(z))
+    _GENERATORS[(g, side)](e)
+    return e
+
+
+def _printed_terms(e: _Emitter, corrections: list[PrintCorrection]) -> list[FamilyTerm]:
+    """The emitted terms as printed: with their printed coefficients, less
+    the terms printed with 0 and the families the print lacks."""
+    absent = {c.family for c in corrections if c.kind in _ABSENT_FROM_PRINT}
+    return [t if p == t.coeff else replace(t, coeff=p) for t, p in zip(e.out, e.printed)
+            if p and t.family.removeprefix("-") not in absent]
+
+
 def closed_terms(g: str, side: str, z, variant: str = "corrected") -> list[FamilyTerm]:
     """All family terms of the closed expansion, with predicted signatures.
 
@@ -838,15 +841,10 @@ def closed_terms(g: str, side: str, z, variant: str = "corrected") -> list[Famil
     evaluable (unreadable or weight-breaking families are simply absent
     there; see PRINT_CORRECTIONS).
     """
-    if g not in LEFT_FACTORS:
-        raise ValueError(f"unknown left factor key {g!r}; use one of {', '.join(LEFT_FACTORS)}")
-    if (g, side) not in _GENERATORS:
-        raise ValueError(f"unknown side {side!r}; use stuffle, shuffle or dsr")
     if variant not in ("corrected", "printed"):
         raise ValueError(f"unknown variant {variant!r}")
-    e = _Emitter(_blocks_of(z))
-    _GENERATORS[(g, side)](e, variant == "printed")
-    return e.out
+    e = _emission(g, side, z)
+    return e.out if variant == "corrected" else _printed_terms(e, _corrections_for(g, side))
 
 
 def _sum_terms(terms: list[FamilyTerm]) -> LinComb:
@@ -940,8 +938,8 @@ def _family_sums(terms: list[FamilyTerm], families) -> dict[str, dict]:
 def reconcile_one(g: str, side: str, z) -> DiscrepancyReport:
     """Compare the shipped closed form against the oracle for one z."""
     z = z if isinstance(z, Composition) else Composition(z)
-    corrected = closed_terms(g, side, z, "corrected")
-    shipped = _sum_terms(corrected)
+    e = _emission(g, side, z)
+    shipped = _sum_terms(e.out)
     target = _ORACLE_PRODUCTS[side](LEFT_FACTORS[g], z)
     rep = DiscrepancyReport(g=g, side=side, z=z)
     for t, c in target.items():
@@ -953,18 +951,18 @@ def reconcile_one(g: str, side: str, z) -> DiscrepancyReport:
     for t, c in shipped.items():
         if target[t] == 0:
             rep.extra[t] = c
-    corrected_here = _corrections_for(g, side)
-    if corrected_here:  # else the printed terms are the corrected ones
-        printed = closed_terms(g, side, z, "printed")
+    corrections = _corrections_for(g, side)
+    if corrections:  # else the printed terms are the corrected ones
+        printed = _printed_terms(e, corrections)
         rep.beyond_printed = (shipped - _sum_terms(printed)).terms()
-        by_family_c = _family_sums(corrected, corrected_here)
-        by_family_p = _family_sums(printed, corrected_here)
+        families = dict.fromkeys(c.family for c in corrections)  # registry order
+        by_family_c = _family_sums(e.out, families)
+        by_family_p = _family_sums(printed, families)
         rep.corrections_engaged = [
-            fam for fam in corrected_here
-            if by_family_c.get(fam, {}) != by_family_p.get(fam, {})
+            fam for fam in families if by_family_c.get(fam, {}) != by_family_p.get(fam, {})
         ]
     clean = not (rep.missing or rep.extra or rep.mismatched)
-    structural = any(corrected_here[fam] for fam in rep.corrections_engaged)
+    structural = any(c.structural for c in corrections if c.family in rep.corrections_engaged)
     rep.verdict = ("exact" if not structural else "reconciled") if clean else "mismatch"
     return rep
 

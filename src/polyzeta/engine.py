@@ -22,7 +22,7 @@ from .core import Composition, dual
 from .counting import hoffman_dim, is_hoffman
 from .numeric import ToleranceUnreachable, check_tolerance, eval_mzv
 from .oracle import InternalConsistencyError, LinComb, dsr as oracle_dsr
-from .ordering import enumerate_weight, index_of
+from .ordering import ENUMERATION_WEIGHT_CAP, enumerate_weight, index_of
 
 __all__ = [
     "GENERATOR_VERSION",
@@ -94,6 +94,8 @@ def generate_relations(
             raise ValueError(f"unknown relation family {f!r}")
     if mode not in ("closed", "oracle"):
         raise ValueError(f"unknown mode {mode!r}")
+    if w > ENUMERATION_WEIGHT_CAP:  # refuse before generating the sources below w
+        raise ValueError(f"weight {w} exceeds the enumeration cap {ENUMERATION_WEIGHT_CAP}")
     relations: list[Relation] = []
     notices: list[str] = []
     for f in families:

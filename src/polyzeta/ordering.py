@@ -17,6 +17,8 @@ __all__ = ["order_key", "compare", "enumerate_weight", "index_of"]
 
 LESS, EQUAL, GREATER = -1, 0, 1
 
+ENUMERATION_WEIGHT_CAP = 20  # 2^18 compositions, about 8 s and 130 MB to build
+
 
 def order_key(c: Composition) -> tuple:
     """Sort key realizing the fixed-weight order (ascending)."""
@@ -58,13 +60,16 @@ _cache_lock = threading.Lock()
 
 
 def enumerate_weight(w: int) -> Sequence[Composition]:
-    """All 2^(w-2) convergent compositions of weight w, strictly increasing.
+    """All 2^(w-2) convergent compositions of weight w, strictly increasing,
+    for 2 <= w <= ENUMERATION_WEIGHT_CAP (ValueError outside).
 
     Memoized per weight; the fill is idempotent so concurrent callers are
     safe.
     """
     if w < 2:
         raise ValueError(f"no convergent polyzetas of weight {w} (need w >= 2)")
+    if w > ENUMERATION_WEIGHT_CAP:
+        raise ValueError(f"weight {w} exceeds the enumeration cap {ENUMERATION_WEIGHT_CAP}")
     got = _enum_cache.get(w)
     if got is None:
         ordered = tuple(sorted(compositions_of(w, min_first=2), key=order_key))

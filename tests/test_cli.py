@@ -100,6 +100,15 @@ class TestBasics:
         assert code == 2
         assert err.startswith("error: ") and "Traceback" not in err
 
+    @pytest.mark.parametrize("cmd", ["list", "relations", "reduce", "verify"])
+    def test_weight_above_cap_exits_two(self, capsys, tmp_path, cmd):
+        # refused before any of the 2^19 compositions is built
+        dirs = [] if cmd == "list" else ["--data-dir", str(tmp_path)]
+        code = main([cmd, "--weight", "21", *dirs])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err == "error: weight 21 exceeds the enumeration cap 20\n"
+
     @pytest.mark.parametrize("exc", [RecursionError("maximum recursion depth exceeded"),
                                      MemoryError()])
     def test_other_failure_exits_three(self, capsys, monkeypatch, exc):
@@ -177,6 +186,27 @@ def test_exit_code_contract(data_dir, argv, fmt):
     assert "Traceback" not in err.getvalue(), argv
 
 
+def _edited(edit):
+    """A corruption that applies ``edit`` to the parsed cache entry."""
+
+    def corrupt(text):
+        doc = json.loads(text)
+        edit(doc)
+        return json.dumps(doc, sort_keys=True)
+
+    return corrupt
+
+
+CACHE_CORRUPTIONS = {
+    "truncated": lambda text: text[: len(text) // 2],
+    "zero-denominator": _edited(
+        lambda doc: doc["relations"][0]["terms"][0]["coeff"].update(den="0")),
+    "weight-mismatch": _edited(lambda doc: doc.update(weight=5)),
+    "divergent-term": _edited(
+        lambda doc: doc["relations"][0]["terms"][0].update(composition=[1, 5])),
+}
+
+
 class TestFilesAndCache:
     def test_out_file(self, capsys, tmp_path):
         out = tmp_path / "list.json"
@@ -215,16 +245,20 @@ class TestFilesAndCache:
         assert lines[0].split(",")[0] == "4"
         assert len(lines) == 1 + 3  # header + three relations
 
-    def test_truncated_cache_is_regenerated(self, capsys, tmp_path):
-        argv = ("reduce", "--weight", "6", "--report", "table", "--format", "json",
-                "--data-dir", str(tmp_path))
+    @pytest.mark.parametrize("corruption", CACHE_CORRUPTIONS)
+    def test_truncated_cache_is_regenerated(self, capsys, tmp_path, corruption):
+        argv = ["reduce", "--weight", "6", "--report", "table", "--format", "json",
+                "--data-dir", str(tmp_path)]
         code, cold = run(capsys, *argv)
         assert code == 0
         (cached,) = tmp_path.glob("rels_w6_*.json")
         text = cached.read_text()
-        cached.write_text(text[: len(text) // 2])
-        code, out = run(capsys, *argv)
-        assert code == 0 and out == cold
+        cached.write_text(CACHE_CORRUPTIONS[corruption](text))
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 0 and captured.out == cold
+        assert captured.err.startswith(f"warning: unreadable cache entry {cached.name} (")
+        assert captured.err.count("\n") == 1
         assert cached.read_text() == text
         assert [p.name for p in tmp_path.iterdir()] == [cached.name]
 

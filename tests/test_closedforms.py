@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from polyzeta import closedforms
 from polyzeta.closedforms import (
     LEFT_FACTORS,
     PRINT_CORRECTIONS,
@@ -185,6 +186,20 @@ class TestReconcile:
         assert ("21", "stuffle") in keys and ("21", "shuffle") in keys
         assert ("3", "shuffle") in keys
 
+    def test_one_emission_per_report(self, monkeypatch):
+        # the corrected and the printed terms come from one generator run
+        built = []
+
+        class CountingEmitter(closedforms._Emitter):
+            def __init__(self, blocks):
+                built.append(blocks)
+                super().__init__(blocks)
+
+        monkeypatch.setattr(closedforms, "_Emitter", CountingEmitter)
+        rep = reconcile_one("21", "dsr", C((2, 1, 1)))
+        assert rep.verdict == "reconciled"
+        assert len(built) == 1
+
     def test_report_serialization(self):
         rep = reconcile_one("3", "shuffle", C((2, 1)))
         doc = rep.as_dict()
@@ -221,4 +236,26 @@ def test_closed_terms_golden():
         f"{g}/{side}/{variant}": closed_terms_digest(g, side, variant, w)
         for g in LEFT_FACTORS for side in SIDES for variant in ("corrected", "printed")
     }
+    assert got == doc["digests"]
+
+
+RECONCILE_GOLDEN = Path(__file__).resolve().parent / "golden" / "reconcile_digests.json"
+
+
+def reconcile_digest(g, side, max_weight):
+    """sha256 over every report of the sweep: its serialized form and the
+    engaged corrections in report order (``as_dict`` sorts them)."""
+    h = hashlib.sha256()
+    for rep in reconcile(g, side, max_weight):
+        h.update(json.dumps(rep.as_dict(), sort_keys=True).encode() + b"\n")
+        h.update(json.dumps(rep.corrections_engaged).encode() + b"\n")
+    return h.hexdigest()
+
+
+def test_reconcile_golden():
+    """Every report of every (g, side) sweep is frozen, including the order
+    in which the engaged corrections are listed."""
+    doc = json.loads(RECONCILE_GOLDEN.read_text())
+    w = doc["max_weight"]
+    got = {f"{g}/{side}": reconcile_digest(g, side, w) for g in LEFT_FACTORS for side in SIDES}
     assert got == doc["digests"]
