@@ -186,12 +186,16 @@ def _rref_mod(rows: list[dict[int, int]], ncols: int, p: int) -> _Table:
     reduced against the pivots found so far, always at its leftmost
     entry, until that entry lies in a new pivot column or the row
     vanishes.  Whatever the row order, the pivot set comes out as the set
-    of leading columns of the row space, so only the column order fixes
-    it.  The order sets the fill-in: a row whose leading column has no
-    pivot yet becomes that pivot unreduced, so updates only arise where
-    leading columns collide (at w=11 and 12 a third fewer than taking the
-    shortest rows first).  Back-substitution, right to left, then clears
-    the pivot columns from every pivot row.
+    of leading columns of the row space: the leftmost column basis, fixed
+    by the column order.  The column order also sets the fill-in, and so
+    the cost.  A row whose leading column has no pivot yet becomes that
+    pivot unreduced, so updates only arise where leading columns collide.
+    ``reduce_relations`` therefore puts the non-{2,3} columns deepest
+    first, which cannot change its table while they all come out pivots:
+    for the full relation set at w=11 (12) one pass then takes 0.58M
+    (3.6M) inner updates instead of 1.83M (11.4M) in the assembled order.
+    Back-substitution, right to left, then clears the pivot columns from
+    every pivot row.
 
     The row being reduced is held densely and only reduced mod p where it
     is read, which keeps the modular division out of the inner loop.
@@ -412,9 +416,23 @@ def hoffman_reduce(
 def reduce_relations(rs: RelationSet, hoffman_last: bool = True) -> HoffmanReport:
     """Assemble (by default with the {2,3} columns last), reduce, and check
     that exactly the {2,3}-entry polyzetas remain free.  This is the one
-    place that reduces a relation set."""
+    place that reduces a relation set.
+
+    With the {2,3} columns last, the non-{2,3} block N is eliminated
+    deepest first (depth descending, then entries ascending), which makes
+    far less fill than the assembled order (see ``_rref_mod``), and the
+    result is mapped back to the assembled order.  The order of N cannot
+    change the result once N comes out all pivots: each table row is then
+    the unique vector of the row space whose N-part is a unit vector.  If
+    N does not (a subset of the families, or a rank deficit), the matrix
+    is reduced again in the assembled order, so the free set reported is
+    the leftmost one of that order.
+    """
     w = rs.weight
-    red = exact_rref(assemble_matrix(rs, hoffman_last))
+    m = assemble_matrix(rs, hoffman_last)
+    red = _reduce_deepest_first(m) if hoffman_last else None
+    if red is None:
+        red = exact_rref(m)
     free = set(red.free_columns)
     return HoffmanReport(
         weight=w,
@@ -427,6 +445,26 @@ def reduce_relations(rs: RelationSet, hoffman_last: bool = True) -> HoffmanRepor
         missing_hoffman=[c for c in enumerate_weight(w) if is_hoffman(c) and c not in free],
         result=red,
     )
+
+
+def _reduce_deepest_first(m: RationalMatrix) -> ReductionResult | None:
+    """``exact_rref`` of m, whose {2,3} columns come last, with the other
+    columns N permuted deepest first; the result is given in m's column
+    order, or None unless N comes out all pivots."""
+    cols = m.columns
+    n = sum(not is_hoffman(c) for c in cols)
+    order = sorted(range(n), key=lambda k: (-len(cols[k]), cols[k])) + list(range(n, len(cols)))
+    position = {k: i for i, k in enumerate(order)}
+    red = exact_rref(RationalMatrix(
+        m.weight,
+        tuple(cols[k] for k in order),
+        [{position[j]: x for j, x in row.items()} for row in m.rows],
+    ))
+    if red.free_columns != list(cols[n:]):
+        return None
+    # the free columns keep their positions, so only the pivots move back
+    pivots = list(cols[:n])
+    return ReductionResult(red.rank, pivots, red.free_columns, {c: red.table[c] for c in pivots})
 
 
 @dataclass

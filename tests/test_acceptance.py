@@ -145,11 +145,11 @@ def test_criterion_4_counting_identities():
 
 
 def test_criterion_5_rank_dimension():
-    """Exact ranks and Hoffman free sets for w = 4..11; every duality
+    """Exact ranks and Hoffman free sets for w = 4..12; every duality
     relation maps to zero through the certified table, so it lies in the
     row space of the four families and cannot change the rank."""
     t0 = time.time()
-    for w in range(4, 12):
+    for w in range(4, 13):
         rep = hoffman_reduce(w)
         assert rep.rank == 2 ** (w - 2) - hoffman_dim(w), w
         assert rep.ok, rep.as_dict()
@@ -159,7 +159,7 @@ def test_criterion_5_rank_dimension():
         for d in duals:
             assert not rep.result.substitute(d.body), (w, d.source)
     assert time.time() - t0 < 300
-    report(5, "ranks 4..11 all equal 2^(w-2) - delta_w; duality relations in the row space", t0)
+    report(5, "ranks 4..12 all equal 2^(w-2) - delta_w; duality relations in the row space", t0)
 
 
 def test_criterion_6_numeric_referee():

@@ -9,6 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from polyzeta import engine
+from polyzeta.closedforms import LEFT_FACTORS
 from polyzeta.core import Composition, format_composition
 from polyzeta.counting import hoffman_dim, is_hoffman
 from polyzeta.engine import (
@@ -322,12 +324,87 @@ class TestHoffmanReduce:
         with pytest.raises(ValueError):
             hoffman_reduce(1)
 
+    @pytest.mark.parametrize("w", (7, 8, 9))
+    def test_table_invariant_under_non_hoffman_order(self, w):
+        # with the {2,3} columns last, N = the other columns comes out all
+        # pivots in any order, and then the table cannot depend on it
+        m = assemble_matrix(generate_relations(w), hoffman_last=True)
+        n = sum(not is_hoffman(c) for c in m.columns)
+        natural = exact_rref(m)
+        assert natural.pivot_columns == list(m.columns[:n])
+        rng = random.Random(w)
+        for _ in range(3):
+            order = rng.sample(range(n), n) + list(range(n, len(m.columns)))
+            position = {k: i for i, k in enumerate(order)}
+            red = exact_rref(RationalMatrix(
+                w,
+                tuple(m.columns[k] for k in order),
+                [{position[j]: x for j, x in row.items()} for row in m.rows],
+            ))
+            assert sorted(red.pivot_columns, key=m.columns.index) == natural.pivot_columns
+            assert red.free_columns == natural.free_columns
+            assert red.table == natural.table
+
+    def test_fallback_reduces_in_assembled_order(self, monkeypatch):
+        # family 1 alone leaves non-{2,3} columns free: the deepest-first
+        # run is discarded and the assembled matrix reduced instead
+        seen = []
+
+        def spy(m):
+            seen.append(m.columns)
+            return exact_rref(m)
+
+        monkeypatch.setattr(engine, "exact_rref", spy)
+        rs = generate_relations(6, families=("1",))
+        rep = reduce_relations(rs)
+        assembled = assemble_matrix(rs, hoffman_last=True)
+        assert seen[-1] == assembled.columns and len(seen) == 2
+        assert rep.free_columns == exact_rref(assembled).free_columns
+        assert rep.non_hoffman_free
+
     def test_failure_is_reported_not_raised(self):
         rep = hoffman_reduce(6, families=("1",))
         assert not rep.ok
         assert rep.rank < rep.expected_rank
         doc = rep.as_dict()
         assert doc["ok"] is False
+
+
+REDUCE_GOLDEN = Path(__file__).resolve().parent / "golden" / "reduce_digests.json"
+
+# case -> (weight, families, duality)
+REDUCE_CASES = {
+    **{str(w): (w, tuple(LEFT_FACTORS), False) for w in range(9, 13)},
+    "8/1": (8, ("1",), False),
+    "8/2,3": (8, ("2", "3"), False),
+    "8/21": (8, ("21",), False),
+    "9+duality": (9, tuple(LEFT_FACTORS), True),
+}
+
+
+def reduce_digest(rep):
+    """sha256 over the report and the whole table in its own order: the
+    pivots as the table lists them, each with its free columns and
+    coefficients as the inner dict lists them."""
+    table = [
+        [format_composition(p), [[format_composition(f), str(x)] for f, x in expr.items()]]
+        for p, expr in rep.result.table.items()
+    ]
+    doc = {
+        "report": rep.as_dict(),
+        "pivots": [format_composition(c) for c in rep.result.pivot_columns],
+        "table": table,
+    }
+    return hashlib.sha256(json.dumps(doc).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("case", REDUCE_CASES)
+def test_reduce_golden(case):
+    """Report, pivot order and every table entry in order are frozen for
+    the full families at w=9..12, three failing family subsets and the
+    duality relations."""
+    want = json.loads(REDUCE_GOLDEN.read_text())["digests"][case]
+    assert reduce_digest(hoffman_reduce(*REDUCE_CASES[case])) == want
 
 
 class TestVerifyNumeric:
