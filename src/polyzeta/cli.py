@@ -328,10 +328,10 @@ def _cmd_relations(args) -> int:
     return 0
 
 
-def _matrix_csv(rs: RelationSet, hoffman_last: bool, path: str) -> None:
-    """Write the coefficient matrix as dense CSV, streaming the sparse rows
-    ("0" for an absent entry)."""
-    m = assemble_matrix(rs, hoffman_last)
+def _matrix_csv(rs: RelationSet, path: str) -> None:
+    """Write the coefficient matrix, {2,3} columns last, as dense CSV,
+    streaming the sparse rows ("0" for an absent entry)."""
+    m = assemble_matrix(rs, hoffman_last=True)
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow([format_composition(c) for c in m.columns])
@@ -342,40 +342,22 @@ def _matrix_csv(rs: RelationSet, hoffman_last: bool, path: str) -> None:
 def _cmd_reduce(args) -> int:
     rs = _load_or_generate(args)
     if args.out and args.out.endswith(".csv"):
-        _matrix_csv(rs, args.hoffman_last, args.out)
+        _matrix_csv(rs, args.out)
         return 0
-    rep = reduce_relations(rs, args.hoffman_last)
-    if not args.hoffman_last:
-        payload = {
-            "schema": SCHEMA,
-            "weight": rep.weight,
-            "rank": rep.rank,
-            "expected_rank": rep.expected_rank,
-            "free_columns": [list(c) for c in rep.free_columns],
-        }
-        text = f"rank {rep.rank} (expected {rep.expected_rank}), free columns: " + ", ".join(
-            format_composition(c) for c in rep.free_columns
-        )
-        _emit_payload(args, payload, text)
-        return 0 if rep.rank == rep.expected_rank else 1
+    rep = reduce_relations(rs)
+    payload = {"schema": SCHEMA, **rep.as_dict()}
     if args.report == "rank":
-        payload = {"schema": SCHEMA, **rep.as_dict()}
         text = f"rank {rep.rank} (expected {rep.expected_rank}), ok={rep.ok}"
     elif args.report == "basis":
-        payload = {"schema": SCHEMA, **rep.as_dict()}
         text = "free columns: " + ", ".join(
             format_composition(c) for c in rep.free_columns
         )
     else:  # table
-        payload = {
-            "schema": SCHEMA,
-            **rep.as_dict(),
-            "table": {
-                format_composition(piv): {
-                    format_composition(f): coeff_dict(x) for f, x in expr.items()
-                }
-                for piv, expr in rep.result.table.items()
-            },
+        payload["table"] = {
+            format_composition(piv): {
+                format_composition(f): coeff_dict(x) for f, x in expr.items()
+            }
+            for piv, expr in rep.result.table.items()
         }
         lines = []
         for piv in rep.result.pivot_columns:
@@ -541,7 +523,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("reduce", parents=[common, relset], help="rank / basis / reduction table")
     sp.add_argument("--report", choices=("rank", "basis", "table"), default="rank")
-    sp.add_argument("--hoffman-last", action=argparse.BooleanOptionalAction, default=True)
     sp.set_defaults(func=_cmd_reduce)
 
     sp = sub.add_parser("eval", parents=[common], help="numerical value")

@@ -190,10 +190,10 @@ def _rref_mod(rows: list[dict[int, int]], ncols: int, p: int) -> _Table:
     by the column order.  The column order also sets the fill-in, and so
     the cost.  A row whose leading column has no pivot yet becomes that
     pivot unreduced, so updates only arise where leading columns collide.
-    ``reduce_relations`` therefore puts the non-{2,3} columns deepest
-    first, which cannot change its table while they all come out pivots:
-    for the full relation set at w=11 (12) one pass then takes 0.58M
-    (3.6M) inner updates instead of 1.83M (11.4M) in the assembled order.
+    ``reduce_relations`` therefore eliminates the non-{2,3} columns deepest
+    first: for the full relation set at w=11 (12) one pass then takes
+    0.58M (3.6M) inner updates instead of 1.83M (11.4M) in the assembled
+    order.
     Back-substitution, right to left, then clears the pivot columns from
     every pivot row.
 
@@ -413,58 +413,50 @@ def hoffman_reduce(
     return reduce_relations(generate_relations(w, families, include_duality, mode))
 
 
-def reduce_relations(rs: RelationSet, hoffman_last: bool = True) -> HoffmanReport:
-    """Assemble (by default with the {2,3} columns last), reduce, and check
-    that exactly the {2,3}-entry polyzetas remain free.  This is the one
-    place that reduces a relation set.
+def reduce_relations(rs: RelationSet) -> HoffmanReport:
+    """Assemble with the {2,3} columns last, reduce, and check that exactly
+    the {2,3}-entry polyzetas remain free.  This is the one place that
+    reduces a relation set.
 
-    With the {2,3} columns last, the non-{2,3} block N is eliminated
-    deepest first (depth descending, then entries ascending), which makes
-    far less fill than the assembled order (see ``_rref_mod``), and the
-    result is mapped back to the assembled order.  The order of N cannot
-    change the result once N comes out all pivots: each table row is then
-    the unique vector of the row space whose N-part is a unit vector.  If
-    N does not (a subset of the families, or a rank deficit), the matrix
-    is reduced again in the assembled order, so the free set reported is
-    the leftmost one of that order.
+    The non-{2,3} block N is eliminated deepest first (depth descending,
+    then entries ascending), which makes far less fill than the assembled
+    order (see ``_rref_mod``), and the {2,3} block last in its assembled
+    order, in one ``exact_rref`` call.  Pivots, free columns and the keys
+    of each table row are reported in the assembled order.  The order of N
+    cannot change the table while N comes out all pivots (the four
+    families at every weight tried): each table row is then the unique
+    vector of the row space whose N-part is a unit vector.  Otherwise (a
+    subset of the families, a rank deficit) the free set is the leftmost
+    one of the elimination order.
     """
     w = rs.weight
-    m = assemble_matrix(rs, hoffman_last)
-    red = _reduce_deepest_first(m) if hoffman_last else None
-    if red is None:
-        red = exact_rref(m)
-    free = set(red.free_columns)
+    m = assemble_matrix(rs, hoffman_last=True)
+    cols = m.columns
+    n = sum(not is_hoffman(c) for c in cols)
+    order = sorted(range(n), key=lambda k: (-len(cols[k]), cols[k])) + list(range(n, len(cols)))
+    position = {k: i for i, k in enumerate(order)}
+    table = exact_rref(RationalMatrix(
+        w,
+        tuple(cols[k] for k in order),
+        [{position[j]: x for j, x in row.items()} for row in m.rows],
+    )).table
+    assembled = {c: k for k, c in enumerate(cols)}
+    pivots = sorted(table, key=assembled.__getitem__)
+    free = [c for c in cols if c not in table]
+    red = ReductionResult(len(pivots), pivots, free, {
+        c: dict(sorted(table[c].items(), key=lambda t: assembled[t[0]])) for c in pivots
+    })
     return HoffmanReport(
         weight=w,
         families=rs.families,
         duality=rs.duality,
         rank=red.rank,
         expected_rank=2 ** (w - 2) - hoffman_dim(w),
-        free_columns=red.free_columns,
-        non_hoffman_free=[c for c in red.free_columns if not is_hoffman(c)],
-        missing_hoffman=[c for c in enumerate_weight(w) if is_hoffman(c) and c not in free],
+        free_columns=free,
+        non_hoffman_free=[c for c in free if not is_hoffman(c)],
+        missing_hoffman=[c for c in enumerate_weight(w) if is_hoffman(c) and c in table],
         result=red,
     )
-
-
-def _reduce_deepest_first(m: RationalMatrix) -> ReductionResult | None:
-    """``exact_rref`` of m, whose {2,3} columns come last, with the other
-    columns N permuted deepest first; the result is given in m's column
-    order, or None unless N comes out all pivots."""
-    cols = m.columns
-    n = sum(not is_hoffman(c) for c in cols)
-    order = sorted(range(n), key=lambda k: (-len(cols[k]), cols[k])) + list(range(n, len(cols)))
-    position = {k: i for i, k in enumerate(order)}
-    red = exact_rref(RationalMatrix(
-        m.weight,
-        tuple(cols[k] for k in order),
-        [{position[j]: x for j, x in row.items()} for row in m.rows],
-    ))
-    if red.free_columns != list(cols[n:]):
-        return None
-    # the free columns keep their positions, so only the pivots move back
-    pivots = list(cols[:n])
-    return ReductionResult(red.rank, pivots, red.free_columns, {c: red.table[c] for c in pivots})
 
 
 @dataclass

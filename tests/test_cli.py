@@ -1,5 +1,7 @@
+import argparse
 import io
 import json
+import re
 import shlex
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
@@ -8,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from polyzeta.cli import main
+from polyzeta.cli import _build_parser, main
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
@@ -159,8 +161,7 @@ _ARGV = st.one_of(
     _cmd("closed", _G, _SIDE, _ONE),
     _cmd("reconcile", _G, _SIDE, _opt("--max-weight", st.integers(-1, 8), required=True)),
     _cmd("relations", *_RELSET),
-    _cmd("reduce", *_RELSET, _opt("--report", st.sampled_from(["rank", "basis", "table"])),
-         _flag("--no-hoffman-last")),
+    _cmd("reduce", *_RELSET, _opt("--report", st.sampled_from(["rank", "basis", "table"]))),
     _cmd("eval", _ONE, _opt("--tol", _TOL), _opt("--max-terms", st.sampled_from([0, 10]))),
     _cmd("verify", _W, _opt("--numeric-tol", _TOL)),
 )
@@ -286,14 +287,22 @@ class TestReduceVerify:
         assert "(4) = 4/3*(2,2)" in out
         assert "(3,1) = 1/3*(2,2)" in out
 
-    @pytest.mark.parametrize("order", ["--hoffman-last", "--no-hoffman-last"])
     @pytest.mark.parametrize("w, rank", [(2, 0), (3, 1)])
-    def test_reduce_low_weights(self, capsys, tmp_path, w, rank, order):
-        code, out = run(capsys, "reduce", "--weight", str(w), order, "--format", "json",
+    def test_reduce_low_weights(self, capsys, tmp_path, w, rank):
+        code, out = run(capsys, "reduce", "--weight", str(w), "--format", "json",
                         "--data-dir", str(tmp_path))
         doc = json.loads(out)
         assert code == 0
         assert doc["rank"] == doc["expected_rank"] == rank
+
+    def test_rank_deficient_subset_at_weight_eleven(self, capsys, tmp_path):
+        # a subset short of rank is a verification failure (exit 1), not an
+        # internal inconsistency (exit 3)
+        code, out = run(capsys, "reduce", "--weight", "11", "--families", "1,2,3",
+                        "--report", "rank", "--format", "json", "--data-dir", str(tmp_path))
+        doc = json.loads(out)
+        assert code == 1
+        assert doc["rank"] == 448 and doc["ok"] is False
 
     def test_empty_families_is_usage_error(self, capsys, tmp_path):
         with pytest.raises(SystemExit) as err:
@@ -340,10 +349,7 @@ class TestReduceVerify:
 @pytest.mark.parametrize("golden, argv", [
     ("reduce_table_w6.json", ["--weight", "6", "--report", "table", "--format", "json"]),
     ("reduce_table_w8.json", ["--weight", "8", "--report", "table", "--format", "json"]),
-    ("reduce_no_hoffman_last_w6.json", ["--weight", "6", "--no-hoffman-last", "--format", "json"]),
-    ("reduce_no_hoffman_last_w8.json", ["--weight", "8", "--no-hoffman-last", "--format", "json"]),
     ("matrix_w6_hoffman_last.csv", ["--weight", "6"]),
-    ("matrix_w6.csv", ["--weight", "6", "--no-hoffman-last"]),
 ])
 def test_reduce_golden_output(tmp_path, golden, argv):
     """Reduce output is frozen byte for byte (JSON reports, matrix CSV)."""
@@ -397,6 +403,7 @@ USAGE_ERRORS = (
     ["reduce", "--weight", "5", "--families", ""],
     ["relations"],
     ["reduce", "--weight", "5", "--mode", "foo"],
+    ["reduce", "--weight", "6", "--no-hoffman-last"],
 )
 
 
@@ -423,3 +430,42 @@ def test_parser_golden_output(monkeypatch, golden, argvs):
     so argparse wraps the same way on every terminal)."""
     monkeypatch.setenv("COLUMNS", "80")
     assert parser_transcript(argvs).encode() == (GOLDEN / golden).read_bytes()
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def _readme_cli_section() -> str:
+    text = README.read_text()
+    start = text.index("\n## CLI\n")
+    return text[start:text.index("\n## ", start + 1)]
+
+
+def _option_strings(parser) -> set[str]:
+    opts = set(parser._option_string_actions)
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for sub in action.choices.values():
+                opts |= _option_strings(sub)
+    return opts
+
+
+@pytest.mark.parametrize("line", [
+    line for line in _readme_cli_section().split("```")[1].splitlines()
+    if line.startswith("polyzeta ")
+], ids=lambda line: line.split("#")[0].strip())
+def test_readme_cli_examples_run(capsys, monkeypatch, tmp_path, line):
+    """Every command of README's CLI block exits 0 without a traceback and
+    prints what a ``# -> X`` comment promises."""
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("POLYZETA_DATA_DIR", raising=False)
+    code = main(shlex.split(line, comments=True)[1:])
+    captured = capsys.readouterr()
+    assert code == 0 and "Traceback" not in captured.err, captured.err
+    if "# -> " in line:
+        assert captured.out == line.split("# -> ")[1].strip() + "\n"
+
+
+def test_readme_cli_options_exist():
+    named = set(re.findall(r"(?<![\w-])--[a-z][a-z-]*", _readme_cli_section()))
+    assert named and named <= _option_strings(_build_parser()), named

@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import json
 import math
 import random
@@ -305,20 +306,19 @@ class TestHoffmanReduce:
         text = json.dumps(doc, sort_keys=True, separators=(",", ":"))
         assert hashlib.sha256(text.encode()).hexdigest() == want
 
-    @pytest.mark.parametrize("hoffman_last, free, table", [
-        (True, {2: [(2,)], 3: [(3,)]}, {2: {}, 3: {(2, 1): {(3,): 1}}}),
-        (False, {2: [(2,)], 3: [(2, 1)]}, {2: {}, 3: {(3,): {(2, 1): 1}}}),
+    @pytest.mark.parametrize("w, free, table", [
+        (2, [(2,)], {}),
+        (3, [(3,)], {(2, 1): {(3,): 1}}),
     ])
-    @pytest.mark.parametrize("w", (2, 3))
-    def test_weights_two_and_three(self, w, hoffman_last, free, table):
+    def test_weights_two_and_three(self, w, free, table):
         # w=2 has no relations at all; w=3 has one, zeta(2,1) = zeta(3)
-        rep = reduce_relations(generate_relations(w), hoffman_last)
+        rep = reduce_relations(generate_relations(w))
         assert rep.rank == rep.expected_rank == 2 ** (w - 2) - hoffman_dim(w)
-        assert rep.free_columns == [C(f) for f in free[w]]
+        assert rep.free_columns == [C(f) for f in free]
         assert rep.result.table == {
-            C(p): {C(f): Fraction(x) for f, x in expr.items()} for p, expr in table[w].items()
+            C(p): {C(f): Fraction(x) for f, x in expr.items()} for p, expr in table.items()
         }
-        assert rep.ok == (hoffman_last or w == 2)
+        assert rep.ok
 
     def test_weight_below_two_rejected(self):
         with pytest.raises(ValueError):
@@ -345,22 +345,43 @@ class TestHoffmanReduce:
             assert red.free_columns == natural.free_columns
             assert red.table == natural.table
 
-    def test_fallback_reduces_in_assembled_order(self, monkeypatch):
-        # family 1 alone leaves non-{2,3} columns free: the deepest-first
-        # run is discarded and the assembled matrix reduced instead
-        seen = []
+    @pytest.mark.parametrize("families, duality", [
+        (tuple(LEFT_FACTORS), False),
+        (("1",), False),
+        (tuple(LEFT_FACTORS), True),
+    ], ids=("four-families", "family-1", "duality"))
+    def test_one_elimination_per_reduction(self, monkeypatch, families, duality):
+        calls = []
 
         def spy(m):
-            seen.append(m.columns)
+            calls.append(m.shape)
             return exact_rref(m)
 
         monkeypatch.setattr(engine, "exact_rref", spy)
-        rs = generate_relations(6, families=("1",))
+        rs = generate_relations(6, families, duality)
         rep = reduce_relations(rs)
-        assembled = assemble_matrix(rs, hoffman_last=True)
-        assert seen[-1] == assembled.columns and len(seen) == 2
-        assert rep.free_columns == exact_rref(assembled).free_columns
-        assert rep.non_hoffman_free
+        assert calls == [assemble_matrix(rs).shape]
+        # family 1 alone leaves non-{2,3} columns free, and still one run
+        assert bool(rep.non_hoffman_free) == (families == ("1",))
+
+    @pytest.mark.parametrize("duality", (False, True))
+    @pytest.mark.parametrize("w", range(5, 9))
+    def test_family_subsets_reduce_consistently(self, w, duality):
+        # whatever free set the elimination order picks for a rank-deficient
+        # subset, the report must be a valid reduction of its relations
+        cols = enumerate_weight(w)
+        for k in range(1, len(LEFT_FACTORS)):
+            for families in itertools.combinations(LEFT_FACTORS, k):
+                rs = generate_relations(w, families, duality)
+                rep = reduce_relations(rs)
+                red = rep.result
+                assert all(red.substitute(r.body) == {} for r in rs.relations)
+                assert rep.rank == exact_rref(assemble_matrix(rs)).rank == len(red.table)
+                assert sorted(red.pivot_columns + rep.free_columns) == sorted(cols)
+                assert set(red.pivot_columns) == set(red.table)
+                free = set(rep.free_columns)
+                assert rep.non_hoffman_free == [c for c in rep.free_columns if not is_hoffman(c)]
+                assert rep.missing_hoffman == [c for c in cols if is_hoffman(c) and c not in free]
 
     def test_failure_is_reported_not_raised(self):
         rep = hoffman_reduce(6, families=("1",))
