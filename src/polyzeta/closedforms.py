@@ -20,13 +20,13 @@ validated coefficient-by-coefficient against the brute-force products in
 :mod:`polyzeta.oracle`.  The print rides on the same single emission: each
 term also carries its printed coefficient, and the families of a
 ``missing-family``, ``index-typo`` or ``unreadable`` correction are absent
-from the print.  ``variant="printed"`` reads the text that way, and
-:func:`reconcile` reports the difference.
+from the print.  :func:`reconcile` is the one reader of the print: it
+reports what the corrections add to it and which of them fired.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import partial
 from itertools import chain
 from typing import Callable, Iterator, Sequence
@@ -807,64 +807,40 @@ _GENERATORS: dict[tuple[str, str], Callable[[_Emitter], None]] = {
 }
 
 
-def _blocks_of(z) -> ABForm:
-    if isinstance(z, ABForm):
-        return z
-    if not isinstance(z, Composition):
-        z = Composition(z)
-    return to_ab(z)
-
-
 def _emission(g: str, side: str, z) -> _Emitter:
     """Check the arguments and run the generator of (g, side) over z once."""
     if g not in LEFT_FACTORS:
         raise ValueError(f"unknown left factor key {g!r}; use one of {', '.join(LEFT_FACTORS)}")
     if (g, side) not in _GENERATORS:
         raise ValueError(f"unknown side {side!r}; use stuffle, shuffle or dsr")
-    e = _Emitter(_blocks_of(z))
+    e = _Emitter(to_ab(z if isinstance(z, Composition) else Composition(z)))
     _GENERATORS[(g, side)](e)
     return e
 
 
-def _printed_terms(e: _Emitter, corrections: list[PrintCorrection]) -> list[FamilyTerm]:
-    """The emitted terms as printed: with their printed coefficients, less
-    the terms printed with 0 and the families the print lacks."""
-    absent = {c.family for c in corrections if c.kind in _ABSENT_FROM_PRINT}
-    return [t if p == t.coeff else replace(t, coeff=p) for t, p in zip(e.out, e.printed)
-            if p and t.family.removeprefix("-") not in absent]
-
-
-def closed_terms(g: str, side: str, z, variant: str = "corrected") -> list[FamilyTerm]:
-    """All family terms of the closed expansion, with predicted signatures.
-
-    ``variant="printed"`` follows the defective source text wherever it is
-    evaluable (unreadable or weight-breaking families are simply absent
-    there; see PRINT_CORRECTIONS).
-    """
-    if variant not in ("corrected", "printed"):
-        raise ValueError(f"unknown variant {variant!r}")
-    e = _emission(g, side, z)
-    return e.out if variant == "corrected" else _printed_terms(e, _corrections_for(g, side))
+def closed_terms(g: str, side: str, z) -> list[FamilyTerm]:
+    """All family terms of the closed expansion, with predicted signatures."""
+    return _emission(g, side, z).out
 
 
 def _sum_terms(terms: list[FamilyTerm]) -> LinComb:
     return LinComb((t.composition, t.coeff) for t in terms)
 
 
-def closed_stuffle(g: str, z, variant: str = "corrected") -> LinComb:
+def closed_stuffle(g: str, z) -> LinComb:
     """Closed quasi-shuffle product of the left factor ``g`` with z."""
-    return _sum_terms(closed_terms(g, "stuffle", z, variant))
+    return _sum_terms(closed_terms(g, "stuffle", z))
 
 
-def closed_shuffle(g: str, z, variant: str = "corrected") -> LinComb:
+def closed_shuffle(g: str, z) -> LinComb:
     """Closed shuffle product of the left factor ``g`` with z."""
-    return _sum_terms(closed_terms(g, "shuffle", z, variant))
+    return _sum_terms(closed_terms(g, "shuffle", z))
 
 
-def closed_dsr(g: str, z, variant: str = "corrected") -> LinComb:
+def closed_dsr(g: str, z) -> LinComb:
     """Closed relation body shuffle - stuffle; never contains a divergent term."""
-    out = _sum_terms(closed_terms(g, "dsr", z, variant))
-    if variant == "corrected" and out.has_divergent():
+    out = _sum_terms(closed_terms(g, "dsr", z))
+    if out.has_divergent():
         raise InternalConsistencyError(
             f"divergent residue in closed dsr (g={g}, z={format_composition(Composition(z))})"
         )
@@ -923,18 +899,6 @@ class DiscrepancyReport:
 _ORACLE_PRODUCTS = {"stuffle": oracle_stuffle, "shuffle": oracle_shuffle, "dsr": oracle_dsr}
 
 
-def _family_sums(terms: list[FamilyTerm], families) -> dict[str, dict]:
-    """family -> {composition: summed coefficient} for the named families
-    (a negated ``-family`` counts as ``family``)."""
-    out: dict[str, dict] = {}
-    for t in terms:
-        base = t.family.removeprefix("-")
-        if base in families:
-            fam = out.setdefault(base, {})
-            fam[t.composition] = fam.get(t.composition, 0) + t.coeff
-    return out
-
-
 def reconcile_one(g: str, side: str, z) -> DiscrepancyReport:
     """Compare the shipped closed form against the oracle for one z."""
     z = z if isinstance(z, Composition) else Composition(z)
@@ -952,15 +916,18 @@ def reconcile_one(g: str, side: str, z) -> DiscrepancyReport:
         if target[t] == 0:
             rep.extra[t] = c
     corrections = _corrections_for(g, side)
-    if corrections:  # else the printed terms are the corrected ones
-        printed = _printed_terms(e, corrections)
-        rep.beyond_printed = (shipped - _sum_terms(printed)).terms()
-        families = dict.fromkeys(c.family for c in corrections)  # registry order
-        by_family_c = _family_sums(e.out, families)
-        by_family_p = _family_sums(printed, families)
-        rep.corrections_engaged = [
-            fam for fam in families if by_family_c.get(fam, {}) != by_family_p.get(fam, {})
-        ]
+    absent = {c.family for c in corrections if c.kind in _ABSENT_FROM_PRINT}
+    deltas: list[tuple[Composition, int]] = []
+    net: dict[str, int] = {}  # family -> summed delta; one sign per family and side
+    for t, p in zip(e.out, e.printed):
+        family = t.family.removeprefix("-")
+        delta = t.coeff - (0 if family in absent else p)
+        if delta:
+            deltas.append((t.composition, delta))
+            net[family] = net.get(family, 0) + delta
+    rep.beyond_printed = LinComb(deltas).terms()
+    rep.corrections_engaged = list(dict.fromkeys(  # registry order, once each
+        c.family for c in corrections if net.get(c.family)))
     clean = not (rep.missing or rep.extra or rep.mismatched)
     structural = any(c.structural for c in corrections if c.family in rep.corrections_engaged)
     rep.verdict = ("exact" if not structural else "reconciled") if clean else "mismatch"

@@ -107,8 +107,6 @@ def generate_relations(
             )
         for z in zs:
             body = closed_dsr(f, z) if mode == "closed" else oracle_dsr(g, z)
-            if body.has_divergent():
-                raise AssertionError(f"divergent relation body for family {f}, z={z}")
             relations.append(Relation(body, f, z))
     if include_duality:
         for z in enumerate_weight(w):

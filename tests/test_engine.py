@@ -10,7 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from polyzeta import engine
+from polyzeta import closedforms, engine
+from polyzeta.cli import main
 from polyzeta.closedforms import LEFT_FACTORS
 from polyzeta.core import Composition, format_composition
 from polyzeta.counting import hoffman_dim, is_hoffman
@@ -123,6 +124,22 @@ class TestGenerate:
     def test_no_divergent_terms(self):
         for r in generate_relations(8).relations:
             assert not r.body.has_divergent()
+
+    def test_divergent_residue_is_an_inconsistency(self, monkeypatch, tmp_path, capsys):
+        # a (1) generator that keeps the divergent front unit, which the
+        # dsr must cancel, is caught where the body is summed
+        def dsr_1_with_front(e):
+            closedforms._dsr_1(e)
+            e.family("1->front").emit(1, 1, 0, front=(1,))
+
+        monkeypatch.setitem(closedforms._GENERATORS, ("1", "dsr"), dsr_1_with_front)
+        with pytest.raises(InternalConsistencyError, match="divergent residue"):
+            generate_relations(5, ("1",))
+        code = main(["relations", "--weight", "5", "--families", "1",
+                     "--data-dir", str(tmp_path)])
+        err = capsys.readouterr().err
+        assert code == 3 and "Traceback" not in err
+        assert err.startswith("internal inconsistency: ") and err.count("\n") == 1
 
     def test_integer_coefficients(self):
         for r in generate_relations(9).relations:
