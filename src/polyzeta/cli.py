@@ -10,7 +10,6 @@ and no traceback.
 from __future__ import annotations
 
 import argparse
-import csv
 import hashlib
 import json
 import os
@@ -43,7 +42,6 @@ from .engine import (
     GENERATOR_VERSION,
     RelationSet,
     Relation,
-    assemble_matrix,
     expected_relation_count,
     generate_relations,
     reduce_relations,
@@ -328,23 +326,8 @@ def _cmd_relations(args) -> int:
     return 0
 
 
-def _matrix_csv(rs: RelationSet, path: str) -> None:
-    """Write the coefficient matrix, {2,3} columns last, as dense CSV,
-    streaming the sparse rows ("0" for an absent entry)."""
-    m = assemble_matrix(rs, hoffman_last=True)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([format_composition(c) for c in m.columns])
-        for row in m.rows:
-            writer.writerow([str(row.get(k, 0)) for k in range(len(m.columns))])
-
-
 def _cmd_reduce(args) -> int:
-    rs = _load_or_generate(args)
-    if args.out and args.out.endswith(".csv"):
-        _matrix_csv(rs, args.out)
-        return 0
-    rep = reduce_relations(rs)
+    rep = reduce_relations(_load_or_generate(args))
     payload = {"schema": SCHEMA, **rep.as_dict()}
     if args.report == "rank":
         text = f"rank {rep.rank} (expected {rep.expected_rank}), ok={rep.ok}"
@@ -462,7 +445,6 @@ def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("text", "json"), default="text")
     common.add_argument("--out", metavar="FILE", default=None)
-    common.add_argument("--data-dir", metavar="DIR", default=None)
     # one product of the index: left factor and side
     product = argparse.ArgumentParser(add_help=False)
     product.add_argument("--g", choices=tuple(LEFT_FACTORS), required=True)
@@ -473,6 +455,7 @@ def _build_parser() -> argparse.ArgumentParser:
     relset.add_argument("--families", type=_families_arg, default=tuple(LEFT_FACTORS))
     relset.add_argument("--duality", action="store_true")
     relset.add_argument("--mode", choices=("closed", "oracle"), default="closed")
+    relset.add_argument("--data-dir", metavar="DIR", default=None)
 
     p = argparse.ArgumentParser(
         prog="polyzeta",
@@ -496,9 +479,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("count", parents=[common], help="counting formulas")
     sp.add_argument("--weight", type=int, required=True)
-    sp.add_argument("--depth", type=int, default=None)
+    depth_or_table = sp.add_mutually_exclusive_group()
+    depth_or_table.add_argument("--depth", type=int, default=None)
+    depth_or_table.add_argument("--table", action="store_true")
     sp.add_argument("--height", type=int, default=None)
-    sp.add_argument("--table", action="store_true")
     sp.set_defaults(func=_cmd_count)
 
     for name, op, text in (("stuffle", stuffle, "quasi-shuffle product"),

@@ -943,4 +943,8 @@ def reconcile(g: str, side: str, max_weight: int = 12) -> list[DiscrepancyReport
         raise ValueError(
             f"max_weight {max_weight} exceeds the configured cap {RECONCILE_WEIGHT_CAP}"
         )
+    least = LEFT_FACTORS[g].weight + 2
+    if max_weight < least:
+        raise ValueError(f"max_weight {max_weight} is below {least}, the least "
+                         f"total weight with a source for g={g}")
     return [reconcile_one(g, side, z) for w in range(max_weight + 1) for z in sources(g, w)]

@@ -167,10 +167,14 @@ class ReductionResult:
         ).terms()
 
 
-# The primes just below 2^127.  One prime lifts every table up to w=11;
-# w=12 needs two, its table having 70-bit numerators over 58-bit
-# denominators.
-PRIMES = tuple(2**127 - k for k in (1, 25, 39, 295, 309, 507, 511, 577))
+# The 24 primes just below 2^127.  One prime lifts every four-family table
+# up to w=11; w=12 needs two, its table having 70-bit numerators over 58-bit
+# denominators.  The family subsets (1,2,3) and (1,2,21) at w=12 are far
+# taller: their tables certify after 10 and 16 primes.
+PRIMES = tuple(2**127 - k for k in (
+    1, 25, 39, 295, 309, 507, 511, 577, 697, 735, 801, 957,
+    1081, 1105, 1141, 1201, 1231, 1447, 1485, 1495, 1741, 1747, 2197, 2437,
+))
 
 # pivot column -> {free column: residue}: the pivot solved for the free
 # columns modulo a prime or a product of primes

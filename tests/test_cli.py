@@ -13,6 +13,13 @@ from hypothesis import strategies as st
 from polyzeta.cli import _build_parser, main
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
+# the commands that take --data-dir: the two that load a relation set
+RELSET_COMMANDS = ("relations", "reduce")
+
+
+def with_data_dir(argv, path) -> list[str]:
+    """``argv`` with ``--data-dir path`` if its command takes one."""
+    return [*argv, "--data-dir", str(path)] if argv[0] in RELSET_COMMANDS else list(argv)
 
 
 def run(capsys, *argv):
@@ -96,8 +103,8 @@ class TestBasics:
         ["verify", "--weight", "5", "--numeric-tol", "inf"],
         ["verify", "--weight", "5", "--numeric-tol", "nan"],
     ])
-    def test_bad_tolerance_exits_two(self, capsys, tmp_path, argv):
-        code = main([*argv, "--data-dir", str(tmp_path)])
+    def test_bad_tolerance_exits_two(self, capsys, argv):
+        code = main(argv)
         err = capsys.readouterr().err
         assert code == 2
         assert err.startswith("error: ") and "Traceback" not in err
@@ -105,11 +112,17 @@ class TestBasics:
     @pytest.mark.parametrize("cmd", ["list", "relations", "reduce", "verify"])
     def test_weight_above_cap_exits_two(self, capsys, tmp_path, cmd):
         # refused before any of the 2^19 compositions is built
-        dirs = [] if cmd == "list" else ["--data-dir", str(tmp_path)]
-        code = main([cmd, "--weight", "21", *dirs])
+        code = main(with_data_dir([cmd, "--weight", "21"], tmp_path))
         captured = capsys.readouterr()
         assert code == 2 and captured.out == ""
         assert captured.err == "error: weight 21 exceeds the enumeration cap 20\n"
+
+    def test_reconcile_without_sources_exits_two(self, capsys):
+        code = main(["reconcile", "--g", "1", "--side", "dsr", "--max-weight", "-3"])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err == ("error: max_weight -3 is below 3, the least total "
+                                "weight with a source for g=1\n")
 
     @pytest.mark.parametrize("exc", [RecursionError("maximum recursion depth exceeded"),
                                      MemoryError()])
@@ -180,7 +193,7 @@ def test_exit_code_contract(data_dir, argv, fmt):
     err = io.StringIO()
     with redirect_stdout(io.StringIO()), redirect_stderr(err):
         try:
-            code = main([*argv, f"--format={fmt}", f"--data-dir={data_dir}"])
+            code = main(with_data_dir([*argv, f"--format={fmt}"], data_dir))
         except SystemExit as exc:
             code = exc.code
     assert code in (0, 1, 2, 3), (argv, code, err.getvalue())
@@ -237,14 +250,35 @@ class TestFilesAndCache:
             (r.family, r.source, r.body) for r in rs.relations
         ]
 
-    def test_matrix_csv(self, capsys, tmp_path):
-        out = tmp_path / "matrix.csv"
-        code = main(["reduce", "--weight", "4", "--out", str(out),
-                     "--data-dir", str(tmp_path)])
+    def test_reduce_out_writes_the_report(self, capsys, tmp_path):
+        # --out names where the report goes, whatever the file's suffix
+        code, printed = run(capsys, "reduce", "--weight", "6", "--data-dir", str(tmp_path))
+        out = tmp_path / "m.csv"
         assert code == 0
-        lines = out.read_text().splitlines()
-        assert lines[0].split(",")[0] == "4"
-        assert len(lines) == 1 + 3  # header + three relations
+        assert main(["reduce", "--weight", "6", "--data-dir", str(tmp_path),
+                     "--out", str(out)]) == 0
+        assert capsys.readouterr().out == ""
+        assert out.read_text() == printed
+
+    # list and verify are frozen among USAGE_ERRORS
+    @pytest.mark.parametrize("argv", [
+        ["dual", "2,1"],
+        ["wdh", "2,1"],
+        ["count", "--weight", "4"],
+        ["stuffle", "2", "2"],
+        ["shuffle", "2", "2"],
+        ["closed", "--g", "1", "--side", "dsr", "2"],
+        ["reconcile", "--g", "1", "--side", "dsr"],
+        ["eval", "2"],
+    ], ids=lambda argv: argv[0])
+    def test_data_dir_is_a_usage_error_elsewhere(self, capsys, tmp_path, argv):
+        with pytest.raises(SystemExit) as err:
+            main([*argv, "--data-dir", str(tmp_path)])
+        captured = capsys.readouterr()
+        assert err.value.code == 2 and captured.out == ""
+        assert "unrecognized arguments: --data-dir" in captured.err
+        assert "Traceback" not in captured.err
+        assert not any(tmp_path.iterdir())
 
     @pytest.mark.parametrize("corruption", CACHE_CORRUPTIONS)
     def test_truncated_cache_is_regenerated(self, capsys, tmp_path, corruption):
@@ -309,13 +343,12 @@ class TestReduceVerify:
             main(["reduce", "--weight", "5", "--families", "", "--data-dir", str(tmp_path)])
         assert err.value.code == 2
 
-    def test_verify_weight_ten_tight_tolerance(self, capsys, tmp_path):
-        code, out = run(capsys, "verify", "--weight", "10", "--numeric-tol", "1e-20",
-                        "--data-dir", str(tmp_path))
+    def test_verify_weight_ten_tight_tolerance(self, capsys):
+        code, out = run(capsys, "verify", "--weight", "10", "--numeric-tol", "1e-20")
         assert code == 0
         assert "all checks passed" in out
 
-    def test_verify_duality_residue_fails(self, capsys, tmp_path, monkeypatch):
+    def test_verify_duality_residue_fails(self, capsys, monkeypatch):
         from dataclasses import replace
 
         from polyzeta import cli
@@ -330,17 +363,15 @@ class TestReduceVerify:
             return replace(rep, result=replace(rep.result, table=table))
 
         monkeypatch.setattr(cli, "reduce_relations", wrong_table)
-        code, out = run(capsys, "verify", "--weight", "6", "--format", "json",
-                        "--data-dir", str(tmp_path))
+        code, out = run(capsys, "verify", "--weight", "6", "--format", "json")
         doc = json.loads(out)
         bad = [f for f in doc["failures"] if f["check"] == "duality"]
         assert code == 1 and not doc["ok"]
         assert bad and all(f["source"] and f["residue"] for f in bad)
         assert f"duality: {len(bad)} of " in " ".join(doc["summary"])
 
-    def test_verify_weight_five(self, capsys, tmp_path):
-        code, out = run(capsys, "verify", "--weight", "5", "--numeric-tol", "1e-3",
-                        "--data-dir", str(tmp_path))
+    def test_verify_weight_five(self, capsys):
+        code, out = run(capsys, "verify", "--weight", "5", "--numeric-tol", "1e-3")
         assert code == 0
         assert "all checks passed" in out
         assert "rank: 6" in out
@@ -349,10 +380,9 @@ class TestReduceVerify:
 @pytest.mark.parametrize("golden, argv", [
     ("reduce_table_w6.json", ["--weight", "6", "--report", "table", "--format", "json"]),
     ("reduce_table_w8.json", ["--weight", "8", "--report", "table", "--format", "json"]),
-    ("matrix_w6_hoffman_last.csv", ["--weight", "6"]),
 ])
 def test_reduce_golden_output(tmp_path, golden, argv):
-    """Reduce output is frozen byte for byte (JSON reports, matrix CSV)."""
+    """Reduce output is frozen byte for byte (JSON reports)."""
     out = tmp_path / golden
     code = main(["reduce", *argv, "--data-dir", str(tmp_path), "--out", str(out)])
     assert code == 0
@@ -381,15 +411,14 @@ GOLDEN_EXIT = {"eval_3_unreachable.json": 1}
 def test_golden_output(tmp_path, golden, argv):
     """Relation, product, reconcile, eval and table output is frozen byte for byte."""
     out = tmp_path / golden
-    code = main([*argv, "--data-dir", str(tmp_path), "--out", str(out)])
+    code = main([*with_data_dir(argv, tmp_path), "--out", str(out)])
     assert code == GOLDEN_EXIT.get(golden, 0)
     assert out.read_bytes() == (GOLDEN / golden).read_bytes()
 
 
 def test_verify_golden_output(tmp_path):
     out = tmp_path / "verify_w6.json"
-    code = main(["verify", "--weight", "6", "--format", "json",
-                 "--data-dir", str(tmp_path), "--out", str(out)])
+    code = main(["verify", "--weight", "6", "--format", "json", "--out", str(out)])
     assert code == 0
     assert out.read_bytes() == (GOLDEN / "verify_w6.json").read_bytes()
 
@@ -404,6 +433,9 @@ USAGE_ERRORS = (
     ["relations"],
     ["reduce", "--weight", "5", "--mode", "foo"],
     ["reduce", "--weight", "6", "--no-hoffman-last"],
+    ["verify", "--weight", "6", "--data-dir", "x"],
+    ["list", "--weight", "4", "--data-dir", "x"],
+    ["count", "--weight", "8", "--depth", "3", "--table"],
 )
 
 

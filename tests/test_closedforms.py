@@ -132,6 +132,14 @@ class TestSixFamilies:
 
 
 class TestReconcile:
+    @pytest.mark.parametrize("g", LEFT_FACTORS)
+    def test_sweep_without_sources_is_refused(self, g):
+        least = LEFT_FACTORS[g].weight + 2
+        assert reconcile(g, "dsr", least)
+        for max_weight in (least - 1, -3):
+            with pytest.raises(ValueError, match=f"below {least}"):
+                reconcile(g, "dsr", max_weight)
+
     def test_exact_for_weight_one_and_two(self):
         for g in ("1", "2"):
             for side in SIDES:

@@ -273,9 +273,28 @@ class TestRref:
             exact_rref(m)
 
     def test_table_lifted_from_several_primes(self):
-        # entries of about 400 bits need seven primes before they lift
-        big = 3 ** 250
-        assert_matches_naive([[big + 1, 0, 7], [0, 5, big - 2]], 3)
+        # entries of about 400 bits need seven primes before they lift, and
+        # entries of about 800 bits more than eight
+        for big in (3 ** 250, 3 ** 500):
+            assert_matches_naive([[big + 1, 0, 7], [0, 5, big - 2]], 3)
+
+    def test_primes_are_distinct_primes(self):
+        assert len(set(PRIMES)) == len(PRIMES) == 24
+        rng = random.Random(0)
+        for p in PRIMES:
+            # Miller-Rabin, 40 rounds: p - 1 = d * 2^s with d odd
+            s = ((p - 1) & (1 - p)).bit_length() - 1
+            d = (p - 1) >> s
+            for _ in range(40):
+                x = pow(rng.randrange(2, p - 1), d, p)
+                if x in (1, p - 1):
+                    continue
+                for _ in range(s - 1):
+                    x = x * x % p
+                    if x == p - 1:
+                        break
+                else:
+                    pytest.fail(f"2^127 - {2**127 - p} is composite")
 
     def test_fractional_rows(self):
         m = RationalMatrix(
