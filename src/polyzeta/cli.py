@@ -47,7 +47,7 @@ from .engine import (
     reduce_relations,
     verify_numeric,
 )
-from .numeric import ToleranceUnreachable, check_tolerance, eval_mzv
+from .numeric import MAX_TERMS, ToleranceUnreachable, check_tolerance, eval_mzv
 from .oracle import InternalConsistencyError, LinComb, coeff_dict, shuffle, stuffle
 from .ordering import enumerate_weight
 
@@ -81,13 +81,6 @@ def _emit_payload(args, payload: dict, text: str) -> None:
         _emit(args, json.dumps(payload, indent=2, sort_keys=True))
     else:
         _emit(args, text)
-
-
-def _data_dir(args) -> Path:
-    root = args.data_dir or os.environ.get("POLYZETA_DATA_DIR") or ".polyzeta-cache"
-    p = Path(root)
-    p.mkdir(parents=True, exist_ok=True)
-    return p
 
 
 # ---------------------------------------------------------------------------
@@ -138,8 +131,8 @@ def _relset_from_dict(doc: dict) -> RelationSet:
 
 
 def _cache_path(base: Path, w: int, families, duality: bool, mode: str) -> Path:
-    key = f"rels_w{w}_f{'-'.join(families)}_d{int(duality)}_{mode}_{_GEN_HASH}.json"
-    return base / key
+    base.mkdir(parents=True, exist_ok=True)
+    return base / f"rels_w{w}_f{'-'.join(families)}_d{int(duality)}_{mode}_{_GEN_HASH}.json"
 
 
 def _read_cache(path: Path, key: tuple) -> RelationSet | None:
@@ -171,7 +164,9 @@ def _read_cache(path: Path, key: tuple) -> RelationSet | None:
 def _load_or_generate(args) -> RelationSet:
     """The relation set that --weight, --families, --duality and --mode name."""
     key = (args.weight, args.families, args.duality, args.mode)
-    path = _cache_path(_data_dir(args), *key)
+    if args.data_dir is None:
+        return generate_relations(*key)
+    path = _cache_path(Path(args.data_dir), *key)
     rs = _read_cache(path, key)
     if rs is not None:
         return rs
@@ -512,7 +507,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("eval", parents=[common], help="numerical value")
     sp.add_argument("composition")
     sp.add_argument("--tol", type=float, default=1e-6)
-    sp.add_argument("--max-terms", type=int, default=10**7)
+    sp.add_argument("--max-terms", type=int, default=MAX_TERMS)
     sp.set_defaults(func=_cmd_eval)
 
     sp = sub.add_parser("verify", parents=[common], help="end-to-end checks at one weight")

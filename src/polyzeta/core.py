@@ -286,11 +286,8 @@ def is_self_dual(c: Composition) -> bool:
     return dual(c) == c
 
 
-def compositions_of(weight: int, min_first: int = 1) -> Iterator[Composition]:
-    """Yield all compositions of ``weight`` whose first entry is >= min_first."""
-    if weight == 0:
-        yield Composition()
-        return
+def compositions_of(weight: int) -> Iterator[Composition]:
+    """Yield all convergent compositions of ``weight`` (first entry >= 2)."""
 
     def rec(remaining: int, lo: int, acc: list[int]) -> Iterator[tuple[int, ...]]:
         if remaining == 0:
@@ -301,5 +298,5 @@ def compositions_of(weight: int, min_first: int = 1) -> Iterator[Composition]:
             yield from rec(remaining - first, 1, acc)
             acc.pop()
 
-    for t in rec(weight, min_first, []):
+    for t in rec(weight, 2, []):
         yield Composition(t)

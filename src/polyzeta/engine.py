@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable
 
+from . import numeric
 from .closedforms import LEFT_FACTORS, closed_dsr, sources
 from .core import Composition, dual
 from .counting import hoffman_dim, is_hoffman
@@ -404,15 +405,9 @@ class HoffmanReport:
         }
 
 
-def hoffman_reduce(
-    w: int,
-    families: Iterable[str] = tuple(LEFT_FACTORS),
-    include_duality: bool = False,
-    mode: str = "closed",
-) -> HoffmanReport:
-    """Generate the relations of weight w and check them with
-    ``reduce_relations``."""
-    return reduce_relations(generate_relations(w, families, include_duality, mode))
+def hoffman_reduce(w: int) -> HoffmanReport:
+    """``reduce_relations`` on the four families' relations of weight w."""
+    return reduce_relations(generate_relations(w))
 
 
 def reduce_relations(rs: RelationSet) -> HoffmanReport:
@@ -472,18 +467,18 @@ class NumericReport:
         return not self.failures
 
 
-def verify_numeric(rs: RelationSet, tol: float = 1e-3, max_terms: int = 10**8) -> NumericReport:
+def verify_numeric(rs: RelationSet, tol: float = 1e-3) -> NumericReport:
     """Check every relation against proven enclosures of its terms.
 
     ``eval_mzv`` puts each polyzeta in an interval [V_i - E_i, V_i + E_i].
     The residual R = sum c_i V_i is summed exactly, so a true relation has
     |R| <= bound = sum |c_i| E_i, and a relation fails iff |R| > bound or a
-    term hit the cutoff cap ``max_terms``.  The terms are evaluated at
-    rising precision until the bound is at most tol times the mass
-    sum |c_i| |V_i|, so a false relation whose true residual exceeds twice
-    that is always caught.  The recorded residual is |R| / mass.
+    term hit the cutoff cap ``numeric.MAX_TERMS``, read at each call.  The
+    terms are evaluated at rising precision until the bound is at most tol
+    times the mass sum |c_i| |V_i|, so a false relation whose true residual
+    exceeds twice that is always caught.  The recorded residual is |R| / mass.
     """
-    check_tolerance(tol, max_terms)
+    check_tolerance(tol)
     residuals = []
     failures = []
     limit = Fraction(tol)
@@ -491,7 +486,7 @@ def verify_numeric(rs: RelationSet, tol: float = 1e-3, max_terms: int = 10**8) -
     for rel in rs.relations:
         p = p0
         while True:
-            r, bound, mass, reached = _residual(rel.body, 2.0**-p, max_terms)
+            r, bound, mass, reached = _residual(rel.body, 2.0**-p)
             if not reached or bound <= limit * mass:
                 break
             p += max(8, math.ceil(math.log2(bound / (limit * mass))) + 1)
@@ -502,14 +497,14 @@ def verify_numeric(rs: RelationSet, tol: float = 1e-3, max_terms: int = 10**8) -
     return NumericReport(tol, residuals, failures)
 
 
-def _residual(body: LinComb, tol: float, max_terms: int) -> tuple[int, int, int, bool]:
+def _residual(body: LinComb, tol: float) -> tuple[int, int, int, bool]:
     """(R, bound, mass) of one relation, exact integers at a common scale,
     and whether every term reached tol."""
     vals = []
     reached = True
     for term, coeff in body.items():
         try:
-            v = eval_mzv(term, tol, max_terms)
+            v = eval_mzv(term, tol, numeric.MAX_TERMS)
         except ToleranceUnreachable as exc:
             v, reached = exc.best, False
         vals.append((coeff, v))

@@ -33,7 +33,9 @@ from functools import lru_cache
 
 from .core import Composition, format_composition
 
-__all__ = ["EvalResult", "ToleranceUnreachable", "check_tolerance", "eval_mzv"]
+__all__ = ["MAX_TERMS", "EvalResult", "ToleranceUnreachable", "check_tolerance", "eval_mzv"]
+
+MAX_TERMS = 10**7  # caps the cutoff N of every series; reached only near tol = 2^-(10^7)
 
 # bits carried beyond log2(1/tol); the rounding loss of one value is a few
 # thousand units of the last place at weight <= 12, well under 2^16
@@ -162,7 +164,7 @@ def _evaluate(s: tuple[int, ...], bits: int, max_terms: int) -> tuple[EvalResult
 _memo: dict[tuple[tuple[int, ...], float, int], EvalResult] = {}
 
 
-def eval_mzv(c: Composition, tol: float = 1e-6, max_terms: int = 10**7) -> EvalResult:
+def eval_mzv(c: Composition, tol: float = 1e-6, max_terms: int = MAX_TERMS) -> EvalResult:
     """A convergent polyzeta with a proven bound, tail_estimate <= tol
     (see EvalResult).
 

@@ -267,11 +267,7 @@ def _shuffle_encode(c: Composition) -> Word:
 
 def _shuffle_terms(tx: Composition, ty: Composition) -> Iterator[tuple[Composition, int]]:
     for wt, n in _shuffle_words(str(_shuffle_encode(tx)), str(_shuffle_encode(ty))):
-        try:
-            t = decode_word(wt)
-        except ValueError as exc:  # unreachable: inputs end in 1
-            raise InternalConsistencyError(str(exc)) from exc
-        yield t, n
+        yield decode_word(wt), n  # both words end in 1, so every interleaving does
 
 
 def shuffle(x, y) -> LinComb:

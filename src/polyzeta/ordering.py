@@ -72,7 +72,7 @@ def enumerate_weight(w: int) -> Sequence[Composition]:
         raise ValueError(f"weight {w} exceeds the enumeration cap {ENUMERATION_WEIGHT_CAP}")
     got = _enum_cache.get(w)
     if got is None:
-        ordered = tuple(sorted(compositions_of(w, min_first=2), key=order_key))
+        ordered = tuple(sorted(compositions_of(w), key=order_key))
         with _cache_lock:
             got = _enum_cache.setdefault(w, ordered)
     return got

@@ -4,6 +4,7 @@ import json
 import re
 import shlex
 from contextlib import redirect_stderr, redirect_stdout
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -297,6 +298,13 @@ class TestFilesAndCache:
         assert cached.read_text() == text
         assert [p.name for p in tmp_path.iterdir()] == [cached.name]
 
+    @pytest.mark.parametrize("cmd", RELSET_COMMANDS)
+    def test_no_data_dir_writes_no_file(self, capsys, monkeypatch, tmp_path, cmd):
+        # without --data-dir the relations are generated and nothing is cached
+        monkeypatch.chdir(tmp_path)
+        assert main([cmd, "--weight", "6"]) == 0
+        assert not any(tmp_path.iterdir())
+
     def test_reconcile_report(self, capsys, tmp_path):
         out = tmp_path / "report.json"
         code = main(["reconcile", "--g", "21", "--side", "stuffle",
@@ -305,6 +313,26 @@ class TestFilesAndCache:
         doc = json.loads(out.read_text())
         assert doc["verdicts"].get("mismatch", 0) == 0
         assert doc["reports"]
+
+
+# a name that ``cli`` imports, an edit of its result that makes one check
+# of ``verify --weight 6`` fail, that check and the keys of its record
+VERIFY_PLANTS = [
+    ("enumerate_weight", lambda comps: comps[:-1], "enumeration", {"got", "expected"}),
+    ("reconcile_one",
+     lambda rep: replace(rep, verdict="mismatch")
+     if (rep.g, rep.side, rep.z) == ("2", "dsr", (2, 2)) else rep,
+     "closed-vs-oracle", {"g", "side", "z", "report"}),
+    # a four-family relation, not a duality one: the rank stays 14
+    ("generate_relations",
+     lambda rs: replace(rs, relations=rs.relations[1:]) if rs.families else rs,
+     "relation-count", {"got", "expected"}),
+    ("reduce_relations", lambda rep: replace(rep, rank=rep.rank - 1),
+     "rank", {"weight", "families", "duality", "rank", "expected_rank", "ok",
+              "free_columns", "non_hoffman_free", "missing_hoffman"}),
+    ("verify_numeric", lambda rep: replace(rep, failures=rep.residuals[:1]),
+     "numeric", {"failures"}),
+]
 
 
 class TestReduceVerify:
@@ -349,8 +377,6 @@ class TestReduceVerify:
         assert "all checks passed" in out
 
     def test_verify_duality_residue_fails(self, capsys, monkeypatch):
-        from dataclasses import replace
-
         from polyzeta import cli
 
         real = cli.reduce_relations
@@ -369,6 +395,26 @@ class TestReduceVerify:
         assert code == 1 and not doc["ok"]
         assert bad and all(f["source"] and f["residue"] for f in bad)
         assert f"duality: {len(bad)} of " in " ".join(doc["summary"])
+
+    @pytest.mark.parametrize("name, edit, check, keys", VERIFY_PLANTS,
+                             ids=[name for name, *_ in VERIFY_PLANTS])
+    def test_verify_failure_record(self, capsys, monkeypatch, name, edit, check, keys):
+        """A failure planted in one check of ``verify`` (the result of one
+        name ``cli`` imports, edited) exits 1 with one record of that check,
+        in both formats and without a traceback."""
+        from polyzeta import cli
+
+        real = getattr(cli, name)
+        monkeypatch.setattr(cli, name, lambda *a, **k: edit(real(*a, **k)))
+        code, out = run(capsys, "verify", "--weight", "6", "--format", "json")
+        doc = json.loads(out)
+        assert code == 1 and doc["ok"] is False
+        (failure,) = doc["failures"]
+        assert failure["check"] == check and set(failure) == {"check", *keys}
+        code = main(["verify", "--weight", "6"])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out.endswith("FAILURES: 1\n")
+        assert "Traceback" not in captured.err
 
     def test_verify_weight_five(self, capsys):
         code, out = run(capsys, "verify", "--weight", "5", "--numeric-tol", "1e-3")
@@ -407,6 +453,8 @@ GOLDEN_EXIT = {"eval_3_unreachable.json": 1}
     ("shuffle_3_21.txt", ["shuffle", "3", "2,1"]),
     ("closed_21_dsr_211.txt", ["closed", "--g", "21", "--side", "dsr", "2,1,1"]),
     ("reduce_table_w6.txt", ["reduce", "--weight", "6", "--report", "table"]),
+    ("reduce_basis_w6.txt", ["reduce", "--weight", "6", "--report", "basis"]),
+    ("count_w10.txt", ["count", "--weight", "10"]),
 ])
 def test_golden_output(tmp_path, golden, argv):
     """Relation, product, reconcile, eval and table output is frozen byte for byte."""
@@ -490,7 +538,6 @@ def test_readme_cli_examples_run(capsys, monkeypatch, tmp_path, line):
     """Every command of README's CLI block exits 0 without a traceback and
     prints what a ``# -> X`` comment promises."""
     monkeypatch.chdir(tmp_path)
-    monkeypatch.delenv("POLYZETA_DATA_DIR", raising=False)
     code = main(shlex.split(line, comments=True)[1:])
     captured = capsys.readouterr()
     assert code == 0 and "Traceback" not in captured.err, captured.err

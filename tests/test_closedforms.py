@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 from polyzeta import closedforms
+from polyzeta.cli import main
 from polyzeta.closedforms import (
     LEFT_FACTORS,
     PRINT_CORRECTIONS,
@@ -213,6 +214,29 @@ class TestReconcile:
         doc = rep.as_dict()
         assert doc["verdict"] in ("exact", "reconciled")
         assert doc["missing"] == [] and doc["extra"] == [] and doc["mismatched"] == []
+
+    def test_broken_generator_is_a_mismatch(self, monkeypatch, capsys):
+        # drop the first family, raise one coefficient by 1 and add one stray
+        # term: each shows in its own dict, and the sweep exits 1
+        real = closedforms._GENERATORS[("2", "stuffle")]
+
+        def broken(e):
+            real(e)
+            kept = [n for n, t in enumerate(e.out) if t.family != e.out[0].family]
+            e.out = [e.out[n] for n in kept]
+            e.printed = [e.printed[n] for n in kept]
+            e.out[0] = dataclasses.replace(e.out[0], coeff=e.out[0].coeff + 1)
+            # (2) * z has depth at most depth(z) + 1 <= w - 2: (2,1^(w-2)) is no term
+            w = e.out[0].composition.weight
+            e.out.append(closedforms.FamilyTerm("stray", C((2,) + (1,) * (w - 2)), 1, w - 1, 1))
+            e.printed.append(1)
+
+        monkeypatch.setitem(closedforms._GENERATORS, ("2", "stuffle"), broken)
+        rep = reconcile_one("2", "stuffle", C((2, 1)))
+        assert rep.verdict == "mismatch"
+        assert rep.missing and rep.mismatched and rep.extra
+        assert main(["reconcile", "--g", "2", "--side", "stuffle", "--max-weight", "6"]) == 1
+        assert "mismatch=" in capsys.readouterr().out
 
 
 class TestIntegerCoefficients:

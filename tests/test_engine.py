@@ -262,6 +262,10 @@ class TestRref:
         # a multiple of p: the whole first column vanishes mod p
         rows = [[p, 1, 0], [0, 1, 1], [0, 2, 2]]
         assert_matches_naive(rows, 3)
+        # the second prime sees pivots [1, 2], worse than the first's [0, 1],
+        # and is skipped; the first, third and fourth lift the 130-bit entries
+        rows = [[3 * PRIMES[1], 0, 2**130 + 1], [0, 5, 7]]
+        assert_matches_naive(rows, 3)
 
     def test_primes_exhausted_raises(self):
         # every prime sees rank 1 where the rank over Q is 2: the table is
@@ -326,7 +330,8 @@ class TestHoffmanReduce:
 
     def test_duality_does_not_change_rank_small(self):
         for w in (5, 6, 7):
-            assert hoffman_reduce(w).rank == hoffman_reduce(w, include_duality=True).rank
+            with_duality = reduce_relations(generate_relations(w, include_duality=True))
+            assert hoffman_reduce(w).rank == with_duality.rank
 
     @pytest.mark.parametrize("w", (9, 10, 11))
     def test_golden_table_digest(self, w):
@@ -420,7 +425,7 @@ class TestHoffmanReduce:
                 assert rep.missing_hoffman == [c for c in cols if is_hoffman(c) and c not in free]
 
     def test_failure_is_reported_not_raised(self):
-        rep = hoffman_reduce(6, families=("1",))
+        rep = reduce_relations(generate_relations(6, families=("1",)))
         assert not rep.ok
         assert rep.rank < rep.expected_rank
         doc = rep.as_dict()
@@ -461,11 +466,12 @@ def test_reduce_golden(case):
     the full families at w=9..12, three failing family subsets and the
     duality relations."""
     want = json.loads(REDUCE_GOLDEN.read_text())["digests"][case]
-    assert reduce_digest(hoffman_reduce(*REDUCE_CASES[case])) == want
+    rs = generate_relations(*REDUCE_CASES[case])
+    assert reduce_digest(reduce_relations(rs)) == want
 
 
 class TestVerifyNumeric:
-    def test_unreachable_tolerance_is_a_failure(self):
+    def test_unreachable_tolerance_is_a_failure(self, monkeypatch):
         # 1e-3 needs cutoffs near 30; a cap of 8 leaves bounds above it
         def unreachable(term):
             try:
@@ -475,7 +481,8 @@ class TestVerifyNumeric:
             return False
 
         rs = generate_relations(6)
-        rep = verify_numeric(rs, 1e-3, max_terms=8)
+        monkeypatch.setattr(engine.numeric, "MAX_TERMS", 8)
+        rep = verify_numeric(rs, 1e-3)
         want = {(r.family, r.source) for r in rs.relations
                 if any(unreachable(t) for t, _ in r.body.items())}
         assert want and want <= {(f, s) for f, s, _ in rep.failures}
