@@ -67,7 +67,7 @@ def sources(g: str, w: int) -> Sequence[Composition]:
     return enumerate_weight(wz) if wz >= 2 else ()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FamilyTerm:
     """One emitted term: composition, integer coefficient, predicted signature."""
 
@@ -199,7 +199,7 @@ class _Emitter:
 
     Block k is the head ``(a_k,)`` followed by the run ``(1,) * b_k``.
     ``emit`` takes the replaced heads and the replaced runs as two dicts
-    keyed by block and rebuilds each touched block k as
+    keyed by block and rebuilds only the touched blocks k, as
     ``heads.get(k, head_k) + runs.get(k, run_k)``.  A head may grow
     (``grown``) or split (``(a1, a2)``, ``(a1, 1, a2)``, ...); a run may
     grow (``longer``) or take new entries (``_ins``, ``_ins2``).  Head and
@@ -215,9 +215,7 @@ class _Emitter:
     def __init__(self, blocks: ABForm):
         self.a = [a for a, _ in blocks]
         self.b = [b for _, b in blocks]
-        self.heads = [(a,) for a in self.a]
-        self.runs = [(1,) * b for b in self.b]
-        self.blocks = [hd + run for hd, run in zip(self.heads, self.runs)]
+        self.blocks = [(a,) + (1,) * b for a, b in blocks]
         self.h = len(blocks)
         self.d = sum(1 + b for b in self.b)
         self.out: list[FamilyTerm] = []
@@ -236,12 +234,14 @@ class _Emitter:
              printed: int | None = None) -> None:
         if coeff == 0:
             return
-        heads = heads or {}
-        runs = runs or {}
-        parts = list(self.blocks)
-        for k in heads.keys() | runs.keys():
-            parts[k] = heads.get(k, self.heads[k]) + runs.get(k, self.runs[k])
-        comp = Composition(front + tuple(chain.from_iterable(parts)) + back)
+        parts = self.blocks.copy()
+        if runs:
+            for k, run in runs.items():
+                parts[k] = (self.a[k],) + run
+        if heads:
+            for k, head in heads.items():
+                parts[k] = head + parts[k][1:]  # an unedited head is the one entry a_k
+        comp = Composition._make(chain(front, *parts, back))  # entries >= 1 by construction
         self.out.append(FamilyTerm(self._family, comp, self.sign * coeff, self.d + dd, self.h + dh))
         self.printed.append(self.sign * (coeff if printed is None else printed))
 

@@ -48,6 +48,12 @@ class Composition(tuple):
     polyzeta).  A leading entry 1 makes the composition non-convergent;
     such values are storable but rejected by the operations that only
     make sense for convergent indices.
+
+    ``Composition(entries)`` converts every entry with ``int`` and
+    rejects an entry below 1; so do :func:`parse_composition` and the
+    relation-cache reader, which go through it.  ``Composition._make``
+    wraps a tuple as it is, for the package's own term builders, whose
+    entries are ints >= 1 by construction.
     """
 
     __slots__ = ()
@@ -57,6 +63,8 @@ class Composition(tuple):
         if entries and min(entries) < 1:
             raise ValueError(f"composition entries must be >= 1, got {entries}")
         return super().__new__(cls, entries)
+
+    _make = classmethod(tuple.__new__)  # trusted: no conversion, no check of the entries
 
     @property
     def weight(self) -> int:
@@ -252,19 +260,9 @@ def decode_word(v: Word) -> Composition:
     Words with leading 1s decode to non-convergent compositions (each
     leading 1 becomes an entry 1); a word ending in 0 has no preimage.
     """
-    if len(v) == 0:
-        return Composition()
-    if v[-1] == "0":
+    if v[-1:] == "0":
         raise ValueError(f"word {v!r} ends in 0 and decodes to no composition")
-    entries: list[int] = []
-    zeros = 0
-    for ch in v:
-        if ch == "0":
-            zeros += 1
-        else:
-            entries.append(zeros + 1)
-            zeros = 0
-    return Composition(entries)
+    return Composition._make([len(run) + 1 for run in v.split("1")[:-1]])
 
 
 def dual(c: Composition) -> Composition:
@@ -289,14 +287,13 @@ def is_self_dual(c: Composition) -> bool:
 def compositions_of(weight: int) -> Iterator[Composition]:
     """Yield all convergent compositions of ``weight`` (first entry >= 2)."""
 
-    def rec(remaining: int, lo: int, acc: list[int]) -> Iterator[tuple[int, ...]]:
+    def rec(remaining: int, lo: int, acc: list[int]) -> Iterator[Composition]:
         if remaining == 0:
-            yield tuple(acc)
+            yield Composition._make(acc)
             return
         for first in range(lo, remaining + 1):
             acc.append(first)
             yield from rec(remaining - first, 1, acc)
             acc.pop()
 
-    for t in rec(weight, 2, []):
-        yield Composition(t)
+    return rec(weight, 2, [])

@@ -31,7 +31,7 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .core import Composition, format_composition
+from .core import Composition, decode_word, format_composition
 
 __all__ = ["MAX_TERMS", "EvalResult", "ToleranceUnreachable", "check_tolerance", "eval_mzv"]
 
@@ -131,7 +131,7 @@ def _factor(word: str, bits: int, max_terms: int) -> tuple[int, int, int, bool]:
     """(V, E, N, capped) for lam(word), memoised per word, scale and N."""
     if not word:
         return 1 << bits, 0, 0, False
-    t = tuple(len(z) + 1 for z in word.split("1")[:-1])
+    t = decode_word(word)  # a Composition: equal to, and hashed as, its tuple
     need = _cutoff(t[0], len(t), bits)
     n = min(need, max_terms)
     key = (t, bits, n)

@@ -37,11 +37,14 @@ class LinComb:
     sums and relation bodies all hand it (term, coefficient) pairs, in a
     mapping or any iterable, and a term may repeat.  It adds the
     coefficients of each term, drops the zero sums, turns a sum with
-    denominator 1 back into its numerator and checks that one weight
-    remains.  A coefficient that is not already an ``int`` or a
-    ``Fraction`` is converted exactly with ``Fraction(c)`` before it is
-    added, so ``"1/3"`` is a third and ``0.1`` is the binary value of
-    the float, not a tenth.
+    denominator 1 back into its numerator and, on every construction,
+    checks that one weight remains (the entry sum of a Composition, the
+    length of a Word).  It does not validate the terms themselves: a
+    Composition was checked, or built valid, when it was made.  A
+    coefficient that is not already an ``int`` or a ``Fraction`` is
+    converted exactly with ``Fraction(c)`` before it is added, so
+    ``"1/3"`` is a third and ``0.1`` is the binary value of the float,
+    not a tenth.
     """
 
     __slots__ = ("_terms",)
@@ -50,8 +53,9 @@ class LinComb:
         data: dict = {}
         all_ints = True
         if terms:
-            items = terms.items() if isinstance(terms, Mapping) else terms
-            for t, c in items:
+            if type(terms) is dict or isinstance(terms, Mapping):
+                terms = terms.items()
+            for t, c in terms:
                 if type(c) is not int:
                     all_ints = False
                     if type(c) is not Fraction:
@@ -65,7 +69,8 @@ class LinComb:
             for t, c in data.items():
                 if type(c) is not int and c.denominator == 1:
                     data[t] = c.numerator
-        weights = {t.weight for t in data}
+        size = len if isinstance(next(iter(data), None), str) else sum  # Word, Composition
+        weights = set(map(size, data))
         if len(weights) > 1:
             raise ValueError(f"mixed weights in one combination: {sorted(weights)}")
         self._terms = data
@@ -224,6 +229,8 @@ def _bilinear(x, y, product) -> LinComb:
     """Extend a product of two terms bilinearly to combinations;
     ``product(tx, ty)`` yields the (term, multiplicity) pairs of one
     product of terms."""
+    if type(x) is Composition and type(y) is Composition:
+        return LinComb(product(x, y))
     lx, ly = _as_lincomb(x), _as_lincomb(y)
 
     def pairs():
@@ -238,7 +245,7 @@ def _bilinear(x, y, product) -> LinComb:
 
 def _stuffle_terms(tx: Composition, ty: Composition) -> Iterator[tuple[Composition, int]]:
     for t, n in _stuffle(tuple(tx), tuple(ty)):
-        yield Composition(t), n
+        yield Composition._make(t), n  # sums of entries >= 1
 
 
 def stuffle(x, y) -> LinComb:
@@ -290,7 +297,7 @@ def dsr(g, z) -> LinComb:
     z = z if isinstance(z, Composition) else Composition(z)
     if not z.convergent():
         raise ValueError(f"dsr: z must be convergent, got {format_composition(z)}")
-    out = shuffle(g, z) - stuffle(g, z)
+    out = LinComb(chain(_shuffle_terms(g, z), ((t, -n) for t, n in _stuffle_terms(g, z))))
     if out.has_divergent():
         raise InternalConsistencyError(
             f"divergent residue in dsr({format_composition(g)}, "

@@ -17,7 +17,7 @@ __all__ = ["order_key", "compare", "enumerate_weight", "index_of"]
 
 LESS, EQUAL, GREATER = -1, 0, 1
 
-ENUMERATION_WEIGHT_CAP = 20  # 2^18 compositions, about 8 s and 130 MB to build
+ENUMERATION_WEIGHT_CAP = 20  # 2^18 compositions, about 3.5 s and 125 MB to build
 
 
 def order_key(c: Composition) -> tuple:

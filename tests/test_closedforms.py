@@ -239,6 +239,40 @@ class TestReconcile:
         assert "mismatch=" in capsys.readouterr().out
 
 
+class TestTermConstruction:
+    """The generators and the oracle build their terms without validation;
+    every term must still be what ``Composition(...)`` would accept."""
+
+    @staticmethod
+    def assert_valid(t):
+        assert type(t) is Composition
+        assert min(t) >= 1
+        assert t == Composition(list(t))
+
+    @pytest.mark.parametrize("g", ("1", "2", "3", "21"))
+    def test_terms_are_valid_compositions(self, g):
+        for z in sweep(g, "dsr", 11):
+            for side in SIDES:
+                for t in closed_terms(g, side, z):
+                    self.assert_valid(t.composition)
+                for t, _ in ORACLE[side](LEFT_FACTORS[g], z).items():
+                    self.assert_valid(t)
+
+    def test_mixed_weights_still_raise(self, monkeypatch):
+        # a generator that appends a term of weight w - 1 is refused
+        real = closedforms._GENERATORS[("2", "dsr")]
+
+        def short(e):
+            real(e)
+            w = e.out[0].composition.weight
+            e.out.append(closedforms.FamilyTerm("short", C((2,) + (1,) * (w - 3)), 1, w - 2, 1))
+            e.printed.append(1)
+
+        monkeypatch.setitem(closedforms._GENERATORS, ("2", "dsr"), short)
+        with pytest.raises(ValueError, match="mixed weights"):
+            closed_dsr("2", C((2, 1)))
+
+
 class TestIntegerCoefficients:
     def test_relation_coefficients_integral(self):
         for g in ("1", "2", "3", "21"):

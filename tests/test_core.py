@@ -1,3 +1,5 @@
+from itertools import product
+
 import pytest
 from hypothesis import given
 
@@ -129,6 +131,25 @@ class TestWordEncoding:
     def test_trailing_zero_rejected(self):
         with pytest.raises(ValueError):
             decode_word(Word("010"))
+
+    def test_decode_matches_reference_loop(self):
+        # every 0/1 word of length <= 12 ending in 1, leading 1s included
+        def reference(v):
+            entries, zeros = [], 0
+            for ch in v:
+                if ch == "0":
+                    zeros += 1
+                else:
+                    entries.append(zeros + 1)
+                    zeros = 0
+            return tuple(entries)
+
+        for n in range(12):
+            for head in product("01", repeat=n):
+                v = "".join(head) + "1"
+                got = decode_word(Word(v))
+                assert type(got) is Composition
+                assert got == reference(v), v
 
     def test_exhaustive_bijection_small(self):
         for w in range(2, 11):
