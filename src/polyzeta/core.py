@@ -12,7 +12,7 @@ Everything here is immutable and pure.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterable, NamedTuple
 
 __all__ = [
     "Composition",
@@ -283,17 +283,3 @@ def dual(c: Composition) -> Composition:
 def is_self_dual(c: Composition) -> bool:
     return dual(c) == c
 
-
-def compositions_of(weight: int) -> Iterator[Composition]:
-    """Yield all convergent compositions of ``weight`` (first entry >= 2)."""
-
-    def rec(remaining: int, lo: int, acc: list[int]) -> Iterator[Composition]:
-        if remaining == 0:
-            yield Composition._make(acc)
-            return
-        for first in range(lo, remaining + 1):
-            acc.append(first)
-            yield from rec(remaining - first, 1, acc)
-            acc.pop()
-
-    return rec(weight, 2, [])

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from polyzeta.core import Composition, format_composition
+from polyzeta.core import Composition, NotConvergentError, format_composition, to_ab
 from polyzeta.ordering import EQUAL, GREATER, LESS, compare, enumerate_weight, index_of, order_key
 
 W3 = ["3", "2,1"]
@@ -62,6 +62,50 @@ def test_strictly_increasing():
         keys = [order_key(c) for c in comps]
         assert keys == sorted(keys)
         assert len(set(keys)) == len(keys)  # injective: ties impossible
+
+
+def _brute_force(w):
+    """Every convergent composition of w, unordered: one per set of cuts
+    among the w - 1 gaps of w units, the first gap never cut."""
+    for cuts in itertools.product((False, True), repeat=w - 2):
+        entries, run = [], 2
+        for cut in cuts:
+            if cut:
+                entries.append(run)
+                run = 0
+            run += 1
+        yield Composition(entries + [run])
+
+
+def _reference_key(c):
+    """The order's definition over the block form (a_i, b_i)."""
+    f = to_ab(c)
+    return (
+        c.depth,
+        c.height,
+        tuple(-b for _, b in reversed(f)),
+        tuple(-a for a, _ in f),
+    )
+
+
+def test_enumeration_matches_definition():
+    for w in range(2, 17):
+        assert enumerate_weight(w) == tuple(sorted(_brute_force(w), key=_reference_key))
+
+
+def test_order_key_matches_definition():
+    for w in range(2, 15):
+        for c in _brute_force(w):
+            assert order_key(c) == _reference_key(c)
+
+
+def test_order_key_accepts_tuple_and_list():
+    key = order_key(Composition((2, 1, 3)))
+    assert order_key([2, 1, 3]) == key
+    assert order_key((2, 1, 3)) == key
+    for bad in ((1, 2), ()):
+        with pytest.raises(NotConvergentError):
+            order_key(bad)
 
 
 def test_inductive_structure():
