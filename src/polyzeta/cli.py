@@ -10,7 +10,6 @@ and no traceback.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import os
 import sys
@@ -52,7 +51,6 @@ from .oracle import InternalConsistencyError, LinComb, coeff_dict, shuffle, stuf
 from .ordering import enumerate_weight
 
 SCHEMA = 1
-_GEN_HASH = hashlib.sha256(GENERATOR_VERSION.encode()).hexdigest()[:12]
 
 
 def _coeff_from_dict(d: dict) -> int | Fraction:
@@ -87,6 +85,16 @@ def _emit_payload(args, payload: dict, text: str) -> None:
 # relation-set persistence
 # ---------------------------------------------------------------------------
 
+def _notices(rs: RelationSet) -> list[str]:
+    """One line per requested family that has no source at the set's weight."""
+    return [
+        f"family {f}: no sources at weight {rs.weight} "
+        f"(needs weight >= {LEFT_FACTORS[f].weight + 2})"
+        for f in rs.families
+        if not sources(f, rs.weight)
+    ]
+
+
 def _relset_dict(rs: RelationSet) -> dict:
     return {
         "schema": SCHEMA,
@@ -94,10 +102,9 @@ def _relset_dict(rs: RelationSet) -> dict:
         "flags": {
             "families": list(rs.families),
             "duality": rs.duality,
-            "mode": rs.mode,
-            "generator": _GEN_HASH,
+            "generator": GENERATOR_VERSION,
         },
-        "notices": rs.notices,
+        "notices": _notices(rs),
         "relations": [
             {
                 "family": r.family,
@@ -110,13 +117,15 @@ def _relset_dict(rs: RelationSet) -> dict:
 
 
 def _relset_from_dict(doc: dict) -> RelationSet:
+    """The relation set of an exported document.  Each term is looked up
+    among the convergent compositions of the document's weight (KeyError
+    if it is not one), so the set holds the enumeration's own terms."""
+    terms = {c: c for c in enumerate_weight(doc["weight"])}
     rels = [
         Relation(
             LinComb(
-                {
-                    Composition(t["composition"]): _coeff_from_dict(t["coeff"])
-                    for t in r["terms"]
-                }
+                (terms[tuple(t["composition"])], _coeff_from_dict(t["coeff"]))
+                for t in r["terms"]
             ),
             r["family"],
             Composition(r["source"]),
@@ -124,35 +133,26 @@ def _relset_from_dict(doc: dict) -> RelationSet:
         for r in doc["relations"]
     ]
     flags = doc["flags"]
-    return RelationSet(
-        doc["weight"], rels, tuple(flags["families"]), flags["duality"],
-        flags["mode"], list(doc.get("notices", ())),
-    )
+    return RelationSet(doc["weight"], rels, tuple(flags["families"]), flags["duality"])
 
 
-def _cache_path(base: Path, w: int, families, duality: bool, mode: str) -> Path:
+def _cache_path(base: Path, w: int, families, duality: bool) -> Path:
     base.mkdir(parents=True, exist_ok=True)
-    return base / f"rels_w{w}_f{'-'.join(families)}_d{int(duality)}_{mode}_{_GEN_HASH}.json"
+    return base / f"rels_w{w}_f{'-'.join(families)}_d{int(duality)}_{GENERATOR_VERSION}.json"
 
 
 def _read_cache(path: Path, key: tuple) -> RelationSet | None:
-    """The cached relation set of ``key`` (weight, families, duality, mode),
-    or None for a missing, stale, truncated, corrupt or mismatched entry (a
+    """The cached relation set of ``key`` (weight, families, duality), or
+    None for a missing, stale, truncated, corrupt or mismatched entry (a
     cache miss)."""
     try:
         doc = json.loads(path.read_text())
-        if doc.get("schema") == SCHEMA and doc["flags"].get("generator") == _GEN_HASH:
-            rs = _relset_from_dict(doc)
-            held = (rs.weight, rs.families, rs.duality, rs.mode)
+        flags = doc["flags"]
+        if doc.get("schema") == SCHEMA and flags.get("generator") == GENERATOR_VERSION:
+            held = (doc["weight"], tuple(flags["families"]), flags["duality"])
             if held != key:
                 raise ValueError(f"entry holds {held}")
-            w = key[0]
-            for r in rs.relations:
-                for t, _ in r.body.items():
-                    if t.weight != w or not t.convergent():
-                        raise ValueError(f"term {format_composition(t)} is not a "
-                                         f"convergent composition of weight {w}")
-            return rs
+            return _relset_from_dict(doc)
     except FileNotFoundError:
         pass
     except (ValueError, KeyError, TypeError, AttributeError, ArithmeticError) as exc:
@@ -162,8 +162,8 @@ def _read_cache(path: Path, key: tuple) -> RelationSet | None:
 
 
 def _load_or_generate(args) -> RelationSet:
-    """The relation set that --weight, --families, --duality and --mode name."""
-    key = (args.weight, args.families, args.duality, args.mode)
+    """The relation set that --weight, --families and --duality name."""
+    key = (args.weight, args.families, args.duality)
     if args.data_dir is None:
         return generate_relations(*key)
     path = _cache_path(Path(args.data_dir), *key)
@@ -311,9 +311,9 @@ def _cmd_relations(args) -> int:
     payload = _relset_dict(rs)
     text_lines = [
         f"# weight {rs.weight}, {len(rs.relations)} relations "
-        f"(families {','.join(rs.families)}, duality={rs.duality}, mode={rs.mode})"
+        f"(families {','.join(rs.families)}, duality={rs.duality})"
     ]
-    text_lines += rs.notices
+    text_lines += payload["notices"]
     text_lines += [
         f"[{r.family}|{format_composition(r.source)}] 0 = {r.body}" for r in rs.relations
     ]
@@ -386,7 +386,7 @@ def _cmd_verify(args) -> int:
                     )
     summary.append("closed forms: reconciled against the brute-force products")
 
-    rs = generate_relations(w, mode="closed")
+    rs = generate_relations(w)
     if w >= 5 and len(rs.relations) != expected_relation_count(w):
         failures.append({"check": "relation-count", "got": len(rs.relations),
                          "expected": expected_relation_count(w)})
@@ -449,7 +449,6 @@ def _build_parser() -> argparse.ArgumentParser:
     relset.add_argument("--weight", type=int, required=True)
     relset.add_argument("--families", type=_families_arg, default=tuple(LEFT_FACTORS))
     relset.add_argument("--duality", action="store_true")
-    relset.add_argument("--mode", choices=("closed", "oracle"), default="closed")
     relset.add_argument("--data-dir", metavar="DIR", default=None)
 
     p = argparse.ArgumentParser(

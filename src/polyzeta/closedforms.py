@@ -155,12 +155,6 @@ PRINT_CORRECTIONS: tuple[PrintCorrection, ...] = (
 _ABSENT_FROM_PRINT = ("missing-family", "index-typo", "unreadable")  # see PrintCorrection
 
 
-def _corrections_for(g: str, side: str) -> list[PrintCorrection]:
-    """The records of (g, side) in registry order; dsr inherits both sides."""
-    sides = SIDES if side == "dsr" else (side,)
-    return [c for c in PRINT_CORRECTIONS if c.g == g and c.side in sides]
-
-
 def _splits2(total: int) -> Iterator[tuple[int, int]]:
     """All (p, q) >= 0 with p + q = total (empty when total < 0)."""
     for p in range(total + 1):
@@ -806,6 +800,16 @@ _GENERATORS: dict[tuple[str, str], Callable[[_Emitter], None]] = {
     ("21", "dsr"): _dsr_21,
 }
 
+# the print corrections of each (g, side) in registry order (dsr inherits
+# both sides), and the families among them that the print lacks
+_CORRECTIONS = {
+    (g, side): tuple(c for c in PRINT_CORRECTIONS
+                     if c.g == g and c.side in (SIDES if side == "dsr" else (side,)))
+    for g, side in _GENERATORS
+}
+_ABSENT = {key: frozenset(c.family for c in records if c.kind in _ABSENT_FROM_PRINT)
+           for key, records in _CORRECTIONS.items()}
+
 
 def _emission(g: str, side: str, z) -> _Emitter:
     """Check the arguments and run the generator of (g, side) over z once."""
@@ -903,20 +907,19 @@ def reconcile_one(g: str, side: str, z) -> DiscrepancyReport:
     """Compare the shipped closed form against the oracle for one z."""
     z = z if isinstance(z, Composition) else Composition(z)
     e = _emission(g, side, z)
-    shipped = _sum_terms(e.out)
-    target = _ORACLE_PRODUCTS[side](LEFT_FACTORS[g], z)
+    shipped = _sum_terms(e.out).terms()
+    target = _ORACLE_PRODUCTS[side](LEFT_FACTORS[g], z).terms()
     rep = DiscrepancyReport(g=g, side=side, z=z)
     for t, c in target.items():
-        got = shipped[t]
-        if got == 0:
+        got = shipped.get(t)
+        if got is None:
             rep.missing[t] = c
         elif got != c:
             rep.mismatched[t] = (got, c)
     for t, c in shipped.items():
-        if target[t] == 0:
+        if t not in target:
             rep.extra[t] = c
-    corrections = _corrections_for(g, side)
-    absent = {c.family for c in corrections if c.kind in _ABSENT_FROM_PRINT}
+    corrections, absent = _CORRECTIONS[g, side], _ABSENT[g, side]
     deltas: list[tuple[Composition, int]] = []
     net: dict[str, int] = {}  # family -> summed delta; one sign per family and side
     for t, p in zip(e.out, e.printed):

@@ -13,7 +13,7 @@ polyzeta through the free (basis) ones.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
 
@@ -60,8 +60,6 @@ class RelationSet:
     relations: list[Relation]
     families: tuple[str, ...]
     duality: bool
-    mode: str
-    notices: list[str] = field(default_factory=list)
 
     def __len__(self) -> int:
         return len(self.relations)
@@ -84,10 +82,11 @@ def generate_relations(
     """Build the relation set of weight w.
 
     One relation per convergent source of weight w - weight(g) for each
-    requested left factor g (skipped with a notice when the source weight
-    would drop below 2), plus optionally one duality relation per
-    non-self-dual pair.  ``mode`` picks the closed forms or the
-    brute-force oracle as generator; the two must agree.
+    requested left factor g (none when the source weight would drop below
+    2), plus optionally one duality relation per non-self-dual pair.
+    ``mode`` picks the closed forms or the brute-force oracle as
+    generator; the two must agree.  ``mode="oracle"`` is the reference
+    path that the tests compare against; it is not on the CLI.
     """
     families = tuple(families)
     for f in families:
@@ -98,15 +97,9 @@ def generate_relations(
     if w > ENUMERATION_WEIGHT_CAP:  # refuse before generating the sources below w
         raise ValueError(f"weight {w} exceeds the enumeration cap {ENUMERATION_WEIGHT_CAP}")
     relations: list[Relation] = []
-    notices: list[str] = []
     for f in families:
         g = LEFT_FACTORS[f]
-        zs = sources(f, w)
-        if not zs:
-            notices.append(
-                f"family {f}: no sources at weight {w} (needs weight >= {g.weight + 2})"
-            )
-        for z in zs:
+        for z in sources(f, w):
             body = closed_dsr(f, z) if mode == "closed" else oracle_dsr(g, z)
             relations.append(Relation(body, f, z))
     if include_duality:
@@ -117,7 +110,7 @@ def generate_relations(
             relations.append(
                 Relation(LinComb({z: 1, zd: -1}), "duality", z)
             )
-    return RelationSet(w, relations, families, include_duality, mode, notices)
+    return RelationSet(w, relations, families, include_duality)
 
 
 @dataclass

@@ -163,7 +163,6 @@ _RELSET = (
     _W,
     _opt("--families", st.sampled_from(["1,2,3,21", "21", "2,3", "1,7", ""])),
     _flag("--duality"),
-    _opt("--mode", st.sampled_from(["closed", "oracle", "foo"])),
 )
 _ARGV = st.one_of(
     _cmd("list", _W),
@@ -219,6 +218,9 @@ CACHE_CORRUPTIONS = {
     "weight-mismatch": _edited(lambda doc: doc.update(weight=5)),
     "divergent-term": _edited(
         lambda doc: doc["relations"][0]["terms"][0].update(composition=[1, 5])),
+    # the first term is (6): int() reads "6" as 6, the enumeration does not
+    "string-entry": _edited(
+        lambda doc: doc["relations"][0]["terms"][0].update(composition=["6"])),
 }
 
 
@@ -297,6 +299,18 @@ class TestFilesAndCache:
         assert captured.err.count("\n") == 1
         assert cached.read_text() == text
         assert [p.name for p in tmp_path.iterdir()] == [cached.name]
+
+    def test_notices_are_computed_not_cached(self, capsys, tmp_path):
+        argv = ["relations", "--weight", "4", "--data-dir", str(tmp_path)]
+        code, cold = run(capsys, *argv)
+        notices = [line for line in cold.splitlines() if line.startswith("family ")]
+        assert code == 0 and len(notices) == 2  # 3 and 21 have no sources at weight 4
+        (cached,) = tmp_path.glob("rels_w4_*.json")
+        cached.write_text(_edited(lambda doc: doc.update(notices=["forged"]))(
+            cached.read_text()))
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 0 and captured.out == cold and captured.err == ""
 
     @pytest.mark.parametrize("cmd", RELSET_COMMANDS)
     def test_no_data_dir_writes_no_file(self, capsys, monkeypatch, tmp_path, cmd):
@@ -479,7 +493,7 @@ USAGE_ERRORS = (
     ["relations", "--weight", "5", "--families", "1,7"],
     ["reduce", "--weight", "5", "--families", ""],
     ["relations"],
-    ["reduce", "--weight", "5", "--mode", "foo"],
+    ["reduce", "--weight", "5", "--mode", "oracle"],
     ["reduce", "--weight", "6", "--no-hoffman-last"],
     ["verify", "--weight", "6", "--data-dir", "x"],
     ["list", "--weight", "4", "--data-dir", "x"],
@@ -512,7 +526,8 @@ def test_parser_golden_output(monkeypatch, golden, argvs):
     assert parser_transcript(argvs).encode() == (GOLDEN / golden).read_bytes()
 
 
-README = Path(__file__).resolve().parents[1] / "README.md"
+CHECKOUT = Path(__file__).resolve().parents[1]
+README = CHECKOUT / "README.md"
 
 
 def _readme_cli_section() -> str:
@@ -535,14 +550,25 @@ def _option_strings(parser) -> set[str]:
     if line.startswith("polyzeta ")
 ], ids=lambda line: line.split("#")[0].strip())
 def test_readme_cli_examples_run(capsys, monkeypatch, tmp_path, line):
-    """Every command of README's CLI block exits 0 without a traceback and
-    prints what a ``# -> X`` comment promises."""
+    """Every command of README's CLI block exits 0 without a traceback,
+    prints what a ``# -> X`` comment promises and, run in tmp_path, writes
+    nothing but the files its --out and --data-dir name there."""
+    def checkout_files():
+        return {p: (p.stat().st_size, p.stat().st_mtime_ns) for p in CHECKOUT.rglob("*")
+                if p.is_file() and ".git" not in p.parts and tmp_path not in p.parents}
+
     monkeypatch.chdir(tmp_path)
-    code = main(shlex.split(line, comments=True)[1:])
+    monkeypatch.setenv("HOME", str(tmp_path))  # so a write under ~ shows in tmp_path
+    argv = shlex.split(line, comments=True)[1:]
+    before = checkout_files()
+    code = main(argv)
     captured = capsys.readouterr()
     assert code == 0 and "Traceback" not in captured.err, captured.err
     if "# -> " in line:
         assert captured.out == line.split("# -> ")[1].strip() + "\n"
+    named = {argv[k + 1] for k, a in enumerate(argv) if a in ("--out", "--data-dir")}
+    assert {p.name for p in tmp_path.iterdir()} == named
+    assert checkout_files() == before
 
 
 def test_readme_cli_options_exist():

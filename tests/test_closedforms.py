@@ -11,7 +11,6 @@ from polyzeta.cli import main
 from polyzeta.closedforms import (
     LEFT_FACTORS,
     PRINT_CORRECTIONS,
-    _corrections_for,
     closed_dsr,
     closed_shuffle,
     closed_stuffle,
@@ -178,7 +177,7 @@ class TestReconcile:
         assert reconcile_one("2", "shuffle", (3,)).beyond_printed == {C((3, 2)): 2}
 
     UNCORRECTED = [(g, side) for g in LEFT_FACTORS for side in SIDES
-                   if not _corrections_for(g, side)]
+                   if not closedforms._CORRECTIONS[g, side]]
 
     def test_uncorrected_pairs(self):
         assert self.UNCORRECTED == [("1", "stuffle"), ("1", "shuffle"), ("1", "dsr"),

@@ -97,7 +97,6 @@ class TestGenerate:
     def test_small_weight_skips(self):
         rs = generate_relations(4)
         assert {r.family for r in rs.relations} == {"1", "2"}
-        assert len(rs.notices) == 2  # 3 and 21 have no sources at weight 4
 
     def test_weight_five_single_family(self):
         rs = generate_relations(5, families=("1",))

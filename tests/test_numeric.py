@@ -165,7 +165,7 @@ def _check_relation(body, tol):
     """verify_numeric on the one relation body = 0."""
     w = body.weight or 2
     rel = Relation(body, "t", C((w,)))
-    return verify_numeric(RelationSet(w, [rel], ("t",), False, "closed"), tol)
+    return verify_numeric(RelationSet(w, [rel], ("t",), False), tol)
 
 
 class TestEvalLincomb:
