@@ -150,7 +150,7 @@ def _read_cache(path: Path, key: tuple) -> RelationSet | None:
         flags = doc["flags"]
         if doc.get("schema") == SCHEMA and flags.get("generator") == GENERATOR_VERSION:
             held = (doc["weight"], tuple(flags["families"]), flags["duality"])
-            if held != key:
+            if json.dumps(held) != json.dumps(key):  # so 6.0 or 0 is not 6 or false
                 raise ValueError(f"entry holds {held}")
             return _relset_from_dict(doc)
     except FileNotFoundError:

@@ -216,6 +216,8 @@ CACHE_CORRUPTIONS = {
     "zero-denominator": _edited(
         lambda doc: doc["relations"][0]["terms"][0]["coeff"].update(den="0")),
     "weight-mismatch": _edited(lambda doc: doc.update(weight=5)),
+    "float-weight": _edited(lambda doc: doc.update(weight=6.0)),
+    "int-duality": _edited(lambda doc: doc["flags"].update(duality=0)),
     "divergent-term": _edited(
         lambda doc: doc["relations"][0]["terms"][0].update(composition=[1, 5])),
     # the first term is (6): int() reads "6" as 6, the enumeration does not
