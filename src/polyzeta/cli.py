@@ -48,7 +48,7 @@ from .engine import (
 )
 from .numeric import MAX_TERMS, ToleranceUnreachable, check_tolerance, eval_mzv
 from .oracle import InternalConsistencyError, LinComb, coeff_dict, shuffle, stuffle
-from .ordering import enumerate_weight
+from .ordering import enumerate_weight, interned_terms
 
 SCHEMA = 1
 
@@ -74,11 +74,12 @@ def _emit(args, text: str) -> None:
         print(text)
 
 
+def _json_text(payload: dict) -> str:
+    return json.dumps(payload, indent=2, sort_keys=True)
+
+
 def _emit_payload(args, payload: dict, text: str) -> None:
-    if args.format == "json":
-        _emit(args, json.dumps(payload, indent=2, sort_keys=True))
-    else:
-        _emit(args, text)
+    _emit(args, _json_text(payload) if args.format == "json" else text)
 
 
 # ---------------------------------------------------------------------------
@@ -119,8 +120,9 @@ def _relset_dict(rs: RelationSet) -> dict:
 def _relset_from_dict(doc: dict) -> RelationSet:
     """The relation set of an exported document.  Each term is looked up
     among the convergent compositions of the document's weight (KeyError
-    if it is not one), so the set holds the enumeration's own terms."""
-    terms = {c: c for c in enumerate_weight(doc["weight"])}
+    if it is not one), so the set holds the enumeration's own terms, as a
+    generated set does."""
+    terms = interned_terms(doc["weight"])
     rels = [
         Relation(
             LinComb(
@@ -321,31 +323,40 @@ def _cmd_relations(args) -> int:
     return 0
 
 
-def _cmd_reduce(args) -> int:
-    rep = reduce_relations(_load_or_generate(args))
+def _reduce_payload(rep, report: str) -> dict:
     payload = {"schema": SCHEMA, **rep.as_dict()}
-    if args.report == "rank":
-        text = f"rank {rep.rank} (expected {rep.expected_rank}), ok={rep.ok}"
-    elif args.report == "basis":
-        text = "free columns: " + ", ".join(
-            format_composition(c) for c in rep.free_columns
-        )
-    else:  # table
+    if report == "table":
         payload["table"] = {
             format_composition(piv): {
                 format_composition(f): coeff_dict(x) for f, x in expr.items()
             }
             for piv, expr in rep.result.table.items()
         }
-        lines = []
-        for piv in rep.result.pivot_columns:
-            expr = rep.result.table[piv]
-            rhs = " + ".join(
-                f"{x}*({format_composition(f)})" for f, x in expr.items()
-            ) or "0"
-            lines.append(f"({format_composition(piv)}) = {rhs}")
-        text = "\n".join(lines)
-    _emit_payload(args, payload, text)
+    return payload
+
+
+def _reduce_text(rep, report: str) -> str:
+    if report == "rank":
+        return f"rank {rep.rank} (expected {rep.expected_rank}), ok={rep.ok}"
+    if report == "basis":
+        return "free columns: " + ", ".join(format_composition(c) for c in rep.free_columns)
+    lines = []
+    for piv in rep.result.pivot_columns:
+        expr = rep.result.table[piv]
+        rhs = " + ".join(
+            f"{x}*({format_composition(f)})" for f, x in expr.items()
+        ) or "0"
+        lines.append(f"({format_composition(piv)}) = {rhs}")
+    return "\n".join(lines)
+
+
+def _cmd_reduce(args) -> int:
+    rep = reduce_relations(_load_or_generate(args))
+    # build only the report that --format prints
+    if args.format == "json":
+        _emit(args, _json_text(_reduce_payload(rep, args.report)))
+    else:
+        _emit(args, _reduce_text(rep, args.report))
     return 0 if rep.ok else 1
 
 

@@ -19,11 +19,11 @@ from typing import Iterable
 
 from . import numeric
 from .closedforms import LEFT_FACTORS, closed_dsr, sources
-from .core import Composition, dual
+from .core import Composition, dual, format_composition
 from .counting import hoffman_dim, is_hoffman
 from .numeric import ToleranceUnreachable, check_tolerance, eval_mzv
 from .oracle import InternalConsistencyError, LinComb, dsr as oracle_dsr
-from .ordering import ENUMERATION_WEIGHT_CAP, enumerate_weight, index_of
+from .ordering import ENUMERATION_WEIGHT_CAP, enumerate_weight, index_of, interned_terms
 
 __all__ = [
     "GENERATOR_VERSION",
@@ -87,6 +87,11 @@ def generate_relations(
     ``mode`` picks the closed forms or the brute-force oracle as
     generator; the two must agree.  ``mode="oracle"`` is the reference
     path that the tests compare against; it is not on the CLI.
+
+    Every body term is the enumeration's own object
+    (``ordering.interned_terms``), so a set holds one object per distinct
+    composition however many relations share it; a term outside the
+    weight's enumeration raises InternalConsistencyError.
     """
     families = tuple(families)
     for f in families:
@@ -97,19 +102,28 @@ def generate_relations(
     if w > ENUMERATION_WEIGHT_CAP:  # refuse before generating the sources below w
         raise ValueError(f"weight {w} exceeds the enumeration cap {ENUMERATION_WEIGHT_CAP}")
     relations: list[Relation] = []
+    own = interned_terms(w) if w >= 2 else {}
+
+    def interned(body: LinComb) -> LinComb:
+        try:
+            return LinComb._make({own[t]: c for t, c in body.items()})
+        except KeyError as exc:
+            raise InternalConsistencyError(
+                f"relation term ({format_composition(exc.args[0])}) is not a "
+                f"convergent polyzeta of weight {w}"
+            ) from None
+
     for f in families:
         g = LEFT_FACTORS[f]
         for z in sources(f, w):
             body = closed_dsr(f, z) if mode == "closed" else oracle_dsr(g, z)
-            relations.append(Relation(body, f, z))
+            relations.append(Relation(interned(body), f, z))
     if include_duality:
         for z in enumerate_weight(w):
             zd = dual(z)
             if zd == z or index_of(zd) < index_of(z):
                 continue
-            relations.append(
-                Relation(LinComb({z: 1, zd: -1}), "duality", z)
-            )
+            relations.append(Relation(LinComb._make({z: 1, own[zd]: -1}), "duality", z))
     return RelationSet(w, relations, families, include_duality)
 
 

@@ -1,8 +1,16 @@
 """Ground-truth products: quasi-shuffle on compositions, shuffle on words.
 
-These are the standard inductive recursions, memoized, and extended
-bilinearly to formal rational combinations.  Everything else in the
-package is validated against them.
+These are the standard inductive recursions, extended bilinearly to
+formal rational combinations.  Everything else in the package is
+validated against them.
+
+What is memoized, for the life of the process: the products of proper
+suffix pairs, in ``_stuffle`` (compositions as tuples) and
+``_shuffle_words`` (words as strings), each entry two parallel tuples of
+terms and multiplicities.  A public product (``stuffle``, ``shuffle``,
+``shuffle_words``, ``dsr``) is summed fresh from the memoized products
+of its arguments' suffix pairs, so the memo holds no top-level product
+and each call builds its own terms.
 """
 
 from __future__ import annotations
@@ -74,6 +82,14 @@ class LinComb:
         if len(weights) > 1:
             raise ValueError(f"mixed weights in one combination: {sorted(weights)}")
         self._terms = data
+
+    @classmethod
+    def _make(cls, terms: dict) -> "LinComb":
+        """Wrap a dict as it is (trusted: its coefficients are already
+        summed, non-zero and canonical, and its terms share one weight)."""
+        lc = object.__new__(cls)
+        lc._terms = terms
+        return lc
 
     @property
     def weight(self) -> int | None:
@@ -178,43 +194,52 @@ def coeff_dict(c: int | Fraction) -> dict[str, str]:
     return {"num": str(c.numerator), "den": str(c.denominator)}
 
 
-@lru_cache(maxsize=None)
-def _stuffle(x: tuple, y: tuple) -> tuple[tuple[tuple, int], ...]:
-    if not x:
-        return ((y, 1),)
-    if not y:
-        return ((x, 1),)
-    if x > y:  # commutative; canonical argument order for the cache
+# the memo is keyed by the argument pair in ascending order
+def _memo(product, x, y):
+    return product(x, y) if x <= y else product(y, x)
+
+
+def _stuffle_sum(x: tuple, y: tuple) -> dict[tuple, int]:
+    """The quasi-shuffle of x and y as {term: multiplicity}."""
+    if not x or not y:
+        return {x + y: 1}
+    if x > y:  # commutative; the order the memo sums in
         x, y = y, x
     out: dict[tuple, int] = {}
-    for rest, c in _stuffle(x[1:], y):
-        t = (x[0],) + rest
-        out[t] = out.get(t, 0) + c
-    for rest, c in _stuffle(x, y[1:]):
-        t = (y[0],) + rest
-        out[t] = out.get(t, 0) + c
-    for rest, c in _stuffle(x[1:], y[1:]):
-        t = (x[0] + y[0],) + rest
-        out[t] = out.get(t, 0) + c
-    return tuple(out.items())
+    for head, (ts, ns) in ((x[0], _memo(_stuffle, x[1:], y)),
+                           (y[0], _memo(_stuffle, x, y[1:])),
+                           (x[0] + y[0], _memo(_stuffle, x[1:], y[1:]))):
+        for t, n in zip(ts, ns):
+            t = (head,) + t
+            out[t] = out.get(t, 0) + n
+    return out
 
 
 @lru_cache(maxsize=None)
-def _shuffle_words(u: str, v: str) -> tuple[tuple[str, int], ...]:
-    if not u:
-        return ((v, 1),)
-    if not v:
-        return ((u, 1),)
+def _stuffle(x: tuple, y: tuple) -> tuple[tuple[tuple, ...], tuple[int, ...]]:
+    out = _stuffle_sum(x, y)
+    return tuple(out), tuple(out.values())
+
+
+def _shuffle_sum(u: str, v: str) -> dict[str, int]:
+    """The shuffle of the words u and v as {word: multiplicity}."""
+    if not u or not v:
+        return {u + v: 1}
     if u > v:
         u, v = v, u
     out: dict[str, int] = {}
-    for rest, c in _shuffle_words(u[1:], v):
-        t = u[0] + rest
-        out[t] = out.get(t, 0) + c
-    for rest, c in _shuffle_words(u, v[1:]):
-        t = v[0] + rest
-        out[t] = out.get(t, 0) + c
-    return tuple(out.items())
+    for head, (ts, ns) in ((u[0], _memo(_shuffle_words, u[1:], v)),
+                           (v[0], _memo(_shuffle_words, u, v[1:]))):
+        for t, n in zip(ts, ns):
+            t = head + t
+            out[t] = out.get(t, 0) + n
+    return out
+
+
+@lru_cache(maxsize=None)
+def _shuffle_words(u: str, v: str) -> tuple[tuple[str, ...], tuple[int, ...]]:
+    out = _shuffle_sum(u, v)
+    return tuple(out), tuple(out.values())
 
 
 def _as_lincomb(x) -> LinComb:
@@ -227,10 +252,10 @@ def _as_lincomb(x) -> LinComb:
 
 def _bilinear(x, y, product) -> LinComb:
     """Extend a product of two terms bilinearly to combinations;
-    ``product(tx, ty)`` yields the (term, multiplicity) pairs of one
-    product of terms."""
+    ``product(tx, ty)`` yields the distinct (term, multiplicity) pairs of
+    one product of terms."""
     if type(x) is Composition and type(y) is Composition:
-        return LinComb(product(x, y))
+        return LinComb._make(dict(product(x, y)))
     lx, ly = _as_lincomb(x), _as_lincomb(y)
 
     def pairs():
@@ -244,7 +269,7 @@ def _bilinear(x, y, product) -> LinComb:
 
 
 def _stuffle_terms(tx: Composition, ty: Composition) -> Iterator[tuple[Composition, int]]:
-    for t, n in _stuffle(tuple(tx), tuple(ty)):
+    for t, n in _stuffle_sum(tuple(tx), tuple(ty)).items():
         yield Composition._make(t), n  # sums of entries >= 1
 
 
@@ -259,7 +284,7 @@ def shuffle_words(u: Word, v: Word) -> LinComb:
         u = Word(u)
     if not isinstance(v, Word):
         v = Word(v)
-    return LinComb({Word(t): c for t, c in _shuffle_words(str(u), str(v))})
+    return LinComb({Word(t): c for t, c in _shuffle_sum(str(u), str(v)).items()})
 
 
 _ONE = Composition((1,))
@@ -273,7 +298,7 @@ def _shuffle_encode(c: Composition) -> Word:
 
 
 def _shuffle_terms(tx: Composition, ty: Composition) -> Iterator[tuple[Composition, int]]:
-    for wt, n in _shuffle_words(str(_shuffle_encode(tx)), str(_shuffle_encode(ty))):
+    for wt, n in _shuffle_sum(str(_shuffle_encode(tx)), str(_shuffle_encode(ty))).items():
         yield decode_word(wt), n  # both words end in 1, so every interleaving does
 
 
@@ -297,7 +322,14 @@ def dsr(g, z) -> LinComb:
     z = z if isinstance(z, Composition) else Composition(z)
     if not z.convergent():
         raise ValueError(f"dsr: z must be convergent, got {format_composition(z)}")
-    out = LinComb(chain(_shuffle_terms(g, z), ((t, -n) for t, n in _stuffle_terms(g, z))))
+    body = dict(_shuffle_terms(g, z))
+    for t, n in _stuffle_terms(g, z):
+        c = body.get(t, 0) - n
+        if c:
+            body[t] = c
+        else:
+            del body[t]
+    out = LinComb._make(body)  # one weight, summed: the constructor's work is done
     if out.has_divergent():
         raise InternalConsistencyError(
             f"divergent residue in dsr({format_composition(g)}, "

@@ -15,7 +15,7 @@ from typing import Iterator, Sequence
 
 from .core import Composition, NotConvergentError, _require_convergent
 
-__all__ = ["order_key", "compare", "enumerate_weight", "index_of"]
+__all__ = ["order_key", "compare", "enumerate_weight", "interned_terms", "index_of"]
 
 LESS, EQUAL, GREATER = -1, 0, 1
 
@@ -68,17 +68,21 @@ def _descending(n: int, total: int, lo: int) -> Iterator[tuple[int, ...]]:
 
 
 _enum_cache: dict[int, tuple[Composition, ...]] = {}
+_term_cache: dict[int, dict[Composition, Composition]] = {}
 _index_cache: dict[int, dict[Composition, int]] = {}
 _cache_lock = threading.Lock()
 
 
 def enumerate_weight(w: int) -> Sequence[Composition]:
     """All 2^(w-2) convergent compositions of weight w, strictly increasing,
-    for 2 <= w <= ENUMERATION_WEIGHT_CAP (ValueError outside).
+    for an int 2 <= w <= ENUMERATION_WEIGHT_CAP (TypeError for any other
+    type, ValueError outside the range).
 
     Memoized per weight; the fill is idempotent so concurrent callers are
     safe.
     """
+    if type(w) is not int:  # before the memo, where 6.0 would find weight 6
+        raise TypeError(f"a weight is an int, got {w!r}")
     if w < 2:
         raise ValueError(f"no convergent polyzetas of weight {w} (need w >= 2)")
     if w > ENUMERATION_WEIGHT_CAP:
@@ -102,8 +106,25 @@ def enumerate_weight(w: int) -> Sequence[Composition]:
                             entries[i] = x
                         ordered.append(Composition._make(entries))
         with _cache_lock:
-            got = _enum_cache.setdefault(w, tuple(ordered))
+            fresh = tuple(ordered)
+            got = _enum_cache.setdefault(w, fresh)
+            if got is fresh:  # a map left from an earlier fill holds other objects
+                _term_cache.pop(w, None)
     return got
+
+
+def interned_terms(w: int) -> dict[Composition, Composition]:
+    """Each convergent composition of weight w (or an equal tuple) mapped
+    to the enumeration's own object, so that the relations of a weight
+    hold one object per distinct term.  Memoized beside the enumeration.
+    """
+    comps = enumerate_weight(w)
+    table = _term_cache.get(w)
+    if table is None:
+        table = {c: c for c in comps}
+        with _cache_lock:
+            table = _term_cache.setdefault(w, table)
+    return table
 
 
 def index_of(c: Composition) -> int:

@@ -522,9 +522,11 @@ def parser_transcript(argvs) -> str:
     ("cli_usage_errors.txt", USAGE_ERRORS),
 ])
 def test_parser_golden_output(monkeypatch, golden, argvs):
-    """Help texts and usage errors are frozen byte for byte (at 80 columns,
-    so argparse wraps the same way on every terminal)."""
-    monkeypatch.setenv("COLUMNS", "80")
+    """Help texts and usage errors are frozen byte for byte, at 200
+    columns: no usage line wraps there, so every terminal and every
+    supported Python (whose argparse versions wrap usage lines
+    differently) prints the same transcript."""
+    monkeypatch.setenv("COLUMNS", "200")
     assert parser_transcript(argvs).encode() == (GOLDEN / golden).read_bytes()
 
 

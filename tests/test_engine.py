@@ -5,12 +5,13 @@ import math
 import random
 from fractions import Fraction
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from polyzeta import closedforms, engine
+from polyzeta import cli, closedforms, engine
 from polyzeta.cli import main
 from polyzeta.closedforms import LEFT_FACTORS
 from polyzeta.core import Composition, format_composition
@@ -27,7 +28,7 @@ from polyzeta.engine import (
     verify_numeric,
 )
 from polyzeta.numeric import ToleranceUnreachable, eval_mzv
-from polyzeta.oracle import InternalConsistencyError
+from polyzeta.oracle import InternalConsistencyError, LinComb
 from polyzeta.ordering import enumerate_weight
 
 C = Composition
@@ -139,6 +140,35 @@ class TestGenerate:
         err = capsys.readouterr().err
         assert code == 3 and "Traceback" not in err
         assert err.startswith("internal inconsistency: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("w", range(3, 13))
+    def test_terms_are_the_enumerations_own(self, monkeypatch, tmp_path, w):
+        own = {id(c) for c in enumerate_weight(w)}
+        sets = [generate_relations(w), generate_relations(w, mode="oracle"),
+                generate_relations(w, include_duality=True)]
+        # the same set read back from a warm --data-dir entry
+        args = SimpleNamespace(weight=w, families=tuple(LEFT_FACTORS), duality=True,
+                               data_dir=str(tmp_path))
+        cli._load_or_generate(args)
+        monkeypatch.setattr(cli, "generate_relations", None)  # a miss would now raise
+        sets.append(cli._load_or_generate(args))
+        for rs in sets:
+            assert all(id(t) in own for r in rs.relations for t, _ in r.body.items())
+
+    def test_term_outside_the_enumeration_is_an_inconsistency(self, monkeypatch, capsys):
+        # a planted body term of the right weight that no polyzeta of it is
+        def closed_dsr_planted(g, z):
+            w = LEFT_FACTORS[g].weight + z.weight
+            return closedforms.closed_dsr(g, z) + LinComb({C((1,) * w): 1})
+
+        monkeypatch.setattr(engine, "closed_dsr", closed_dsr_planted)
+        with pytest.raises(InternalConsistencyError, match=r"\(1\^5\) is not a convergent"):
+            generate_relations(5)
+        code = main(["reduce", "--weight", "5"])
+        captured = capsys.readouterr()
+        assert code == 3 and not captured.out and "Traceback" not in captured.err
+        assert captured.err.startswith("internal inconsistency: ")
+        assert captured.err.count("\n") == 1
 
     def test_integer_coefficients(self):
         for r in generate_relations(9).relations:

@@ -7,8 +7,9 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import compositions
+from polyzeta import oracle
 from polyzeta.closedforms import LEFT_FACTORS, closed_dsr
-from polyzeta.core import Composition, Word
+from polyzeta.core import Composition, Word, decode_word, encode_word
 from polyzeta.oracle import LinComb, dsr, shuffle, shuffle_words, stuffle
 from polyzeta.ordering import enumerate_weight
 
@@ -256,3 +257,72 @@ class TestDsr:
     def test_rejects_divergent_z(self):
         with pytest.raises(ValueError):
             dsr(C((1,)), C((1, 2)))
+
+
+def ref_stuffle(x: tuple, y: tuple) -> dict:
+    """The quasi-shuffle recursion, without a memo."""
+    if not x or not y:
+        return {x + y: 1}
+    out: dict = {}
+    for head, rest in ((x[0], ref_stuffle(x[1:], y)), (y[0], ref_stuffle(x, y[1:])),
+                       (x[0] + y[0], ref_stuffle(x[1:], y[1:]))):
+        for t, n in rest.items():
+            out[(head,) + t] = out.get((head,) + t, 0) + n
+    return out
+
+
+def ref_shuffle(u: str, v: str) -> dict:
+    """The shuffle recursion on words, without a memo."""
+    if not u or not v:
+        return {u + v: 1}
+    out: dict = {}
+    for head, rest in ((u[0], ref_shuffle(u[1:], v)), (v[0], ref_shuffle(u, v[1:]))):
+        for t, n in rest.items():
+            out[head + t] = out.get(head + t, 0) + n
+    return out
+
+
+def test_products_match_an_unmemoised_recursion():
+    # every ordered pair, so both argument orders of the memo key are met
+    for x, y in [(x, y) for wx in range(2, 7) for wy in range(2, 9 - wx)
+                 for x in CONVERGENT[wx] for y in CONVERGENT[wy]]:
+        assert stuffle(x, y).terms() == ref_stuffle(x, y)
+        u, v = encode_word(x), encode_word(y)
+        words = ref_shuffle(u, v)
+        assert shuffle_words(u, v).terms() == words
+        assert shuffle(x, y).terms() == {decode_word(t): n for t, n in words.items()}
+
+
+def sub_pairs(a, b, both_empty: bool) -> set:
+    """The argument pairs, smaller first, that the recursion of the
+    product of a and b meets below (a, b): every pair of suffixes, with
+    (empty, empty) only where a step drops both heads (the stuffle)."""
+    pairs = {tuple(sorted((a[i:], b[j:]))) for i in range(len(a) + 1) for j in range(len(b) + 1)}
+    pairs.discard(tuple(sorted((a, b))))
+    if not both_empty:
+        pairs.discard((a[:0], b[:0]))
+    return pairs
+
+
+@pytest.mark.parametrize("x, y", [((3, 1, 2), (2, 1)), ((2, 1, 1), (2, 1, 1)), ((2, 2), (5,))])
+@pytest.mark.parametrize("product", ["stuffle", "shuffle", "shuffle_words", "dsr"])
+def test_memo_keeps_sub_products_only(x, y, product):
+    xy = (x, y)
+    uv = (str(encode_word(C(x))), str(encode_word(C(y))))
+    memos = {"stuffle": oracle._stuffle, "shuffle": oracle._shuffle_words}
+    for memo in memos.values():
+        memo.cache_clear()
+    if product == "shuffle_words":
+        shuffle_words(*uv)
+    else:
+        getattr(oracle, product)(C(x), C(y))
+    sides = {"stuffle": ["stuffle"], "dsr": ["stuffle", "shuffle"]}.get(product, ["shuffle"])
+    for side, memo in memos.items():
+        if side not in sides:
+            assert memo.cache_info().currsize == 0
+            continue
+        args, both_empty = (xy, True) if side == "stuffle" else (uv, False)
+        info = memo.cache_info()
+        assert info.currsize == len(sub_pairs(*args, both_empty))
+        memo(*sorted(args))  # the product's own pair is a miss
+        assert memo.cache_info().misses == info.misses + 1

@@ -3,8 +3,18 @@ import random
 
 import pytest
 
+from polyzeta import engine, ordering
 from polyzeta.core import Composition, NotConvergentError, format_composition, to_ab
-from polyzeta.ordering import EQUAL, GREATER, LESS, compare, enumerate_weight, index_of, order_key
+from polyzeta.ordering import (
+    EQUAL,
+    GREATER,
+    LESS,
+    compare,
+    enumerate_weight,
+    index_of,
+    interned_terms,
+    order_key,
+)
 
 W3 = ["3", "2,1"]
 W4 = ["4", "3,1", "2,2", "2,1^2"]
@@ -54,6 +64,41 @@ def test_counts():
 def test_enumerate_rejects_small_weight():
     with pytest.raises(ValueError):
         enumerate_weight(1)
+
+
+@pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
+@pytest.mark.parametrize("call, weight", [
+    (enumerate_weight, 6.0),
+    (interned_terms, 6.0),
+    (engine.generate_relations, 7.0),
+])
+def test_non_integer_weight_rejected(monkeypatch, warm, call, weight):
+    # the same TypeError whether or not the int weight is memoised, where
+    # the float would find it (6.0 == 6 and hash(6.0) == hash(6))
+    monkeypatch.setattr(ordering, "_enum_cache", {})
+    monkeypatch.setattr(ordering, "_term_cache", {})
+    if warm:
+        interned_terms(int(weight))
+    with pytest.raises(TypeError, match=f"a weight is an int, got {weight}"):
+        call(weight)
+
+
+def test_interned_terms():
+    for w in range(2, 9):
+        table = interned_terms(w)
+        assert list(table) == list(enumerate_weight(w))
+        assert all(table[c] is c for c in enumerate_weight(w))
+        assert all(table[tuple(c)] is c for c in enumerate_weight(w))
+
+
+def test_interned_terms_follow_a_refill(monkeypatch):
+    monkeypatch.setattr(ordering, "_enum_cache", {})
+    monkeypatch.setattr(ordering, "_term_cache", {})
+    old = interned_terms(9)
+    del ordering._enum_cache[9]  # as test_concurrency.py does
+    comps = enumerate_weight(9)
+    assert all(old[c] is not c for c in comps)
+    assert all(interned_terms(9)[c] is c for c in comps)
 
 
 def test_strictly_increasing():
