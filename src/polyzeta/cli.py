@@ -48,7 +48,7 @@ from .engine import (
 )
 from .numeric import MAX_TERMS, ToleranceUnreachable, check_tolerance, eval_mzv
 from .oracle import InternalConsistencyError, LinComb, coeff_dict, shuffle, stuffle
-from .ordering import enumerate_weight, interned_terms
+from .ordering import enumerate_weight, positions
 
 SCHEMA = 1
 
@@ -122,11 +122,12 @@ def _relset_from_dict(doc: dict) -> RelationSet:
     among the convergent compositions of the document's weight (KeyError
     if it is not one), so the set holds the enumeration's own terms, as a
     generated set does."""
-    terms = interned_terms(doc["weight"])
+    at = positions(doc["weight"])
+    comps = enumerate_weight(doc["weight"])
     rels = [
         Relation(
             LinComb(
-                (terms[tuple(t["composition"])], _coeff_from_dict(t["coeff"]))
+                (comps[at[tuple(t["composition"])]], _coeff_from_dict(t["coeff"]))
                 for t in r["terms"]
             ),
             r["family"],
@@ -191,6 +192,8 @@ def _families_arg(text: str) -> tuple[str, ...]:
     for f in fams:
         if f not in LEFT_FACTORS:
             raise argparse.ArgumentTypeError(f"unknown family {f!r} {use}")
+        if fams.count(f) > 1:
+            raise argparse.ArgumentTypeError(f"family {f!r} given more than once")
     return fams
 
 

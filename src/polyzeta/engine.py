@@ -23,7 +23,7 @@ from .core import Composition, dual, format_composition
 from .counting import hoffman_dim, is_hoffman
 from .numeric import ToleranceUnreachable, check_tolerance, eval_mzv
 from .oracle import InternalConsistencyError, LinComb, dsr as oracle_dsr
-from .ordering import ENUMERATION_WEIGHT_CAP, enumerate_weight, index_of, interned_terms
+from .ordering import enumerate_weight, positions
 
 __all__ = [
     "GENERATOR_VERSION",
@@ -83,30 +83,34 @@ def generate_relations(
 
     One relation per convergent source of weight w - weight(g) for each
     requested left factor g (none when the source weight would drop below
-    2), plus optionally one duality relation per non-self-dual pair.
-    ``mode`` picks the closed forms or the brute-force oracle as
-    generator; the two must agree.  ``mode="oracle"`` is the reference
-    path that the tests compare against; it is not on the CLI.
+    2), plus optionally one duality relation per non-self-dual pair, from
+    its earlier member.  ``families`` names each family once.  ``mode``
+    picks the closed forms or the brute-force oracle as generator; the two
+    must agree.  ``mode="oracle"`` is the reference path that the tests
+    compare against; it is not on the CLI.
 
-    Every body term is the enumeration's own object
-    (``ordering.interned_terms``), so a set holds one object per distinct
-    composition however many relations share it; a term outside the
-    weight's enumeration raises InternalConsistencyError.
+    Every body term is ``enumerate_weight(w)``'s own object, found through
+    ``ordering.positions(w)`` (which checks w first), so a set holds one
+    object per distinct composition however many relations share it; a
+    term outside the weight's enumeration raises InternalConsistencyError.
     """
+    if isinstance(families, str):
+        raise TypeError(f"families is a collection of names, not the str {families!r}")
     families = tuple(families)
     for f in families:
         if f not in LEFT_FACTORS:
             raise ValueError(f"unknown relation family {f!r}")
+        if families.count(f) > 1:
+            raise ValueError(f"relation family {f!r} given more than once")
     if mode not in ("closed", "oracle"):
         raise ValueError(f"unknown mode {mode!r}")
-    if w > ENUMERATION_WEIGHT_CAP:  # refuse before generating the sources below w
-        raise ValueError(f"weight {w} exceeds the enumeration cap {ENUMERATION_WEIGHT_CAP}")
+    at = positions(w)
+    comps = enumerate_weight(w)
     relations: list[Relation] = []
-    own = interned_terms(w) if w >= 2 else {}
 
     def interned(body: LinComb) -> LinComb:
         try:
-            return LinComb._make({own[t]: c for t, c in body.items()})
+            return LinComb._make({comps[at[t]]: c for t, c in body.items()})
         except KeyError as exc:
             raise InternalConsistencyError(
                 f"relation term ({format_composition(exc.args[0])}) is not a "
@@ -119,11 +123,10 @@ def generate_relations(
             body = closed_dsr(f, z) if mode == "closed" else oracle_dsr(g, z)
             relations.append(Relation(interned(body), f, z))
     if include_duality:
-        for z in enumerate_weight(w):
-            zd = dual(z)
-            if zd == z or index_of(zd) < index_of(z):
-                continue
-            relations.append(Relation(LinComb._make({z: 1, own[zd]: -1}), "duality", z))
+        for k, z in enumerate(comps):
+            j = at[dual(z)]
+            if j > k:  # each pair once, from its earlier member
+                relations.append(Relation(LinComb._make({z: 1, comps[j]: -1}), "duality", z))
     return RelationSet(w, relations, families, include_duality)
 
 

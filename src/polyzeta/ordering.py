@@ -10,12 +10,11 @@ stage, with no sort.
 
 from __future__ import annotations
 
-import threading
 from typing import Iterator, Sequence
 
 from .core import Composition, NotConvergentError, _require_convergent
 
-__all__ = ["order_key", "compare", "enumerate_weight", "interned_terms", "index_of"]
+__all__ = ["order_key", "compare", "enumerate_weight", "positions", "index_of"]
 
 LESS, EQUAL, GREATER = -1, 0, 1
 
@@ -68,9 +67,7 @@ def _descending(n: int, total: int, lo: int) -> Iterator[tuple[int, ...]]:
 
 
 _enum_cache: dict[int, tuple[Composition, ...]] = {}
-_term_cache: dict[int, dict[Composition, Composition]] = {}
 _index_cache: dict[int, dict[Composition, int]] = {}
-_cache_lock = threading.Lock()
 
 
 def enumerate_weight(w: int) -> Sequence[Composition]:
@@ -78,8 +75,8 @@ def enumerate_weight(w: int) -> Sequence[Composition]:
     for an int 2 <= w <= ENUMERATION_WEIGHT_CAP (TypeError for any other
     type, ValueError outside the range).
 
-    Memoized per weight; the fill is idempotent so concurrent callers are
-    safe.
+    Memoized per weight; of concurrent first fills ``dict.setdefault``
+    keeps one tuple, and every caller gets that one.
     """
     if type(w) is not int:  # before the memo, where 6.0 would find weight 6
         raise TypeError(f"a weight is an int, got {w!r}")
@@ -105,25 +102,20 @@ def enumerate_weight(w: int) -> Sequence[Composition]:
                         for i, x in zip(starts, a):
                             entries[i] = x
                         ordered.append(Composition._make(entries))
-        with _cache_lock:
-            fresh = tuple(ordered)
-            got = _enum_cache.setdefault(w, fresh)
-            if got is fresh:  # a map left from an earlier fill holds other objects
-                _term_cache.pop(w, None)
+        got = _enum_cache.setdefault(w, tuple(ordered))
     return got
 
 
-def interned_terms(w: int) -> dict[Composition, Composition]:
+def positions(w: int) -> dict[Composition, int]:
     """Each convergent composition of weight w (or an equal tuple) mapped
-    to the enumeration's own object, so that the relations of a weight
-    hold one object per distinct term.  Memoized beside the enumeration.
+    to its index in ``enumerate_weight(w)``, memoized per weight, so that
+    ``enumerate_weight(w)[positions(w)[t]]`` is the enumeration's own
+    object for t, whichever fill of the enumeration is current.
     """
-    comps = enumerate_weight(w)
-    table = _term_cache.get(w)
+    comps = enumerate_weight(w)  # before the memo, which 6.0 would find
+    table = _index_cache.get(w)
     if table is None:
-        table = {c: c for c in comps}
-        with _cache_lock:
-            table = _term_cache.setdefault(w, table)
+        table = _index_cache.setdefault(w, {c: i for i, c in enumerate(comps)})
     return table
 
 
@@ -133,10 +125,4 @@ def index_of(c: Composition) -> int:
         c = Composition(c)
     if not c.convergent():
         raise NotConvergentError(f"index_of: {c} is not convergent")
-    w = c.weight
-    table = _index_cache.get(w)
-    if table is None:
-        table = {z: i for i, z in enumerate(enumerate_weight(w))}
-        with _cache_lock:
-            table = _index_cache.setdefault(w, table)
-    return table[c]
+    return positions(c.weight)[c]

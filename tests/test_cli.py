@@ -118,6 +118,17 @@ class TestBasics:
         assert code == 2 and captured.out == ""
         assert captured.err == "error: weight 21 exceeds the enumeration cap 20\n"
 
+    @pytest.mark.parametrize("w", [-1, 0, 1])
+    @pytest.mark.parametrize("argv", [
+        ["relations"], ["relations", "--duality"], ["reduce"], ["reduce", "--duality"],
+        ["verify"],
+    ])
+    def test_weight_below_two_exits_two(self, capsys, tmp_path, argv, w):
+        code = main(with_data_dir([*argv, "--weight", str(w)], tmp_path))
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err == f"error: no convergent polyzetas of weight {w} (need w >= 2)\n"
+
     def test_reconcile_without_sources_exits_two(self, capsys):
         code = main(["reconcile", "--g", "1", "--side", "dsr", "--max-weight", "-3"])
         captured = capsys.readouterr()
@@ -500,6 +511,7 @@ USAGE_ERRORS = (
     ["verify", "--weight", "6", "--data-dir", "x"],
     ["list", "--weight", "4", "--data-dir", "x"],
     ["count", "--weight", "8", "--depth", "3", "--table"],
+    ["relations", "--weight", "5", "--families", "1,1"],
 )
 
 

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from polyzeta import cli, closedforms, engine
 from polyzeta.cli import main
 from polyzeta.closedforms import LEFT_FACTORS
-from polyzeta.core import Composition, format_composition
+from polyzeta.core import Composition, dual, format_composition
 from polyzeta.counting import hoffman_dim, is_hoffman
 from polyzeta.engine import (
     PRIMES,
@@ -29,7 +29,7 @@ from polyzeta.engine import (
 )
 from polyzeta.numeric import ToleranceUnreachable, eval_mzv
 from polyzeta.oracle import InternalConsistencyError, LinComb
-from polyzeta.ordering import enumerate_weight
+from polyzeta.ordering import enumerate_weight, order_key
 
 C = Composition
 GOLDEN = Path(__file__).resolve().parents[1] / "perfbench" / "golden.json"
@@ -110,6 +110,23 @@ class TestGenerate:
         for r in rs.relations:
             assert r.family == "duality"
             assert sorted(r.body.terms().values()) == [Fraction(-1), Fraction(1)]
+
+    @pytest.mark.parametrize("w", range(2, 13))
+    def test_duality_pairs_match_brute_force(self, w):
+        # one relation per unordered non-self-dual pair, sourced at the
+        # member that order_key puts first
+        pairs = {tuple(sorted({z, dual(z)}, key=order_key)) for z in enumerate_weight(w)}
+        want = sorted((p for p in pairs if len(p) == 2), key=lambda p: order_key(p[0]))
+        rs = generate_relations(w, families=(), include_duality=True)
+        assert [(r.family, r.source, r.body.terms()) for r in rs.relations] == [
+            ("duality", a, {a: 1, b: -1}) for a, b in want
+        ]
+
+    def test_families_named_once(self):
+        with pytest.raises(ValueError, match="relation family '1' given more than once"):
+            generate_relations(5, families=("1", "2", "1"))
+        with pytest.raises(TypeError, match="not the str '21'"):
+            generate_relations(9, families="21")
 
     def test_modes_agree(self):
         for w in range(4, 9):

@@ -12,8 +12,8 @@ from polyzeta.ordering import (
     compare,
     enumerate_weight,
     index_of,
-    interned_terms,
     order_key,
+    positions,
 )
 
 W3 = ["3", "2,1"]
@@ -69,36 +69,40 @@ def test_enumerate_rejects_small_weight():
 @pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
 @pytest.mark.parametrize("call, weight", [
     (enumerate_weight, 6.0),
-    (interned_terms, 6.0),
+    (positions, 6.0),
     (engine.generate_relations, 7.0),
 ])
 def test_non_integer_weight_rejected(monkeypatch, warm, call, weight):
     # the same TypeError whether or not the int weight is memoised, where
     # the float would find it (6.0 == 6 and hash(6.0) == hash(6))
     monkeypatch.setattr(ordering, "_enum_cache", {})
-    monkeypatch.setattr(ordering, "_term_cache", {})
+    monkeypatch.setattr(ordering, "_index_cache", {})
     if warm:
-        interned_terms(int(weight))
+        positions(int(weight))
     with pytest.raises(TypeError, match=f"a weight is an int, got {weight}"):
         call(weight)
 
 
-def test_interned_terms():
-    for w in range(2, 9):
-        table = interned_terms(w)
-        assert list(table) == list(enumerate_weight(w))
-        assert all(table[c] is c for c in enumerate_weight(w))
-        assert all(table[tuple(c)] is c for c in enumerate_weight(w))
+def test_positions():
+    for w in range(2, 15):
+        comps = enumerate_weight(w)
+        table = positions(w)
+        assert list(table) == list(comps)
+        assert list(table.values()) == list(range(len(comps)))
+        assert all(comps[table[tuple(c)]] is c for c in comps)
 
 
-def test_interned_terms_follow_a_refill(monkeypatch):
+def test_relation_terms_follow_a_refill(monkeypatch):
     monkeypatch.setattr(ordering, "_enum_cache", {})
-    monkeypatch.setattr(ordering, "_term_cache", {})
-    old = interned_terms(9)
+    monkeypatch.setattr(ordering, "_index_cache", {})
+    old = enumerate_weight(9)
+    positions(9)
     del ordering._enum_cache[9]  # as test_concurrency.py does
     comps = enumerate_weight(9)
-    assert all(old[c] is not c for c in comps)
-    assert all(interned_terms(9)[c] is c for c in comps)
+    assert comps is not old
+    own = {id(c) for c in comps}
+    rs = engine.generate_relations(9, include_duality=True)
+    assert all(id(t) in own for r in rs.relations for t, _ in r.body.items())
 
 
 def test_strictly_increasing():
