@@ -139,11 +139,6 @@ def _relset_from_dict(doc: dict) -> RelationSet:
     return RelationSet(doc["weight"], rels, tuple(flags["families"]), flags["duality"])
 
 
-def _cache_path(base: Path, w: int, families, duality: bool) -> Path:
-    base.mkdir(parents=True, exist_ok=True)
-    return base / f"rels_w{w}_f{'-'.join(families)}_d{int(duality)}_{GENERATOR_VERSION}.json"
-
-
 def _read_cache(path: Path, key: tuple) -> RelationSet | None:
     """The cached relation set of ``key`` (weight, families, duality), or
     None for a missing, stale, truncated, corrupt or mismatched entry (a
@@ -169,12 +164,15 @@ def _load_or_generate(args) -> RelationSet:
     key = (args.weight, args.families, args.duality)
     if args.data_dir is None:
         return generate_relations(*key)
-    path = _cache_path(Path(args.data_dir), *key)
+    path = Path(args.data_dir) / (f"rels_w{args.weight}_f{'-'.join(args.families)}"
+                                  f"_d{int(args.duality)}_{GENERATOR_VERSION}.json")
     rs = _read_cache(path, key)
     if rs is not None:
         return rs
     rs = generate_relations(*key)
-    # write a temp file and rename it, so readers never see a partial entry
+    # write a temp file and rename it, so readers never see a partial entry;
+    # the directory is made here, so a refused command leaves none behind
+    path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
     try:
         tmp.write_text(json.dumps(_relset_dict(rs), sort_keys=True))

@@ -21,7 +21,6 @@ from . import numeric
 from .closedforms import LEFT_FACTORS, closed_dsr, sources
 from .core import Composition, dual, format_composition
 from .counting import hoffman_dim, is_hoffman
-from .numeric import ToleranceUnreachable, check_tolerance, eval_mzv
 from .oracle import InternalConsistencyError, LinComb, dsr as oracle_dsr
 from .ordering import enumerate_weight, positions
 
@@ -478,52 +477,9 @@ class NumericReport:
 
 
 def verify_numeric(rs: RelationSet, tol: float = 1e-3) -> NumericReport:
-    """Check every relation against proven enclosures of its terms.
-
-    ``eval_mzv`` puts each polyzeta in an interval [V_i - E_i, V_i + E_i].
-    The residual R = sum c_i V_i is summed exactly, so a true relation has
-    |R| <= bound = sum |c_i| E_i, and a relation fails iff |R| > bound or a
-    term hit the cutoff cap ``numeric.MAX_TERMS``, read at each call.  The
-    terms are evaluated at rising precision until the bound is at most tol
-    times the mass sum |c_i| |V_i|, so a false relation whose true residual
-    exceeds twice that is always caught.  The recorded residual is |R| / mass.
-    """
-    check_tolerance(tol)
-    residuals = []
-    failures = []
-    limit = Fraction(tol)
-    p0 = max(0, math.ceil(-math.log2(tol)))
-    for rel in rs.relations:
-        p = p0
-        while True:
-            r, bound, mass, reached = _residual(rel.body, 2.0**-p)
-            if not reached or bound <= limit * mass:
-                break
-            p += max(8, math.ceil(math.log2(bound / (limit * mass))) + 1)
-        ratio = abs(r) / mass if mass else 0.0
-        residuals.append((rel.family, rel.source, ratio))
-        if abs(r) > bound or not reached:
-            failures.append((rel.family, rel.source, ratio))
+    """Check every relation against proven enclosures of its terms, as
+    ``numeric.residuals`` does; a residual is recorded as |R| / mass."""
+    checked = numeric.residuals([rel.body for rel in rs.relations], tol)
+    residuals = [(rel.family, rel.source, ratio) for rel, (ratio, _) in zip(rs.relations, checked)]
+    failures = [r for r, (_, holds) in zip(residuals, checked) if not holds]
     return NumericReport(tol, residuals, failures)
-
-
-def _residual(body: LinComb, tol: float) -> tuple[int, int, int, bool]:
-    """(R, bound, mass) of one relation, exact integers at a common scale,
-    and whether every term reached tol."""
-    vals = []
-    reached = True
-    for term, coeff in body.items():
-        try:
-            v = eval_mzv(term, tol, numeric.MAX_TERMS)
-        except ToleranceUnreachable as exc:
-            v, reached = exc.best, False
-        vals.append((coeff, v))
-    den = math.lcm(*(c.denominator for c, _ in vals))
-    bits = max((v.bits for _, v in vals), default=0)
-    r = bound = mass = 0
-    for c, v in vals:
-        k = c.numerator * (den // c.denominator) << (bits - v.bits)
-        r += k * v.fixed
-        bound += abs(k) * v.ulps
-        mass += abs(k * v.fixed)
-    return r, bound, mass, reached

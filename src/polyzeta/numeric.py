@@ -23,17 +23,23 @@ bound covers the terms n_1 > N.  So ``eval_mzv`` returns an interval that
 provably holds zeta(s), with no floating point inside it.  The products
 for s and for dual(s) are the same, so the evaluation is no independent
 check of duality.
+
+``eval_mzv`` and the relation check ``residuals`` both enclose a batch of
+polyzetas at one scale at a time, and keep nothing between calls.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
-from functools import lru_cache
+from fractions import Fraction
 
 from .core import Composition, decode_word, format_composition
+from .oracle import LinComb
 
-__all__ = ["MAX_TERMS", "EvalResult", "ToleranceUnreachable", "check_tolerance", "eval_mzv"]
+__all__ = ["MAX_TERMS", "EvalResult", "ToleranceUnreachable", "check_tolerance", "eval_mzv",
+           "residuals"]
 
 MAX_TERMS = 10**7  # caps the cutoff N of every series; reached only near tol = 2^-(10^7)
 
@@ -98,16 +104,12 @@ def _tail(t1: int, m: int, bits: int, n: int) -> int:
     return near + far
 
 
-@lru_cache(maxsize=None)
 def _cutoff(t1: int, m: int, bits: int) -> int:
     """The least N whose tail bound is at most 2 units of 2^-bits."""
     n = 1
     while _tail(t1, m, bits, n) > 2:
         n += 1
     return n
-
-
-_lam_memo: dict[tuple[tuple[int, ...], int, int], tuple[int, int]] = {}
 
 
 def _lam(t: tuple[int, ...], bits: int, n: int) -> tuple[int, int]:
@@ -127,41 +129,47 @@ def _lam(t: tuple[int, ...], bits: int, n: int) -> tuple[int, int]:
     return total, lost + _tail(t[0], m, bits, n)
 
 
-def _factor(word: str, bits: int, max_terms: int) -> tuple[int, int, int, bool]:
-    """(V, E, N, capped) for lam(word), memoised per word, scale and N."""
-    if not word:
-        return 1 << bits, 0, 0, False
-    t = decode_word(word)  # a Composition: equal to, and hashed as, its tuple
-    need = _cutoff(t[0], len(t), bits)
-    n = min(need, max_terms)
-    key = (t, bits, n)
-    got = _lam_memo.get(key)
-    if got is None:
-        got = _lam_memo[key] = _lam(t, bits, n)
-    return (*got, n, need > n)
+def _enclose(terms: Iterable[Composition], bits: int,
+             max_terms: int) -> dict[Composition, tuple[EvalResult, bool]]:
+    """Each term's Hölder sum at scale 2^-bits, and whether a cutoff hit the
+    cap.  Each cutoff and each lam series is computed once per call."""
+    cuts: dict[tuple[int, int], int] = {}  # by first entry and depth
+    lams: dict[str, tuple[int, int, int, bool]] = {"": (1 << bits, 0, 0, False)}
+
+    def factor(word: str) -> tuple[int, int, int, bool]:  # (V, E, N, capped) for lam(word)
+        if word not in lams:
+            t = decode_word(word)
+            shape = (t[0], len(t))
+            cuts[shape] = need = cuts.get(shape) or _cutoff(*shape, bits)
+            n = min(need, max_terms)
+            lams[word] = (*_lam(t, bits, n), n, need > n)
+        return lams[word]
+
+    out = {}
+    for s in terms:
+        word = "".join("0" * (e - 1) + "1" for e in s)
+        flipped = word[::-1].translate(_SWAP)  # rev-dual(a_1..a_k) = flipped[w-k:]
+        w = len(word)
+        v = e = n_used = 0
+        capped = False
+        for k in range(w + 1):
+            va, ea, na, ca = factor(flipped[w - k:])
+            vb, eb, nb, cb = factor(word[k:])
+            v += va * vb >> bits
+            e += ((ea * vb + eb * va + ea * eb) >> bits) + 2
+            n_used = max(n_used, na, nb)
+            capped = capped or ca or cb
+        # the sum lies in [v, v + e]; centre it at scale 2^-(bits + 1)
+        fixed = 2 * v + e
+        tail = math.nextafter(e / (2 << bits), math.inf)  # rounded up
+        out[s] = EvalResult(fixed / (2 << bits), tail, n_used, fixed, e, bits + 1), capped
+    return out
 
 
-def _evaluate(s: tuple[int, ...], bits: int, max_terms: int) -> tuple[EvalResult, bool]:
-    """The Hölder sum at scale 2^-bits, and whether a cutoff hit the cap."""
-    word = "".join("0" * (e - 1) + "1" for e in s)
-    flipped = word[::-1].translate(_SWAP)  # rev-dual(a_1..a_k) = flipped[w-k:]
-    w = len(word)
-    v = e = n_used = 0
-    capped = False
-    for k in range(w + 1):
-        va, ea, na, ca = _factor(flipped[w - k:], bits, max_terms)
-        vb, eb, nb, cb = _factor(word[k:], bits, max_terms)
-        v += va * vb >> bits
-        e += ((ea * vb + eb * va + ea * eb) >> bits) + 2
-        n_used = max(n_used, na, nb)
-        capped = capped or ca or cb
-    # the sum lies in [v, v + e]; centre it at scale 2^-(bits + 1)
-    fixed, ulps, bits = 2 * v + e, e, bits + 1
-    tail = math.nextafter(ulps / (1 << bits), math.inf)  # rounded up
-    return EvalResult(fixed / (1 << bits), tail, n_used, fixed, ulps, bits), capped
-
-
-_memo: dict[tuple[tuple[int, ...], float, int], EvalResult] = {}
+def _convergent(c: Composition) -> Composition:
+    if not c.convergent():
+        raise ValueError(f"eval_mzv: {format_composition(c)} is not convergent")
+    return c
 
 
 def eval_mzv(c: Composition, tol: float = 1e-6, max_terms: int = MAX_TERMS) -> EvalResult:
@@ -173,20 +181,12 @@ def eval_mzv(c: Composition, tol: float = 1e-6, max_terms: int = MAX_TERMS) -> E
     proven) result attached.  Raises ValueError unless tol is finite and
     positive and max_terms >= 1.
     """
-    if not isinstance(c, Composition):
-        c = Composition(c)
-    if not c.convergent():
-        raise ValueError(f"eval_mzv: {format_composition(c)} is not convergent")
+    c = _convergent(Composition(c))
     check_tolerance(tol, max_terms)
-    key = (tuple(c), float(tol), int(max_terms))
-    got = _memo.get(key)
-    if got is not None:
-        return got
     bits = max(0, math.ceil(-math.log2(tol))) + _GUARD
     while True:
-        r, capped = _evaluate(key[0], bits, max_terms)
+        r, capped = _enclose([c], bits, max_terms)[c]
         if r.tail_estimate <= tol:
-            _memo[key] = r
             return r
         if capped:
             raise ToleranceUnreachable(
@@ -195,3 +195,41 @@ def eval_mzv(c: Composition, tol: float = 1e-6, max_terms: int = MAX_TERMS) -> E
                 r,
             )
         bits += max(_GUARD, math.ceil(math.log2(r.tail_estimate / tol)) + 1)
+
+
+def residuals(bodies: Sequence[LinComb], tol: float) -> list[tuple[float, bool]]:
+    """(|R| / mass, holds) for each relation body = 0.
+
+    At precision 2^-p each term is enclosed in [V_i - E_i, V_i + E_i], at
+    the scale that ``eval_mzv`` starts from for tol = 2^-p.  The residual
+    R = sum c_i V_i is summed exactly, so a true relation has |R| <= bound
+    = sum |c_i| E_i, and a relation holds iff |R| <= bound and no term hit
+    the cutoff cap ``MAX_TERMS`` (read at each call) short of 2^-p.  From
+    p = log2(1/tol), a relation moves up until its bound is at most tol
+    times the mass sum |c_i V_i|, so a false relation whose true residual
+    exceeds twice that is always caught.  The relations pending at one p
+    are enclosed in one batch.  Raises ValueError for a bad tol or a
+    divergent term.
+    """
+    check_tolerance(tol)
+    limit = Fraction(tol)
+    out = [(0.0, True)] * len(bodies)
+    pending = {max(0, math.ceil(-math.log2(tol))): range(len(bodies))}
+    while pending:
+        p = min(pending)
+        rels = pending.pop(p)
+        vals = _enclose({_convergent(s) for i in rels for s in bodies[i]}, p + _GUARD, MAX_TERMS)
+        for i in rels:
+            terms = [(c, *vals[s]) for s, c in bodies[i].items()]
+            # R, bound and mass, all at one scale; Fractions if a coefficient is one
+            r = sum(c * v.fixed for c, v, _ in terms)
+            bound = sum(abs(c) * v.ulps for c, v, _ in terms)
+            mass = sum(abs(c * v.fixed) for c, v, _ in terms)
+            # as in eval_mzv, a capped term fails only if it misses 2^-p
+            reached = not any(capped and v.tail_estimate > 2.0**-p for _, v, capped in terms)
+            if reached and bound > limit * mass:
+                step = max(8, math.ceil(math.log2(bound / (limit * mass))) + 1)
+                pending.setdefault(p + step, []).append(i)
+            else:
+                out[i] = float(abs(r) / mass) if mass else 0.0, reached and abs(r) <= bound
+    return out

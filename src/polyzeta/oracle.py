@@ -103,6 +103,12 @@ class LinComb:
     def terms(self) -> dict:
         return dict(self._terms)
 
+    def __iter__(self) -> Iterator:  # the terms, as a dict iterates its keys
+        return iter(self._terms)
+
+    def __contains__(self, term) -> bool:
+        return term in self._terms
+
     def __len__(self) -> int:
         return len(self._terms)
 

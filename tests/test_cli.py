@@ -129,6 +129,14 @@ class TestBasics:
         assert code == 2 and captured.out == ""
         assert captured.err == f"error: no convergent polyzetas of weight {w} (need w >= 2)\n"
 
+    @pytest.mark.parametrize("w", [1, 21])
+    @pytest.mark.parametrize("cmd", RELSET_COMMANDS)
+    def test_refused_weight_makes_no_data_dir(self, capsys, tmp_path, cmd, w):
+        # the cache directory is made only when an entry is written
+        code = main([cmd, "--weight", str(w), "--data-dir", str(tmp_path / "d" / "x")])
+        assert code == 2 and capsys.readouterr().out == ""
+        assert list(tmp_path.iterdir()) == []
+
     def test_reconcile_without_sources_exits_two(self, capsys):
         code = main(["reconcile", "--g", "1", "--side", "dsr", "--max-weight", "-3"])
         captured = capsys.readouterr()

@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
@@ -9,8 +10,9 @@ import pytest
 from hypothesis import given, settings
 
 from conftest import compositions
+from polyzeta import numeric
 from polyzeta.core import Composition, dual
-from polyzeta.engine import Relation, RelationSet, verify_numeric
+from polyzeta.engine import Relation, RelationSet, generate_relations, verify_numeric
 from polyzeta.numeric import (
     EvalResult,
     ToleranceUnreachable,
@@ -213,6 +215,38 @@ class TestConsistency:
                 b = eval_mzv(dual(z), 2.0**-60)
                 assert max(a.tail_estimate, b.tail_estimate) <= 2.0**-60
                 assert _overlap(a, b), z
+
+
+class TestPerCallState:
+    """The referee's memos live for one call, so they are bounded by it."""
+
+    def test_no_module_memo_grows(self):
+        def sizes() -> dict[str, int]:
+            out = {}
+            for name, value in vars(numeric).items():
+                if isinstance(value, dict) and not name.startswith("__"):
+                    out[name] = len(value)
+                elif hasattr(value, "cache_info"):
+                    out[name] = value.cache_info().currsize
+            return out
+
+        before = sizes()
+        eval_mzv(C((3, 1, 2)), 2.0**-77)
+        verify_numeric(generate_relations(10), 3e-5)
+        assert sizes() == before
+
+    def test_each_series_summed_once_per_scale(self, monkeypatch):
+        calls = Counter()
+        lam = numeric._lam
+
+        def counted(t, bits, n):
+            calls[tuple(t), bits] += 1
+            return lam(t, bits, n)
+
+        monkeypatch.setattr(numeric, "_lam", counted)
+        rep = verify_numeric(generate_relations(10), 1e-3)
+        assert rep.ok and calls
+        assert max(calls.values()) == 1
 
 
 def test_import_leaves_numpy_out():

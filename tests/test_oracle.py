@@ -43,6 +43,19 @@ class TestLinComb:
         assert str(LinComb()) == "0"
         assert str(LinComb({C((3,)): -1, C((2, 1)): 1})) == "-(3) + (2,1)"
 
+    def test_iterates_its_terms(self):
+        # a dict's protocol: `in`, list() and for see the terms, and end
+        # (through __getitem__ alone each of them would loop forever)
+        lc = LinComb({C((2, 1)): 1, C((3,)): -2})
+        assert C((3,)) in lc and (3,) in lc and C((2, 1)) in lc
+        assert C((1, 2)) not in lc and C((4,)) not in lc
+        assert list(lc) == [C((2, 1)), C((3,))]
+        seen = []
+        for t in lc:
+            seen.append(t)
+        assert seen == list(lc.terms())
+        assert list(LinComb()) == [] and C((3,)) not in LinComb()
+
 
 POOL = enumerate_weight(5)  # eight terms of one weight, so repeats are common
 COEFFS = st.one_of(
