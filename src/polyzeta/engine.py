@@ -2,19 +2,22 @@
 
 A relation is the body of one double-shuffle difference (or one duality
 pair) at a fixed weight.  Relations assemble into sparse rational rows
-over the ordered basis of that weight.  ``exact_rref`` reduces them
-modulo large primes, lifts the reduction table to Q by the Chinese
-remainder theorem and rational reconstruction, and certifies it over Q:
+over the ordered basis of that weight.  ``exact_rref`` factors them
+once modulo a prime below 2^30, lifts the reduction table p-adically
+(Dixon) and by rational reconstruction to Q, and certifies it over Q:
 every relation must map to zero through the table, which proves the
-rank and the pivot set.  The table expresses every pivot (dependent)
-polyzeta through the free (basis) ones.
+rank, and every table row must be in echelon form, which proves that
+the pivot set is the leftmost one.  The table expresses every pivot
+(dependent) polyzeta through the free (basis) ones.
 """
 
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 from typing import Iterable
 
 from . import numeric
@@ -165,6 +168,10 @@ class ReductionResult:
     free_columns: list[Composition]
     # pivot composition -> {free composition: coefficient}
     table: dict[Composition, dict[Composition, Fraction]]
+    # every prime tried, in order (the last one certified), and the p-adic
+    # digits lifted modulo each
+    primes: tuple[int, ...]
+    lift_steps: tuple[int, ...]
 
     def substitute(self, body: LinComb) -> dict[Composition, int | Fraction]:
         """Rewrite a combination over the free columns only (zero iff the
@@ -177,48 +184,62 @@ class ReductionResult:
         ).terms()
 
 
-# The 24 primes just below 2^127.  One prime lifts every four-family table
-# up to w=11; w=12 needs two, its table having 70-bit numerators over 58-bit
-# denominators.  The family subsets (1,2,3) and (1,2,21) at w=12 are far
-# taller: their tables certify after 10 and 16 primes.
-PRIMES = tuple(2**127 - k for k in (
-    1, 25, 39, 295, 309, 507, 511, 577, 697, 735, 801, 957,
-    1081, 1105, 1141, 1201, 1231, 1447, 1485, 1495, 1741, 1747, 2197, 2437,
-))
-
-# pivot column -> {free column: residue}: the pivot solved for the free
-# columns modulo a prime or a product of primes
-_Table = dict[int, dict[int, int]]
+# The four largest primes below 2^30, so that every residue fits in one
+# CPython digit; each is 2^30 minus a small fold, which ``_lift`` uses to
+# reduce packed residues.  The first one certifies every four-family table
+# at w=4..14; a later one is tried only after an unlucky one.
+PRIMES = tuple(2**30 - k for k in (35, 41, 83, 101))
 
 
-def _rref_mod(rows: list[dict[int, int]], ncols: int, p: int) -> _Table:
-    """Sparse reduced row echelon form of integer rows mod p.
+@dataclass
+class _Pivot:
+    """One pivot of the elimination mod p: row ``source`` of the input
+    became the pivot of column ``column`` after adding ``mults[i]`` (the
+    multiplier, negated mod p) times the pivot row of column
+    ``earlier[i]`` for each i, which left 1/``inv`` at the pivot.
+    ``upper`` and ``umults`` are the entries of its unit pivot row in the
+    other pivot columns, negated mod p."""
+
+    column: int
+    source: int
+    earlier: array
+    mults: array  # p - multiplier
+    inv: int
+    upper: array
+    umults: array
+
+
+def _factor(rows: list[dict[int, int]], ncols: int, p: int) -> list[_Pivot]:
+    """Sparse forward elimination of integer rows mod p, recorded as
+    A_RP = L*U with R the source rows and P the pivot columns.
 
     Rows are taken by leading column, rightmost first.  Each one is
     reduced against the pivots found so far, always at its leftmost
     entry, until that entry lies in a new pivot column or the row
     vanishes.  Whatever the row order, the pivot set comes out as the set
-    of leading columns of the row space: the leftmost column basis, fixed
-    by the column order.  The column order also sets the fill-in, and so
-    the cost.  A row whose leading column has no pivot yet becomes that
-    pivot unreduced, so updates only arise where leading columns collide.
+    of leading columns of the row space mod p: the leftmost column basis,
+    fixed by the column order.  The column order also sets the fill-in,
+    and so the cost.  A row whose leading column has no pivot yet becomes
+    that pivot unreduced, so updates only arise where leading columns
+    collide.
     ``reduce_relations`` therefore eliminates the non-{2,3} columns deepest
     first: for the full relation set at w=11 (12) one pass then takes
     0.58M (3.6M) inner updates instead of 1.83M (11.4M) in the assembled
     order.
-    Back-substitution, right to left, then clears the pivot columns from
-    every pivot row.
 
     The row being reduced is held densely and only reduced mod p where it
     is read, which keeps the modular division out of the inner loop.
+    Returns the pivots in the order they were found.
     """
     # pivot column -> the rest of its row, scaled to a unit pivot
     pivots: list[list[tuple[int, int]] | None] = [None] * ncols
-    for int_row in sorted(rows, key=lambda r: -min(r, default=ncols)):
+    found = []
+    for r, row in sorted(enumerate(rows), key=lambda t: -min(t[1], default=ncols)):
         acc = [0] * ncols
-        for j, x in int_row.items():
+        for j, x in row.items():
             acc[j] = x
-        for c in range(min(int_row, default=ncols), ncols):
+        earlier, mults = array("i"), array("i")
+        for c in range(min(row, default=ncols), ncols):
             v = acc[c] % p
             if not v:
                 continue
@@ -228,46 +249,25 @@ def _rref_mod(rows: list[dict[int, int]], ncols: int, p: int) -> _Table:
                 pivots[c] = [
                     (j, y * inv % p) for j in range(c + 1, ncols) if (y := acc[j] % p)
                 ]
+                found.append((c, r, earlier, mults, inv))
                 break
+            earlier.append(c)
+            mults.append(p - v)
             for j, x in prow:
                 acc[j] -= v * x
-    free = [k for k in range(ncols) if pivots[k] is None]
-    reduced: dict[int, list[tuple[int, int]]] = {}
-    for c in range(ncols - 1, -1, -1):
-        if pivots[c] is None:
-            continue
-        acc = [0] * ncols
-        for j, x in pivots[c]:
-            # a pivot right of c is already reduced: free columns only
-            if j in reduced:
-                for k, y in reduced[j]:
-                    acc[k] -= x * y
-            else:
-                acc[j] += x
-        reduced[c] = [(k, y) for k in free if (y := acc[k] % p)]
-    # row c reads x_c + sum y*x_k = 0, so x_c = sum (p - y)*x_k mod p
-    return {c: {k: p - y for k, y in red} for c, red in reduced.items()}
-
-
-def _crt(acc: _Table, modulus: int, new: _Table, p: int) -> _Table:
-    """Combine residues mod ``modulus`` with residues mod p (same pivots)."""
-    lift = modulus * pow(modulus, -1, p)
-    both = modulus * p
-    out: _Table = {}
-    for c, expr in acc.items():
-        other = new[c]
-        row = {}
-        for j in expr.keys() | other.keys():
-            a = expr.get(j, 0)
-            row[j] = (a + (other.get(j, 0) - a) * lift) % both
-        out[c] = row
+    out = []
+    for c, *lower in found:
+        entries = [(j, p - y) for j, y in pivots[c] if pivots[j] is not None]
+        out.append(_Pivot(
+            c, *lower, array("i", (j for j, _ in entries)), array("i", (y for _, y in entries))
+        ))
     return out
 
 
-def _rational(u: int, m: int) -> Fraction | None:
-    """The n/d with n = u*d mod m and |n|, d <= sqrt(m/2), if any (Wang's
-    rational reconstruction by the half-extended Euclidean algorithm)."""
-    bound = math.isqrt(m // 2)
+def _rational(u: int, m: int, bound: int) -> Fraction | None:
+    """The n/d with n = u*d mod m and |n|, d <= bound, if any (Wang's
+    rational reconstruction by the half-extended Euclidean algorithm; it
+    is unique while bound <= sqrt(m/2))."""
     r0, r1, t0, t1 = m, u, 0, 1
     while r1 > bound:
         q = r0 // r1
@@ -278,18 +278,50 @@ def _rational(u: int, m: int) -> Fraction | None:
     return Fraction(r1, t1)
 
 
-def _reconstruct(acc: _Table, modulus: int) -> dict[int, dict[int, Fraction]] | None:
-    """The table over Q whose residues are ``acc``, or None while the
-    modulus is too small for some entry."""
+def _reconstruct(
+    digits: list[array], p: int, pivots: list[int], free: list[int]
+) -> dict[int, dict[int, Fraction]] | None:
+    """The table over Q whose p-adic digits are ``digits`` (one array per
+    step, pivot-major in the order of ``pivots``, each digit below 2^30),
+    or None while p^k is too small for some entry.
+
+    Row by row, the digits of a pivot are spread into slots wide enough
+    for the whole sum and combined by Horner's rule in one int.  One
+    denominator runs over the whole table: each entry is scaled by the lcm
+    of the denominators found so far, so that only an entry with a new
+    prime factor in its denominator takes the Euclidean algorithm.
+    """
+    m = p ** len(digits)
+    bound = math.isqrt(m // 2)
+    nf = len(free)
+    words = (30 * len(digits)) // 32 + 1  # 32-bit words per slot
+    size = 4 * words
+    zeros = array("I", bytes(size * nf))
+    den = 1
     table = {}
-    for c, expr in acc.items():
+    for i, c in enumerate(pivots):
+        t = 0
+        for d in reversed(digits):
+            spread = array("I", zeros)
+            spread[::words] = d[i * nf:(i + 1) * nf]
+            t = t * p + int.from_bytes(spread, "little")
+        packed = t.to_bytes(size * nf, "little")
         row = {}
-        for j, u in expr.items():
-            x = _rational(u, modulus)
-            if x is None:
-                return None
-            if x:
-                row[j] = x
+        for j, k in zip(free, range(0, size * nf, size)):
+            u = int.from_bytes(packed[k:k + size], "little") * den % m
+            # _rational's quick cases: den * entry is a small integer
+            if u <= bound:
+                n = u
+            elif m - u <= bound:
+                n = u - m
+            else:
+                x = _rational(u, m, bound)
+                if x is None:
+                    return None
+                n = x.numerator
+                den *= x.denominator
+            if n:
+                row[j] = Fraction(n, den)
         table[c] = row
     return table
 
@@ -323,46 +355,127 @@ def _certify(rows: list[dict[int, int]], table: dict[int, dict[int, Fraction]]) 
     return True
 
 
+def _lift(
+    rows: list[dict[int, int]], ncols: int, p: int
+) -> tuple[dict[int, dict[int, Fraction]] | None, int]:
+    """The certified table from one factorization mod p, or None if p is
+    unlucky; also the number of p-adic digits lifted.
+
+    With R the source rows, P the pivot columns and F the free ones, the
+    table T solves A_RP * T = -A_RF.  Dixon's lifting finds its p-adic
+    digits: X_i = (A_RP)^-1 * B_i mod p through the recorded factors, and
+    B_(i+1) = (B_i - A_RP * X_i) / p exactly, from B_0 = -A_RF.  Each
+    right-hand side of |F| entries is packed into one int, in slots wide
+    enough for every intermediate sum, so that a solve costs one bigint
+    operation per factor entry and pivot, and no loop over the slots: as
+    p = 2^30 - fold, a slot v = hi*2^30 + lo is brought below 2^30 by
+    v -> lo + fold*hi on all slots at once.  A digit below 2^30 need not be
+    below p; sum p^i X_i still solves the system mod p^k.
+
+    The table is reconstructed when the step count reaches a power of two
+    and certified: every row maps to zero through it, and every table row
+    c names only free columns right of c.  The minor A_RP is invertible
+    mod p, so rank_Q >= |P|; the first part gives rank_Q <= |P|, and the
+    second makes the table the reduced row echelon form over Q, so P is
+    the leftmost pivot set.  Once p^k > 2*H^2, with H the Hadamard bound of
+    the source rows, reconstruction is exact (numerators and denominators
+    are minors of A_R); a prime that has not certified by then has a rank
+    deficit or a pivot set that is not the leftmost one, and is unlucky.
+    """
+    pivots = _factor(rows, ncols, p)
+    is_pivot = [False] * ncols
+    for piv in pivots:
+        is_pivot[piv.column] = True
+    free = [j for j in range(ncols) if not is_pivot[j]]
+    sources = [rows[piv.source] for piv in pivots]
+    hadamard2 = math.prod(sum(x * x for x in row.values()) for row in sources)
+    # |B_i| stays below b_max; offset is a multiple of p above it, so that
+    # B_i + offset is a nonnegative slot; a solve adds at most ncols
+    # products of two digits to it
+    big = max((abs(x) for row in sources for x in row.values()), default=1)
+    b_max = 2 * big * (ncols + 1)
+    offset = p * (b_max // p + 1)
+    width = 32 * -(-(offset + b_max + (ncols << 60)).bit_length() // 32)
+    shifts = range(0, width * len(free), width)
+    low = sum(((1 << 30) - 1) << k for k in shifts)
+    high = sum(((1 << (width - 30)) - 1) << k for k in shifts)
+    bias = sum(offset << k for k in shifts)
+    fold = (1 << 30) - p
+
+    def residues(v: int) -> int:
+        """v with every slot below 2^30, each unchanged mod p."""
+        while hi := (v >> 30) & high:
+            v = (v & low) + fold * hi
+        return v
+
+    rhs = []  # B_i, packed, per pivot in the order found
+    coeffs = []  # the source row's entries in pivot columns
+    for row in sources:
+        rhs.append(sum(-row[j] << k for j, k in zip(free, shifts) if j in row))
+        entries = [(j, x) for j, x in row.items() if is_pivot[j]]
+        coeffs.append((array("i", (j for j, _ in entries)), [x for _, x in entries]))
+    backward = sorted(pivots, key=lambda piv: -piv.column)
+    y, x = [0] * ncols, [0] * ncols
+    digits: list[array] = []
+    modulus, attempt = 1, 1
+    while True:
+        for piv, b in zip(pivots, rhs):
+            acc = b + bias + sum(map(mul, piv.mults, map(y.__getitem__, piv.earlier)))
+            y[piv.column] = residues(piv.inv * residues(acc))
+        words = array("I")
+        for piv in backward:
+            xc = residues(y[piv.column] + sum(map(mul, piv.umults, map(x.__getitem__, piv.upper))))
+            x[piv.column] = xc
+            words.frombytes(xc.to_bytes(width // 8 * len(free), "little"))
+        digits.append(words[::width // 32])
+        rhs = [
+            (b - sum(map(mul, vals, map(x.__getitem__, cols)))) // p
+            for b, (cols, vals) in zip(rhs, coeffs)
+        ]
+        modulus *= p
+        exact = modulus > 2 * hadamard2
+        if len(digits) == attempt or exact:
+            attempt *= 2
+            table = _reconstruct(digits, p, [piv.column for piv in backward], free)
+            if (
+                table is not None
+                and all(j > c for c, expr in table.items() for j in expr)
+                and _certify(rows, table)
+            ):
+                return table, len(digits)
+            if exact:
+                return None, len(digits)
+
+
 def exact_rref(m: RationalMatrix) -> ReductionResult:
-    """Exact reduction, computed modulo primes, lifted to Q, then certified.
+    """Exact reduction: one factorization modulo a prime, lifted p-adically
+    to Q, then certified.
 
-    Each row is scaled to integers once.  For each prime of ``PRIMES`` the
-    sparse reduced row echelon form mod p gives a pivot set and a table
-    (every pivot column as a combination of the free ones).  Primes with
-    the same pivot set are combined by the Chinese remainder theorem, and
-    rational reconstruction lifts the combined table to Q.  A lifted table
-    is returned only once every input row maps to zero through it: then
-    rank_Q <= #pivots = rank_p <= rank_Q, so the rank, the pivot set (the
-    leftmost one, as in the unique RREF) and the table are exact.
+    Each row is scaled to integers once.  The sparse forward elimination
+    mod p of ``PRIMES[0]`` gives a pivot set and its factors; Dixon's
+    lifting and rational reconstruction then give the table (every pivot
+    column as a combination of the free ones), which is returned only once
+    it passes the certificate of ``_lift``: then the rank, the pivot set
+    (the leftmost one, as in the unique RREF) and the table are exact.
 
-    A prime whose rank, or pivot set, is worse than the best seen so far
-    is unlucky and skipped; a better one restarts the accumulation.  If
-    the primes run out before a table passes the certificate,
+    A prime whose lift has not certified when reconstruction is exact is
+    unlucky, and the next prime starts over; ``primes`` and ``lift_steps``
+    of the result name every prime tried.  If the primes run out,
     InternalConsistencyError is raised: no uncertified table is returned.
     """
     rows = []
     for row in m.rows:
         den = math.lcm(*(x.denominator for x in row.values()))
         rows.append({j: x.numerator * (den // x.denominator) for j, x in row.items()})
-    best = acc = None
-    modulus = 1
+    steps = []
     for p in PRIMES:
-        mod_table = _rref_mod(rows, len(m.columns), p)
-        # over Q the pivot set is the largest, then leftmost, of all primes'
-        key = (-len(mod_table), sorted(mod_table))
-        if best is None or key < best:
-            best, acc, modulus = key, mod_table, p
-        elif key > best:
-            continue
-        else:
-            acc, modulus = _crt(acc, modulus, mod_table, p), modulus * p
-        table = _reconstruct(acc, modulus)
-        if table is not None and _certify(rows, table):
+        table, k = _lift(rows, len(m.columns), p)
+        steps.append(k)
+        if table is not None:
             break
     else:
         raise InternalConsistencyError(
-            f"no certified reduction from {len(PRIMES)} primes "
-            f"(best rank mod p: {-best[0]})"
+            f"no certified reduction from {len(PRIMES)} primes below 2^30"
         )
     cols = m.columns
     pivot_cols = sorted(table)
@@ -374,6 +487,8 @@ def exact_rref(m: RationalMatrix) -> ReductionResult:
             cols[c]: {cols[j]: x for j, x in sorted(table[c].items())}
             for c in pivot_cols
         },
+        primes=PRIMES[:len(steps)],
+        lift_steps=tuple(steps),
     )
 
 
@@ -426,7 +541,7 @@ def reduce_relations(rs: RelationSet) -> HoffmanReport:
 
     The non-{2,3} block N is eliminated deepest first (depth descending,
     then entries ascending), which makes far less fill than the assembled
-    order (see ``_rref_mod``), and the {2,3} block last in its assembled
+    order (see ``_factor``), and the {2,3} block last in its assembled
     order, in one ``exact_rref`` call.  Pivots, free columns and the keys
     of each table row are reported in the assembled order.  The order of N
     cannot change the table while N comes out all pivots (the four
@@ -441,17 +556,18 @@ def reduce_relations(rs: RelationSet) -> HoffmanReport:
     n = sum(not is_hoffman(c) for c in cols)
     order = sorted(range(n), key=lambda k: (-len(cols[k]), cols[k])) + list(range(n, len(cols)))
     position = {k: i for i, k in enumerate(order)}
-    table = exact_rref(RationalMatrix(
+    out = exact_rref(RationalMatrix(
         w,
         tuple(cols[k] for k in order),
         [{position[j]: x for j, x in row.items()} for row in m.rows],
-    )).table
+    ))
+    table = out.table
     assembled = {c: k for k, c in enumerate(cols)}
     pivots = sorted(table, key=assembled.__getitem__)
     free = [c for c in cols if c not in table]
     red = ReductionResult(len(pivots), pivots, free, {
         c: dict(sorted(table[c].items(), key=lambda t: assembled[t[0]])) for c in pivots
-    })
+    }, out.primes, out.lift_steps)
     return HoffmanReport(
         weight=w,
         families=rs.families,

@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import json
+import random
 from fractions import Fraction
 from pathlib import Path
 
@@ -18,7 +19,7 @@ from polyzeta.closedforms import (
     reconcile,
     reconcile_one,
 )
-from polyzeta.core import Composition, signature
+from polyzeta.core import Composition, Word, decode_word, signature
 from polyzeta.counting import family_term_counts
 from polyzeta.oracle import LinComb, dsr, shuffle, stuffle
 from polyzeta.ordering import enumerate_weight
@@ -139,6 +140,22 @@ class TestReconcile:
         for max_weight in (least - 1, -3):
             with pytest.raises(ValueError, match=f"below {least}"):
                 reconcile(g, "dsr", max_weight)
+
+    @pytest.mark.parametrize("g", LEFT_FACTORS)
+    @pytest.mark.parametrize("side", SIDES)
+    def test_random_sources_above_the_cap(self, g, side):
+        # the exhaustive sweep stops at RECONCILE_WEIGHT_CAP; a seeded sample
+        # of random admissible words checks the closed forms at w=17..20
+        # without enumerating any weight above 16
+        assert closedforms.RECONCILE_WEIGHT_CAP < 17
+        rng = random.Random(f"{g}/{side}")
+        for i in range(15):
+            wz = 17 + i % 4 - LEFT_FACTORS[g].weight
+            bits = "".join(rng.choice("01") for _ in range(wz - 2))
+            z = decode_word(Word("0" + bits + "1"))
+            assert z.weight == wz
+            rep = reconcile_one(g, side, z)
+            assert rep.verdict != "mismatch", rep.as_dict()
 
     def test_exact_for_weight_one_and_two(self):
         for g in ("1", "2"):

@@ -69,6 +69,7 @@ def naive_rref(rows, ncols):
 
 
 def assert_matches_naive(rows, ncols):
+    """exact_rref agrees with naive_rref; returns the ReductionResult."""
     cols = tuple(enumerate_weight((ncols - 1).bit_length() + 2))[:ncols]
     m = RationalMatrix(cols[0].weight, cols, sparse(rows))
     red = exact_rref(m)
@@ -80,6 +81,7 @@ def assert_matches_naive(rows, ncols):
         cols[c]: {cols[j]: x for j, x in sorted(expr.items())}
         for c, expr in table.items()
     }
+    return red
 
 
 class TestGenerate:
@@ -301,17 +303,24 @@ class TestRref:
         assert_matches_naive(rows, ncols)
 
     def test_unlucky_prime(self):
-        # 1 + p makes the first row equal the second mod the first prime
+        # the first prime never certifies, and the second one does
         p = PRIMES[0]
-        rows = [[1 + p, 1, 0, 2], [1, 1, 0, 2], [0, 0, 3, 1]]
-        assert_matches_naive(rows, 4)
-        # a multiple of p: the whole first column vanishes mod p
-        rows = [[p, 1, 0], [0, 1, 1], [0, 2, 2]]
-        assert_matches_naive(rows, 3)
-        # the second prime sees pivots [1, 2], worse than the first's [0, 1],
-        # and is skipped; the first, third and fourth lift the 130-bit entries
-        rows = [[3 * PRIMES[1], 0, 2**130 + 1], [0, 5, 7]]
-        assert_matches_naive(rows, 3)
+        for rows in (
+            # 1 + p makes the first row equal the second mod p: rank 2, not 3
+            [[1 + p, 1, 0, 2], [1, 1, 0, 2], [0, 0, 3, 1]],
+            # rows proportional mod p only: rank 1, not 2
+            [[1, 2, 3], [2, 4 + p, 6]],
+            # a multiple of p: the whole first column vanishes mod p, and
+            # the rank stays 2 with pivots [1, 2] instead of [0, 1]
+            [[p, 1, 0], [0, 1, 1], [0, 2, 2]],
+            # full rank, pivots [1, 2] instead of [0, 1], with 130-bit
+            # entries: the lifted table maps every row to zero, and only the
+            # echelon part of the certificate rejects it
+            [[3 * p, 0, 2**130 + 1], [0, 5, 7]],
+        ):
+            red = assert_matches_naive(rows, len(rows[0]))
+            assert red.primes == PRIMES[:2]
+            assert len(red.lift_steps) == 2
 
     def test_primes_exhausted_raises(self):
         # every prime sees rank 1 where the rank over Q is 2: the table is
@@ -323,13 +332,16 @@ class TestRref:
             exact_rref(m)
 
     def test_table_lifted_from_several_primes(self):
-        # entries of about 400 bits need seven primes before they lift, and
-        # entries of about 800 bits more than eight
-        for big in (3 ** 250, 3 ** 500):
-            assert_matches_naive([[big + 1, 0, 7], [0, 5, big - 2]], 3)
+        # numerators and denominators of about 400 (800) bits need 27 (53)
+        # p-adic digits before they reconstruct; the lift tries at 32 (64)
+        for big, steps in ((3 ** 250, 32), (3 ** 500, 64)):
+            red = assert_matches_naive([[big + 1, 0, 7], [0, 5, big - 2]], 3)
+            assert red.primes == PRIMES[:1]
+            assert red.lift_steps == (steps,)
 
     def test_primes_are_distinct_primes(self):
-        assert len(set(PRIMES)) == len(PRIMES) == 24
+        assert len(set(PRIMES)) == len(PRIMES) == 4
+        assert all(p < 2**30 for p in PRIMES)
         rng = random.Random(0)
         for p in PRIMES:
             # Miller-Rabin, 40 rounds: p - 1 = d * 2^s with d odd
@@ -344,7 +356,7 @@ class TestRref:
                     if x == p - 1:
                         break
                 else:
-                    pytest.fail(f"2^127 - {2**127 - p} is composite")
+                    pytest.fail(f"2^30 - {2**30 - p} is composite")
 
     def test_fractional_rows(self):
         m = RationalMatrix(
@@ -368,6 +380,7 @@ class TestHoffmanReduce:
         assert rep.rank == 2 ** (w - 2) - hoffman_dim(w)
         assert all(is_hoffman(c) for c in rep.free_columns)
         assert len(rep.free_columns) == hoffman_dim(w)
+        assert rep.result.primes == PRIMES[:1]
 
     def test_weight_five_free_set(self):
         rep = hoffman_reduce(5)
@@ -382,7 +395,9 @@ class TestHoffmanReduce:
     @pytest.mark.parametrize("w", (9, 10, 11))
     def test_golden_table_digest(self, w):
         want = json.loads(GOLDEN.read_text())["tables"][str(w)]
-        table = hoffman_reduce(w).result.table
+        red = hoffman_reduce(w).result
+        assert red.primes == PRIMES[:1]
+        table = red.table
         doc = {
             format_composition(p): {
                 format_composition(f): [str(x.numerator), str(x.denominator)]
@@ -487,6 +502,8 @@ REDUCE_CASES = {
     "8/2,3": (8, ("2", "3"), False),
     "8/21": (8, ("21",), False),
     "9+duality": (9, tuple(LEFT_FACTORS), True),
+    # tall: rank 448 with 64 free columns, so a lift of many steps
+    "11/1,2,3": (11, ("1", "2", "3"), False),
 }
 
 
@@ -509,7 +526,7 @@ def reduce_digest(rep):
 @pytest.mark.parametrize("case", REDUCE_CASES)
 def test_reduce_golden(case):
     """Report, pivot order and every table entry in order are frozen for
-    the full families at w=9..12, three failing family subsets and the
+    the full families at w=9..12, four failing family subsets and the
     duality relations."""
     want = json.loads(REDUCE_GOLDEN.read_text())["digests"][case]
     rs = generate_relations(*REDUCE_CASES[case])
