@@ -249,26 +249,27 @@ def _count_table_text(w: int) -> str:
 
 
 def _cmd_count(args) -> int:
-    w = args.weight
-    if args.height is not None and args.depth is None:
+    w, d, h = args.weight, args.depth, args.height
+    if h is not None and d is None:
         raise ValueError("--height needs --depth")
-    if args.depth is not None and args.height is not None:
-        value = n_wdh(w, args.depth, args.height)
-        _emit_payload(args, {"schema": SCHEMA, "weight": w, "depth": args.depth,
-                             "height": args.height, "count": value}, str(value))
+    # Python >= 3.11 converts at most 4300 digits between str and int by
+    # default; a count may have more, so the limit is lifted while it prints
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit:
+        sys.set_int_max_str_digits(0)
+    try:
+        if args.table:
+            payload, text = count_report(w).as_dict(), _count_table_text(w)
+        else:
+            value = n_total(w) if d is None else n_wd(w, d) if h is None else n_wdh(w, d, h)
+            fields = {"weight": w, "depth": d, "height": h, "count": value}
+            payload = {k: v for k, v in fields.items() if v is not None}
+            text = str(value)
+        _emit_payload(args, {"schema": SCHEMA, **payload}, text)
         return 0
-    if args.depth is not None:
-        value = n_wd(w, args.depth)
-        _emit_payload(args, {"schema": SCHEMA, "weight": w, "depth": args.depth,
-                             "count": value}, str(value))
-        return 0
-    if args.table:
-        rep = count_report(w)
-        _emit_payload(args, {"schema": SCHEMA, **rep.as_dict()}, _count_table_text(w))
-        return 0
-    _emit_payload(args, {"schema": SCHEMA, "weight": w, "count": n_total(w)},
-                  str(n_total(w)))
-    return 0
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
 
 
 def _product_cmd(args, op) -> int:

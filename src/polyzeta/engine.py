@@ -4,10 +4,8 @@ A relation is the body of one double-shuffle difference (or one duality
 pair) at a fixed weight.  Relations assemble into sparse rational rows
 over the ordered basis of that weight.  ``exact_rref`` factors them
 once modulo a prime below 2^30, lifts the reduction table p-adically
-(Dixon) and by rational reconstruction to Q, and certifies it over Q:
-every relation must map to zero through the table, which proves the
-rank, and every table row must be in echelon form, which proves that
-the pivot set is the leftmost one.  The table expresses every pivot
+(Dixon) and by rational reconstruction to Q, and returns it only once
+``_certify`` has proved it exact.  The table expresses every pivot
 (dependent) polyzeta through the free (basis) ones.
 """
 
@@ -327,29 +325,32 @@ def _reconstruct(
 
 
 def _certify(rows: list[dict[int, int]], table: dict[int, dict[int, Fraction]]) -> bool:
-    """True iff every integer row maps to zero through the table.
+    """True iff ``table`` is the reduced row echelon form of the integer
+    ``rows``, given that their rank is at least its number of pivots.
 
-    Each table row is scaled by its own denominator, so the check runs in
-    integers: for a row r and each free column j,
-    L*r_j + sum over pivots c of r_c * (L/D_c) * (D_c * t_cj) must vanish,
-    with D_c the denominator of table row c and L the lcm of the D_c that r
-    meets.
+    The table maps each pivot c to its entries t_cj in the free columns j
+    (the non-keys).  Echelon part: no table row c names a free j <= c.
+    Zero part: every row r maps to zero, checked in integers over the lcm
+    D of all the table's denominators: D*r_j + sum_c r_c*(D*t_cj) = 0 for
+    each free j.  The zero part puts every row in the span of the table
+    rows, so the rank is the number of pivots; the echelon part makes the
+    table that span's reduced row echelon form, with the leftmost pivots.
     """
-    scaled = {}
-    for c, expr in table.items():
-        d = math.lcm(*(x.denominator for x in expr.values()))
-        scaled[c] = (d, [(j, x.numerator * (d // x.denominator)) for j, x in expr.items()])
+    if any(j <= c for c, expr in table.items() for j in expr):
+        return False
+    den = math.lcm(*(x.denominator for expr in table.values() for x in expr.values()))
+    scaled = {
+        c: [(j, x.numerator * (den // x.denominator)) for j, x in expr.items()]
+        for c, expr in table.items()
+    }
     for row in rows:
-        big = math.lcm(*(scaled[c][0] for c in row if c in scaled))
         acc: dict[int, int] = {}
         for c, x in row.items():
             if c in scaled:
-                d, expr = scaled[c]
-                f = x * (big // d)
-                for j, n in expr:
-                    acc[j] = acc.get(j, 0) + f * n
+                for j, n in scaled[c]:
+                    acc[j] = acc.get(j, 0) + x * n
             else:
-                acc[c] = acc.get(c, 0) + x * big
+                acc[c] = acc.get(c, 0) + x * den
         if any(acc.values()):
             return False
     return True
@@ -373,14 +374,12 @@ def _lift(
     below p; sum p^i X_i still solves the system mod p^k.
 
     The table is reconstructed when the step count reaches a power of two
-    and certified: every row maps to zero through it, and every table row
-    c names only free columns right of c.  The minor A_RP is invertible
-    mod p, so rank_Q >= |P|; the first part gives rank_Q <= |P|, and the
-    second makes the table the reduced row echelon form over Q, so P is
-    the leftmost pivot set.  Once p^k > 2*H^2, with H the Hadamard bound of
-    the source rows, reconstruction is exact (numerators and denominators
-    are minors of A_R); a prime that has not certified by then has a rank
-    deficit or a pivot set that is not the leftmost one, and is unlucky.
+    and checked by ``_certify``; the minor A_RP is invertible mod p, so
+    rank_Q >= |P| as that check assumes.  Once p^k > 2*H^2, with H the
+    Hadamard bound of the source rows, reconstruction is exact (numerators
+    and denominators are minors of A_R); a prime that has not certified by
+    then has a rank deficit or a pivot set that is not the leftmost one,
+    and is unlucky.
     """
     pivots = _factor(rows, ncols, p)
     is_pivot = [False] * ncols
@@ -437,11 +436,7 @@ def _lift(
         if len(digits) == attempt or exact:
             attempt *= 2
             table = _reconstruct(digits, p, [piv.column for piv in backward], free)
-            if (
-                table is not None
-                and all(j > c for c, expr in table.items() for j in expr)
-                and _certify(rows, table)
-            ):
+            if table is not None and _certify(rows, table):
                 return table, len(digits)
             if exact:
                 return None, len(digits)
@@ -455,8 +450,8 @@ def exact_rref(m: RationalMatrix) -> ReductionResult:
     mod p of ``PRIMES[0]`` gives a pivot set and its factors; Dixon's
     lifting and rational reconstruction then give the table (every pivot
     column as a combination of the free ones), which is returned only once
-    it passes the certificate of ``_lift``: then the rank, the pivot set
-    (the leftmost one, as in the unique RREF) and the table are exact.
+    ``_certify`` has proved it the exact reduced row echelon form: then the
+    rank, the pivot set (the leftmost one) and the table are exact.
 
     A prime whose lift has not certified when reconstruction is exact is
     unlucky, and the next prime starts over; ``primes`` and ``lift_steps``
@@ -484,7 +479,7 @@ def exact_rref(m: RationalMatrix) -> ReductionResult:
         pivot_columns=[cols[c] for c in pivot_cols],
         free_columns=[c for k, c in enumerate(cols) if k not in table],
         table={
-            cols[c]: {cols[j]: x for j, x in sorted(table[c].items())}
+            cols[c]: {cols[j]: x for j, x in table[c].items()}
             for c in pivot_cols
         },
         primes=PRIMES[:len(steps)],

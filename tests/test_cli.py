@@ -1,8 +1,10 @@
 import argparse
+import decimal
 import io
 import json
 import re
 import shlex
+import sys
 from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import replace
 from pathlib import Path
@@ -41,6 +43,20 @@ class TestBasics:
     def test_count(self, capsys):
         code, out = run(capsys, "count", "--weight", "10", "--depth", "5")
         assert code == 0 and out.strip() == "70"
+
+    def test_count_prints_every_digit(self, capsys):
+        # 2^14998 has 4515 digits, more than Python >= 3.11 converts by
+        # default; Decimal formats it without that limit
+        limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+        with decimal.localcontext() as ctx:
+            ctx.prec = 5000
+            want = format(decimal.Decimal(2) ** 14998, "f")
+        assert len(want) == 4515
+        code, out = run(capsys, "count", "--weight", "15000")
+        assert code == 0 and out.strip() == want
+        code, out = run(capsys, "count", "--weight", "15000", "--format", "json")
+        assert code == 0 and json.loads(out, parse_int=str)["count"] == want
+        assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit
 
     def test_count_table(self, capsys):
         code, out = run(capsys, "count", "--weight", "6", "--table")

@@ -372,6 +372,53 @@ class TestRref:
         assert red.table[C((4,))] == {C((3, 1)): Fraction(-2, 3)}
 
 
+class TestCertify:
+    """``engine._certify`` on its own: the echelon part and the zero part."""
+
+    @staticmethod
+    def indexed_w8():
+        """The w=8 four-family relations as integer rows and their table,
+        both by column index of the assembled order."""
+        m = assemble_matrix(generate_relations(8))
+        col = {c: k for k, c in enumerate(m.columns)}
+        table = {
+            col[c]: {col[f]: x for f, x in expr.items()}
+            for c, expr in exact_rref(m).table.items()
+        }
+        rows = []
+        for row in m.rows:
+            den = math.lcm(*(Fraction(x).denominator for x in row.values()))
+            rows.append({j: int(x * den) for j, x in row.items()})
+        return rows, table
+
+    def test_two_denominators(self):
+        q = Fraction
+        rows = [{0: 2, 2: 1}, {1: 3, 3: 1}]
+        assert engine._certify(rows, {0: {2: q(-1, 2)}, 1: {3: q(-1, 3)}})
+
+    def test_w8_table(self):
+        assert engine._certify(*self.indexed_w8())
+
+    def test_moved_entry_is_rejected(self):
+        rows, table = self.indexed_w8()
+        entries = [(c, j) for c, expr in table.items() for j in expr]
+        for seed in range(4):
+            c, j = random.Random(seed).choice(entries)
+            moved = {p: dict(expr) for p, expr in table.items()}
+            moved[c][j] += Fraction(1, 691)
+            assert not engine._certify(rows, moved)
+
+    def test_row_outside_the_row_space_is_rejected(self):
+        rows, table = self.indexed_w8()
+        free = min(j for j in range(len(enumerate_weight(8))) if j not in table)
+        assert not engine._certify([*rows, {free: 1}], table)
+
+    def test_table_not_in_echelon_form_is_rejected(self):
+        # the row maps to zero through the table, but pivot 1 names the
+        # free column 0 on its left
+        assert not engine._certify([{0: 1, 1: 1}], {1: {0: Fraction(-1)}})
+
+
 class TestHoffmanReduce:
     @pytest.mark.parametrize("w", range(4, 9))
     def test_rank_and_free_set(self, w):
@@ -497,7 +544,7 @@ REDUCE_GOLDEN = Path(__file__).resolve().parent / "golden" / "reduce_digests.jso
 
 # case -> (weight, families, duality)
 REDUCE_CASES = {
-    **{str(w): (w, tuple(LEFT_FACTORS), False) for w in range(9, 13)},
+    **{str(w): (w, tuple(LEFT_FACTORS), False) for w in range(9, 14)},
     "8/1": (8, ("1",), False),
     "8/2,3": (8, ("2", "3"), False),
     "8/21": (8, ("21",), False),
@@ -526,7 +573,7 @@ def reduce_digest(rep):
 @pytest.mark.parametrize("case", REDUCE_CASES)
 def test_reduce_golden(case):
     """Report, pivot order and every table entry in order are frozen for
-    the full families at w=9..12, four failing family subsets and the
+    the full families at w=9..13, four failing family subsets and the
     duality relations."""
     want = json.loads(REDUCE_GOLDEN.read_text())["digests"][case]
     rs = generate_relations(*REDUCE_CASES[case])
