@@ -1,12 +1,15 @@
 """Direct, non-recursive expansions of the products with (1), (2), (3), (2,1).
 
 Each product is a finite sum of *families*.  A family walks the blocks
-(a_1, 1^b_1, ..., a_h, 1^b_h) of the right factor and emits terms with an
-integer coefficient and the predicted depth/height of every term.  Family
-names record where the inserted letters land: ``a`` in a 0-run (the head
-a_k, grown or split), ``b`` in a 1-run (the ones 1^b_k, one merged or a new
-entry inserted); ``a1 a2`` distinct blocks, a repeated letter the same
-block; ``front``/``end`` the special unit insertions.
+(a_1, 1^b_1, ..., a_h, 1^b_h) of the right factor and emits terms with
+integer coefficients; it states once the shift of its terms' depth and
+height from z's, and each term is a (composition, coefficient) pair.  The
+per-term :class:`FamilyTerm` (family, predicted signature) is built only
+by :func:`closed_terms`.  Family names record where the inserted letters
+land: ``a`` in a 0-run (the head a_k, grown or split), ``b`` in a 1-run
+(the ones 1^b_k, one merged or a new entry inserted); ``a1 a2`` distinct
+blocks, a repeated letter the same block; ``front``/``end`` the special
+unit insertions.
 
 In the word ``0^(a_k-1) 1 1^b_k`` of block k, the head a_k and the run
 1^b_k are disjoint segments.  A term therefore replaces heads and runs
@@ -17,21 +20,21 @@ The printed source statements of several of these expansions carry
 typographical defects (a wrong guard, a dropped coefficient, an index
 slip, two absent families).  The shipped families are the corrected ones,
 validated coefficient-by-coefficient against the brute-force products in
-:mod:`polyzeta.oracle`.  The print rides on the same single emission: each
-term also carries its printed coefficient, and the families of a
+:mod:`polyzeta.oracle`.  The print rides on the same single emission,
+which keeps a printed coefficient where it differs; the families of a
 ``missing-family``, ``index-typo`` or ``unreadable`` correction are absent
-from the print.  :func:`reconcile` is the one reader of the print: it
-reports what the corrections add to it and which of them fired.
+from it.  :func:`reconcile` reports what the corrections add to the print
+and which of them fired.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import partial
-from itertools import chain
+from itertools import accumulate, combinations, combinations_with_replacement
 from typing import Callable, Iterator, Sequence
 
-from .core import ABForm, Composition, format_composition, to_ab
+from .core import Composition, format_composition, to_ab
 from .oracle import InternalConsistencyError, LinComb, coeff_dict, dsr as oracle_dsr
 from .oracle import shuffle as oracle_shuffle, stuffle as oracle_stuffle
 from .ordering import enumerate_weight
@@ -60,10 +63,16 @@ LEFT_FACTORS = {
 SIDES = ("stuffle", "shuffle", "dsr")
 
 
+def _left_factor(g: str) -> Composition:
+    if g not in LEFT_FACTORS:
+        raise ValueError(f"unknown left factor key {g!r}; use one of {', '.join(LEFT_FACTORS)}")
+    return LEFT_FACTORS[g]
+
+
 def sources(g: str, w: int) -> Sequence[Composition]:
     """The right factors of g at total weight w: every convergent z with
     weight(g) + weight(z) = w, none when that leaves z below weight 2."""
-    wz = w - LEFT_FACTORS[g].weight
+    wz = w - _left_factor(g).weight
     return enumerate_weight(wz) if wz >= 2 else ()
 
 
@@ -188,56 +197,65 @@ def _ins2(p: int, v1: int, q: int, v2: int, r: int) -> tuple[int, ...]:
     return (1,) * p + (v1,) + (1,) * q + (v2,) + (1,) * r
 
 
+_NO_EDIT: dict[int, tuple[int, ...]] = {}  # emit's default heads and runs; never written
+
+
 class _Emitter:
-    """Builds terms over the blocks of z with bookkeeping for one family.
+    """Builds the terms of one expansion over the blocks of z, family by family.
 
-    Block k is the head ``(a_k,)`` followed by the run ``(1,) * b_k``.
-    ``emit`` takes the replaced heads and the replaced runs as two dicts
-    keyed by block and rebuilds only the touched blocks k, as
-    ``heads.get(k, head_k) + runs.get(k, run_k)``.  A head may grow
-    (``grown``) or split (``(a1, a2)``, ``(a1, 1, a2)``, ...); a run may
-    grow (``longer``) or take new entries (``_ins``, ``_ins2``).  Head and
-    run are disjoint segments of the block's word, so a family that edits
-    the head of block i and the run of block j passes the same two dicts
-    whether i == j or not.
+    ``family(name, dd, dh)`` opens a family and states, once, the shift of
+    its terms' (depth, height) from z's.  Block k of z is the head
+    ``(a_k,)`` followed by the run ``(1,) * b_k``.  ``emit`` takes the
+    replaced heads and runs as two dicts keyed by block and slices z
+    around each touched block k, rebuilt as ``heads.get(k, head[k]) +
+    runs.get(k, run[k])``; its entries are >= 1 by construction.  A head
+    may grow (``grown``) or split (``(a1, a2)``, ``(a1, 1, a2)``, ...); a
+    run may grow (``longer``) or take new entries (``_ins``, ``_ins2``).
 
-    ``printed[n]`` is the print's coefficient of ``out[n]`` (``emit``'s
-    ``printed=``, else the corrected one).  While ``sign`` is -1, families
-    are named ``-family`` and coefficients negated: a dsr's stuffle side.
+    ``terms`` holds (composition, coefficient) pairs in emission order and
+    ``spans`` the (name, depth, height, first term) of each family, which
+    runs to the next span's first term; ``printed[n]`` is the print's
+    coefficient of ``terms[n]`` where it differs (``emit(printed=...)``).
+    While ``sign`` is -1, families are named ``-family`` and coefficients
+    negated: a dsr's stuffle side.
     """
 
-    def __init__(self, blocks: ABForm):
-        self.a = [a for a, _ in blocks]
-        self.b = [b for _, b in blocks]
-        self.blocks = [(a,) + (1,) * b for a, b in blocks]
-        self.h = len(blocks)
-        self.d = sum(1 + b for b in self.b)
-        self.out: list[FamilyTerm] = []
-        self.printed: list[int] = []
+    def __init__(self, z: Composition):
+        blocks = to_ab(z)
+        self.a, self.b = [a for a, _ in blocks], [b for _, b in blocks]
+        self.z, self.h, self.d = tuple(z), len(blocks), len(z)
+        self.head, self.run = [(a,) for a in self.a], [(1,) * b for b in self.b]
+        self.at = [0, *accumulate(1 + b for b in self.b)]  # at[k]: the position of a_k in z
+        self.terms: list[tuple[Composition, int]] = []
+        self.spans: list[tuple[str, int, int, int]] = []
+        self.printed: dict[int, int] = {}
         self.sign = 1
-        self._family = ""
 
-    def family(self, name: str) -> "_Emitter":
-        self._family = "-" + name if self.sign < 0 else name
+    def family(self, name: str, dd: int, dh: int) -> "_Emitter":
+        name = "-" + name if self.sign < 0 else name
+        self.spans.append((name, self.d + dd, self.h + dh, len(self.terms)))
         return self
 
-    def emit(self, coeff: int, dd: int, dh: int,
-             heads: dict[int, tuple[int, ...]] | None = None,
-             runs: dict[int, tuple[int, ...]] | None = None,
+    def emit(self, coeff: int, heads: dict[int, tuple[int, ...]] = _NO_EDIT,
+             runs: dict[int, tuple[int, ...]] = _NO_EDIT,
              front: tuple[int, ...] = (), back: tuple[int, ...] = (),
              printed: int | None = None) -> None:
         if coeff == 0:
             return
-        parts = self.blocks.copy()
-        if runs:
-            for k, run in runs.items():
-                parts[k] = (self.a[k],) + run
-        if heads:
-            for k, head in heads.items():
-                parts[k] = head + parts[k][1:]  # an unedited head is the one entry a_k
-        comp = Composition._make(chain(front, *parts, back))  # entries >= 1 by construction
-        self.out.append(FamilyTerm(self._family, comp, self.sign * coeff, self.d + dd, self.h + dh))
-        self.printed.append(self.sign * (coeff if printed is None else printed))
+        z, at, head, run = self.z, self.at, self.head, self.run
+        comp, pos = front, 0
+        # the touched blocks, left to right (each dict's keys ascend)
+        for k in sorted(heads.keys() | runs.keys()) if heads and runs else heads or runs:
+            comp += z[pos:at[k]] + heads.get(k, head[k]) + runs.get(k, run[k])
+            pos = at[k + 1]
+        if printed is not None and printed != coeff:
+            self.printed[len(self.terms)] = self.sign * printed
+        self.terms.append((Composition._make(comp + z[pos:] + back), self.sign * coeff))
+
+    def families(self) -> Iterator[tuple[str, int, int, int, int]]:
+        """(name, depth, height, first, end) of each family, whose terms are terms[first:end]."""
+        ends = [span[3] for span in self.spans[1:]] + [len(self.terms)]
+        return ((*span, end) for span, end in zip(self.spans, ends))
 
     def grown(self, i: int, k: int) -> tuple[int, ...]:
         """Head i with k more zeros."""
@@ -251,12 +269,13 @@ class _Emitter:
 def _merge(e: _Emitter, k: int) -> None:
     """The single entry k merged into z: into a head (``k->a``) or into a
     one of a run, which becomes k + 1 (``k->b:merge``)."""
+    e.family(f"{k}->a", 0, 0)
     for i in range(e.h):
-        e.family(f"{k}->a").emit(1, 0, 0, {i: e.grown(i, k)})
+        e.emit(1, {i: e.grown(i, k)})
+    e.family(f"{k}->b:merge", 0, 1)
     for j in range(e.h):
-        e.family(f"{k}->b:merge")
         for p, q in _splits2(e.b[j] - 1):
-            e.emit(1, 0, 1, runs={j: _ins(p, k + 1, q)})
+            e.emit(1, runs={j: _ins(p, k + 1, q)})
 
 
 def _subtract(e: _Emitter, emit: Callable[..., None], *args) -> None:
@@ -273,29 +292,32 @@ def _subtract(e: _Emitter, emit: Callable[..., None], *args) -> None:
 
 def _stuffle_1(e: _Emitter) -> None:
     _merge(e, 1)
-    e.family("1->front").emit(1, 1, 0, front=(1,))  # divergent, cancels in dsr
+    e.family("1->front", 1, 0).emit(1, front=(1,))  # divergent, cancels in dsr
+    e.family("1->b:ins", 1, 0)
     for j in range(e.h):
-        e.family("1->b:ins").emit(e.b[j] + 1, 1, 0, runs={j: e.longer(j, 1)})
+        e.emit(e.b[j] + 1, runs={j: e.longer(j, 1)})
 
 
 def _shuffle_1(e: _Emitter) -> None:
+    e.family("1->b", 1, 0)
     for j in range(e.h):
-        e.family("1->b").emit(e.b[j] + 2, 1, 0, runs={j: e.longer(j, 1)})
-    e.family("1->front").emit(1, 1, 0, front=(1,))  # divergent, cancels in dsr
+        e.emit(e.b[j] + 2, runs={j: e.longer(j, 1)})
+    e.family("1->front", 1, 0).emit(1, front=(1,))  # divergent, cancels in dsr
+    e.family("1->a", 1, 1)
     for i in range(e.h):
-        e.family("1->a")
         for a1, a2 in _asplits(e.a[i] + 1):
-            e.emit(1, 1, 1, {i: (a1, a2)})
+            e.emit(1, {i: (a1, a2)})
 
 
 def _dsr_1(e: _Emitter) -> None:
     _subtract(e, _merge, 1)
+    e.family("1->b", 1, 0)
     for j in range(e.h):
-        e.family("1->b").emit(1, 1, 0, runs={j: e.longer(j, 1)})
+        e.emit(1, runs={j: e.longer(j, 1)})
+    e.family("1->a", 1, 1)
     for i in range(e.h):
-        e.family("1->a")
         for a1, a2 in _asplits(e.a[i] + 1):
-            e.emit(1, 1, 1, {i: (a1, a2)})
+            e.emit(1, {i: (a1, a2)})
 
 
 # ---------------------------------------------------------------------------
@@ -306,11 +328,11 @@ def _stuffle_entry(e: _Emitter, k: int) -> None:
     """The stuffle generator of the single entry k >= 2 (for k = 1 the
     inserted 1 joins a run of ones and the front unit adds no height)."""
     _merge(e, k)
-    e.family(f"{k}->front").emit(1, 1, 1, front=(k,))
+    e.family(f"{k}->front", 1, 1).emit(1, front=(k,))
+    e.family(f"{k}->b:ins", 1, 1)
     for j in range(e.h):
-        e.family(f"{k}->b:ins")
         for p, q in _splits2(e.b[j]):
-            e.emit(1, 1, 1, runs={j: _ins(p, k, q)})
+            e.emit(1, runs={j: _ins(p, k, q)})
 
 
 _stuffle_2 = partial(_stuffle_entry, k=2)
@@ -323,42 +345,37 @@ _stuffle_3 = partial(_stuffle_entry, k=3)
 
 def _shuffle_2(e: _Emitter, dsr: bool = False) -> None:
     # 0 -> a_i, 1 -> 1-run j (same block allowed)
-    for i in range(e.h):
-        for j in range(i, e.h):
-            e.family("0->a,1->b").emit(e.a[i] * (e.b[j] + 2), 1, 0,
-                                       {i: e.grown(i, 1)}, {j: e.longer(j, 1)})
+    e.family("0->a,1->b", 1, 0)
+    for i, j in combinations_with_replacement(range(e.h), 2):
+        e.emit(e.a[i] * (e.b[j] + 2), {i: e.grown(i, 1)}, {j: e.longer(j, 1)})
     # 0 -> 1-run j1 (new 2), 1 -> 1-run j2
-    for j1 in range(e.h):
-        for j2 in range(j1 + 1, e.h):
-            e.family("0->b1,1->b2")
-            for p, q in _splits2(e.b[j1] - 1):
-                e.emit(e.b[j2] + 2, 1, 1, runs={j1: _ins(p, 2, q), j2: e.longer(j2, 1)})
+    e.family("0->b1,1->b2", 1, 1)
+    for j1, j2 in combinations(range(e.h), 2):
+        for p, q in _splits2(e.b[j1] - 1):
+            e.emit(e.b[j2] + 2, runs={j1: _ins(p, 2, q), j2: e.longer(j2, 1)})
     # 0 and 1 in the same 1-run
+    e.family("0->b,1->b(same)", 1, 1)
     for j in range(e.h):
-        e.family("0->b,1->b(same)")
         for p, q in _splits2(e.b[j]):
-            coeff = q if dsr else q + 1
-            e.emit(coeff, 1, 1, runs={j: _ins(p, 2, q)})
+            e.emit(q if dsr else q + 1, runs={j: _ins(p, 2, q)})
     # 0 and 1 in the same 0-run (plus the front unit when not subtracted)
+    e.family("00->a,1->a", 1, 1)
     if not dsr:
-        e.family("00->a,1->a").emit(1, 1, 1, front=(2,))
+        e.emit(1, front=(2,))
     for i in range(e.h):
-        e.family("00->a,1->a")
         for a1, a2 in _asplits(e.a[i] + 2, lo1=3):
-            e.emit(a1 - 1, 1, 1, {i: (a1, a2)}, printed=a1 - 1 if e.a[i] >= 5 else 0)
+            e.emit(a1 - 1, {i: (a1, a2)}, printed=a1 - 1 if e.a[i] >= 5 else 0)
     # 0 -> a_i1, 1 -> a_i2
-    for i1 in range(e.h):
-        for i2 in range(i1 + 1, e.h):
-            e.family("0->a1,1->a2")
-            for a1, a2 in _asplits(e.a[i2] + 1):
-                e.emit(e.a[i1], 1, 1, {i1: e.grown(i1, 1), i2: (a1, a2)})
+    e.family("0->a1,1->a2", 1, 1)
+    for i1, i2 in combinations(range(e.h), 2):
+        for a1, a2 in _asplits(e.a[i2] + 1):
+            e.emit(e.a[i1], {i1: e.grown(i1, 1), i2: (a1, a2)})
     # 0 -> 1-run j, 1 -> a_i with j < i
-    for j in range(e.h):
-        for i in range(j + 1, e.h):
-            e.family("0->b,1->a")
-            for p, q in _splits2(e.b[j] - 1):
-                for a1, a2 in _asplits(e.a[i] + 1):
-                    e.emit(1, 1, 2, {i: (a1, a2)}, {j: _ins(p, 2, q)})
+    e.family("0->b,1->a", 1, 2)
+    for j, i in combinations(range(e.h), 2):
+        for p, q in _splits2(e.b[j] - 1):
+            for a1, a2 in _asplits(e.a[i] + 1):
+                e.emit(1, {i: (a1, a2)}, {j: _ins(p, 2, q)})
 
 
 def _dsr_2(e: _Emitter) -> None:
@@ -372,155 +389,127 @@ def _dsr_2(e: _Emitter) -> None:
 
 def _shuffle_3(e: _Emitter) -> None:
     a, b, h = e.a, e.b, e.h
-    e.family("001->front").emit(1, 1, 1, front=(3,))
+    e.family("001->front", 1, 1).emit(1, front=(3,))
     # both 0s and the 1 inside one 0-run
+    e.family("00->a,1->a(same)", 1, 1)
     for i in range(h):
-        e.family("00->a,1->a(same)")
         for a1, a2 in _asplits(a[i] + 3, lo1=4):
-            e.emit((a1 - 1) * (a1 - 2) // 2, 1, 1, {i: (a1, a2)})
+            e.emit((a1 - 1) * (a1 - 2) // 2, {i: (a1, a2)})
     # 00 adjacent in a 1-run (new 3), 1 in the same run
+    e.family("00->b:3,1->b(same)", 1, 1)
     for j in range(h):
-        e.family("00->b:3,1->b(same)")
         for p, q in _splits2(b[j]):
-            e.emit(q + 1, 1, 1, runs={j: _ins(p, 3, q)})
+            e.emit(q + 1, runs={j: _ins(p, 3, q)})
     # 00 split in a 1-run (two 2s), 1 in the same run
+    e.family("00->b:22,1->b(same)", 1, 2)
     for j in range(h):
-        e.family("00->b:22,1->b(same)")
         for p, q, r in _splits3(b[j] - 1):
-            e.emit(r + 1, 1, 2, runs={j: _ins2(p, 2, q, 2, r)})
+            e.emit(r + 1, runs={j: _ins2(p, 2, q, 2, r)})
     # both 0s in a_i1, 1 splits a_i2
-    for i1 in range(h):
-        for i2 in range(i1 + 1, h):
-            e.family("00->a1,1->a2")
-            for a1, a2 in _asplits(a[i2] + 1):
-                e.emit(a[i1] * (a[i1] + 1) // 2, 1, 1, {i1: e.grown(i1, 2), i2: (a1, a2)})
+    e.family("00->a1,1->a2", 1, 1)
+    for i1, i2 in combinations(range(h), 2):
+        for a1, a2 in _asplits(a[i2] + 1):
+            e.emit(a[i1] * (a[i1] + 1) // 2, {i1: e.grown(i1, 2), i2: (a1, a2)})
     # both 0s in a_i, 1 in 1-run j
-    for i in range(h):
-        for j in range(i, h):
-            e.family("00->a,1->b").emit(a[i] * (a[i] + 1) // 2 * (b[j] + 2), 1, 0,
-                                        {i: e.grown(i, 2)}, {j: e.longer(j, 1)})
+    e.family("00->a,1->b", 1, 0)
+    for i, j in combinations_with_replacement(range(h), 2):
+        e.emit(a[i] * (a[i] + 1) // 2 * (b[j] + 2), {i: e.grown(i, 2)}, {j: e.longer(j, 1)})
     # 00 adjacent in 1-run j (new 3), 1 splits a_i
-    for j in range(h):
-        for i in range(j + 1, h):
-            e.family("00->b:3,1->a")
-            for p, q in _splits2(b[j] - 1):
-                for a1, a2 in _asplits(a[i] + 1):
-                    e.emit(1, 1, 2, {i: (a1, a2)}, {j: _ins(p, 3, q)})
+    e.family("00->b:3,1->a", 1, 2)
+    for j, i in combinations(range(h), 2):
+        for p, q in _splits2(b[j] - 1):
+            for a1, a2 in _asplits(a[i] + 1):
+                e.emit(1, {i: (a1, a2)}, {j: _ins(p, 3, q)})
     # 00 split in 1-run j (two 2s), 1 splits a_i
-    for j in range(h):
-        for i in range(j + 1, h):
-            e.family("00->b:22,1->a")
-            for p, q, r in _splits3(b[j] - 2):
-                for a1, a2 in _asplits(a[i] + 1):
-                    e.emit(1, 1, 3, {i: (a1, a2)}, {j: _ins2(p, 2, q, 2, r)})
+    e.family("00->b:22,1->a", 1, 3)
+    for j, i in combinations(range(h), 2):
+        for p, q, r in _splits3(b[j] - 2):
+            for a1, a2 in _asplits(a[i] + 1):
+                e.emit(1, {i: (a1, a2)}, {j: _ins2(p, 2, q, 2, r)})
     # 00 adjacent in 1-run j1 (new 3), 1 in 1-run j2
-    for j1 in range(h):
-        for j2 in range(j1 + 1, h):
-            e.family("00->b1:3,1->b2")
-            for p, q in _splits2(b[j1] - 1):
-                e.emit(b[j2] + 2, 1, 1, runs={j1: _ins(p, 3, q), j2: e.longer(j2, 1)},
-                       printed=b[j2] + 1)
+    e.family("00->b1:3,1->b2", 1, 1)
+    for j1, j2 in combinations(range(h), 2):
+        for p, q in _splits2(b[j1] - 1):
+            e.emit(b[j2] + 2, runs={j1: _ins(p, 3, q), j2: e.longer(j2, 1)}, printed=b[j2] + 1)
     # 00 split in 1-run j1 (two 2s), 1 in 1-run j2
-    for j1 in range(h):
-        for j2 in range(j1 + 1, h):
-            e.family("00->b1:22,1->b2")
-            for p, q, r in _splits3(b[j1] - 2):
-                e.emit(b[j2] + 2, 1, 2, runs={j1: _ins2(p, 2, q, 2, r), j2: e.longer(j2, 1)})
+    e.family("00->b1:22,1->b2", 1, 2)
+    for j1, j2 in combinations(range(h), 2):
+        for p, q, r in _splits3(b[j1] - 2):
+            e.emit(b[j2] + 2, runs={j1: _ins2(p, 2, q, 2, r), j2: e.longer(j2, 1)})
     # 0 -> a_i1, 0 and 1 -> a_i2
-    for i1 in range(h):
-        for i2 in range(i1 + 1, h):
-            e.family("0->a1,0->a2,1->a2")
-            for a1, a2 in _asplits(a[i2] + 2, lo1=3):
-                e.emit(a[i1] * (a1 - 1), 1, 1, {i1: e.grown(i1, 1), i2: (a1, a2)})
+    e.family("0->a1,0->a2,1->a2", 1, 1)
+    for i1, i2 in combinations(range(h), 2):
+        for a1, a2 in _asplits(a[i2] + 2, lo1=3):
+            e.emit(a[i1] * (a1 - 1), {i1: e.grown(i1, 1), i2: (a1, a2)})
     # 0 -> a_i, 0 and 1 in 1-run j
-    for i in range(h):
-        for j in range(i, h):
-            e.family("0->a,0->b,1->b(same)")
-            for p, q in _splits2(b[j]):
-                e.emit(a[i] * (q + 1), 1, 1, {i: e.grown(i, 1)}, {j: _ins(p, 2, q)})
+    e.family("0->a,0->b,1->b(same)", 1, 1)
+    for i, j in combinations_with_replacement(range(h), 2):
+        for p, q in _splits2(b[j]):
+            e.emit(a[i] * (q + 1), {i: e.grown(i, 1)}, {j: _ins(p, 2, q)})
     # 0 -> 1-run j (new 2), 0 and 1 -> a_i
-    for j in range(h):
-        for i in range(j + 1, h):
-            e.family("0->b,0->a,1->a(same)")
-            for p, q in _splits2(b[j] - 1):
-                for a1, a2 in _asplits(a[i] + 2, lo1=3):
-                    e.emit(a1 - 1, 1, 2, {i: (a1, a2)}, {j: _ins(p, 2, q)})
+    e.family("0->b,0->a,1->a(same)", 1, 2)
+    for j, i in combinations(range(h), 2):
+        for p, q in _splits2(b[j] - 1):
+            for a1, a2 in _asplits(a[i] + 2, lo1=3):
+                e.emit(a1 - 1, {i: (a1, a2)}, {j: _ins(p, 2, q)})
     # 0 -> 1-run j1 (new 2), 0 and 1 -> 1-run j2
-    for j1 in range(h):
-        for j2 in range(j1 + 1, h):
-            e.family("0->b1,0->b2,1->b2")
-            for p1, q1 in _splits2(b[j1] - 1):
-                for p2, q2 in _splits2(b[j2]):
-                    e.emit(q2 + 1, 1, 2, runs={j1: _ins(p1, 2, q1), j2: _ins(p2, 2, q2)})
+    e.family("0->b1,0->b2,1->b2", 1, 2)
+    for j1, j2 in combinations(range(h), 2):
+        for p1, q1 in _splits2(b[j1] - 1):
+            for p2, q2 in _splits2(b[j2]):
+                e.emit(q2 + 1, runs={j1: _ins(p1, 2, q1), j2: _ins(p2, 2, q2)})
     # 0 -> a_i1, 0 -> a_i2, 1 -> a_i3
-    for i1 in range(h):
-        for i2 in range(i1 + 1, h):
-            for i3 in range(i2 + 1, h):
-                e.family("0->a1,0->a2,1->a3")
-                for a1, a2 in _asplits(a[i3] + 1):
-                    e.emit(a[i1] * a[i2], 1, 1,
-                           {i1: e.grown(i1, 1), i2: e.grown(i2, 1), i3: (a1, a2)})
+    e.family("0->a1,0->a2,1->a3", 1, 1)
+    for i1, i2, i3 in combinations(range(h), 3):
+        for a1, a2 in _asplits(a[i3] + 1):
+            e.emit(a[i1] * a[i2], {i1: e.grown(i1, 1), i2: e.grown(i2, 1), i3: (a1, a2)})
     # 0 -> a_i1, 0 -> a_i2, 1 -> 1-run j
-    for i1 in range(h):
-        for i2 in range(i1 + 1, h):
-            for j in range(i2, h):
-                e.family("0->a1,0->a2,1->b").emit(
-                    a[i1] * a[i2] * (b[j] + 2), 1, 0,
-                    {i1: e.grown(i1, 1), i2: e.grown(i2, 1)}, {j: e.longer(j, 1)})
+    e.family("0->a1,0->a2,1->b", 1, 0)
+    for i1, i2 in combinations(range(h), 2):
+        for j in range(i2, h):
+            e.emit(a[i1] * a[i2] * (b[j] + 2),
+                   {i1: e.grown(i1, 1), i2: e.grown(i2, 1)}, {j: e.longer(j, 1)})
     # 0 -> a_i1, 0 -> 1-run j, 1 -> a_i2   (i1 <= j < i2)
-    for i1 in range(h):
-        for j in range(i1, h):
-            for i2 in range(j + 1, h):
-                e.family("0->a1,0->b,1->a2")
-                for p, q in _splits2(b[j] - 1):
-                    for a1, a2 in _asplits(a[i2] + 1):
-                        e.emit(a[i1], 1, 2, {i1: e.grown(i1, 1), i2: (a1, a2)},
-                               {j: _ins(p, 2, q)})
+    e.family("0->a1,0->b,1->a2", 1, 2)
+    for i1, j in combinations_with_replacement(range(h), 2):
+        for i2 in range(j + 1, h):
+            for p, q in _splits2(b[j] - 1):
+                for a1, a2 in _asplits(a[i2] + 1):
+                    e.emit(a[i1], {i1: e.grown(i1, 1), i2: (a1, a2)}, {j: _ins(p, 2, q)})
     # 0 -> a_i, 0 -> 1-run j1, 1 -> 1-run j2   (i <= j1 < j2)
-    for i in range(h):
-        for j1 in range(i, h):
-            for j2 in range(j1 + 1, h):
-                e.family("0->a,0->b1,1->b2")
-                for p, q in _splits2(b[j1] - 1):
-                    e.emit(a[i] * (b[j2] + 2), 1, 1, {i: e.grown(i, 1)},
-                           {j1: _ins(p, 2, q), j2: e.longer(j2, 1)})
+    e.family("0->a,0->b1,1->b2", 1, 1)
+    for i, j1 in combinations_with_replacement(range(h), 2):
+        for j2 in range(j1 + 1, h):
+            for p, q in _splits2(b[j1] - 1):
+                e.emit(a[i] * (b[j2] + 2), {i: e.grown(i, 1)},
+                       {j1: _ins(p, 2, q), j2: e.longer(j2, 1)})
     # 0 -> 1-run j (new 2), 0 -> a_i1, 1 -> a_i2   (j < i1 < i2)
-    for j in range(h):
-        for i1 in range(j + 1, h):
-            for i2 in range(i1 + 1, h):
-                e.family("0->b,0->a1,1->a2")
-                for p, q in _splits2(b[j] - 1):
-                    for a1, a2 in _asplits(a[i2] + 1):
-                        e.emit(a[i1], 1, 2, {i1: e.grown(i1, 1), i2: (a1, a2)},
-                               {j: _ins(p, 2, q)}, printed=1)
+    e.family("0->b,0->a1,1->a2", 1, 2)
+    for j, i1, i2 in combinations(range(h), 3):
+        for p, q in _splits2(b[j] - 1):
+            for a1, a2 in _asplits(a[i2] + 1):
+                e.emit(a[i1], {i1: e.grown(i1, 1), i2: (a1, a2)}, {j: _ins(p, 2, q)}, printed=1)
     # 0 -> 1-run j1 (new 2), 0 -> a_i, 1 -> 1-run j2   (j1 < i <= j2)
-    for j1 in range(h):
-        for i in range(j1 + 1, h):
-            for j2 in range(i, h):
-                e.family("0->b1,0->a,1->b2")
-                for p, q in _splits2(b[j1] - 1):
-                    e.emit(a[i] * (b[j2] + 2), 1, 1, {i: e.grown(i, 1)},
-                           {j1: _ins(p, 2, q), j2: e.longer(j2, 1)})
+    e.family("0->b1,0->a,1->b2", 1, 1)
+    for j1, i in combinations(range(h), 2):
+        for j2 in range(i, h):
+            for p, q in _splits2(b[j1] - 1):
+                e.emit(a[i] * (b[j2] + 2), {i: e.grown(i, 1)},
+                       {j1: _ins(p, 2, q), j2: e.longer(j2, 1)})
     # 0 -> 1-run j1, 0 -> 1-run j2, 1 -> a_i   (j1 < j2 < i)
-    for j1 in range(h):
-        for j2 in range(j1 + 1, h):
-            for i in range(j2 + 1, h):
-                e.family("0->b1,0->b2,1->a")
-                for p1, q1 in _splits2(b[j1] - 1):
-                    for p2, q2 in _splits2(b[j2] - 1):
-                        for a1, a2 in _asplits(a[i] + 1):
-                            e.emit(1, 1, 3, {i: (a1, a2)},
-                                   {j1: _ins(p1, 2, q1), j2: _ins(p2, 2, q2)})
+    e.family("0->b1,0->b2,1->a", 1, 3)
+    for j1, j2, i in combinations(range(h), 3):
+        for p1, q1 in _splits2(b[j1] - 1):
+            for p2, q2 in _splits2(b[j2] - 1):
+                for a1, a2 in _asplits(a[i] + 1):
+                    e.emit(1, {i: (a1, a2)}, {j1: _ins(p1, 2, q1), j2: _ins(p2, 2, q2)})
     # 0 -> 1-run j1, 0 -> 1-run j2, 1 -> 1-run j3
-    for j1 in range(h):
-        for j2 in range(j1 + 1, h):
-            for j3 in range(j2 + 1, h):
-                e.family("0->b1,0->b2,1->b3")
-                for p1, q1 in _splits2(b[j1] - 1):
-                    for p2, q2 in _splits2(b[j2] - 1):
-                        e.emit(b[j3] + 2, 1, 2,
-                               runs={j1: _ins(p1, 2, q1), j2: _ins(p2, 2, q2),
-                                     j3: e.longer(j3, 1)})
+    e.family("0->b1,0->b2,1->b3", 1, 2)
+    for j1, j2, j3 in combinations(range(h), 3):
+        for p1, q1 in _splits2(b[j1] - 1):
+            for p2, q2 in _splits2(b[j2] - 1):
+                e.emit(b[j3] + 2, runs={j1: _ins(p1, 2, q1), j2: _ins(p2, 2, q2),
+                                        j3: e.longer(j3, 1)})
 
 
 def _dsr_3(e: _Emitter) -> None:
@@ -535,249 +524,212 @@ def _dsr_3(e: _Emitter) -> None:
 def _stuffle_21(e: _Emitter) -> None:
     a, b, h = e.a, e.b, e.h
     # both entries merge into entries >= 2
-    for i1 in range(h):
-        for i2 in range(i1 + 1, h):
-            e.family("2->a1,1->a2").emit(1, 0, 0, {i1: e.grown(i1, 2), i2: e.grown(i2, 1)})
+    e.family("2->a1,1->a2", 0, 0)
+    for i1, i2 in combinations(range(h), 2):
+        e.emit(1, {i1: e.grown(i1, 2), i2: e.grown(i2, 1)})
     # 2 merges into a_i, 1 merges into a one of run j >= i
-    for i in range(h):
-        for j in range(i, h):
-            e.family("2->a,1->b")
-            for p, q in _splits2(b[j] - 1):
-                e.emit(1, 0, 1, {i: e.grown(i, 2)}, {j: _ins(p, 2, q)})
+    e.family("2->a,1->b", 0, 1)
+    for i, j in combinations_with_replacement(range(h), 2):
+        for p, q in _splits2(b[j] - 1):
+            e.emit(1, {i: e.grown(i, 2)}, {j: _ins(p, 2, q)})
     # 2 merges into a one of run j (3), 1 merges into a_i, j < i
-    for j in range(h):
-        for i in range(j + 1, h):
-            e.family("2->b:3,1->a")
-            for p, q in _splits2(b[j] - 1):
-                e.emit(1, 0, 1, {i: e.grown(i, 1)}, {j: _ins(p, 3, q)})
+    e.family("2->b:3,1->a", 0, 1)
+    for j, i in combinations(range(h), 2):
+        for p, q in _splits2(b[j] - 1):
+            e.emit(1, {i: e.grown(i, 1)}, {j: _ins(p, 3, q)})
     # both merge into ones of distinct runs
-    for j1 in range(h):
-        for j2 in range(j1 + 1, h):
-            e.family("2->b1:3,1->b2")
-            for p1, q1 in _splits2(b[j1] - 1):
-                for p2, q2 in _splits2(b[j2] - 1):
-                    e.emit(1, 0, 2, runs={j1: _ins(p1, 3, q1), j2: _ins(p2, 2, q2)})
+    e.family("2->b1:3,1->b2", 0, 2)
+    for j1, j2 in combinations(range(h), 2):
+        for p1, q1 in _splits2(b[j1] - 1):
+            for p2, q2 in _splits2(b[j2] - 1):
+                e.emit(1, runs={j1: _ins(p1, 3, q1), j2: _ins(p2, 2, q2)})
     # both merge into ones of the same run (missing from the printed list)
+    e.family("2->b:3,1->b(same)", 0, 2)
     for j in range(h):
-        e.family("2->b:3,1->b(same)")
         for p, q, r in _splits3(b[j] - 2):
-            e.emit(1, 0, 2, runs={j: _ins2(p, 3, q, 2, r)})
+            e.emit(1, runs={j: _ins2(p, 3, q, 2, r)})
     # 2 merges into a_i, 1 inserted in run j >= i
-    for i in range(h):
-        for j in range(i, h):
-            e.family("2->a,1->b:ins").emit(
-                b[j] + 1, 1, 0, {i: e.grown(i, 2)}, {j: e.longer(j, 1)})
+    e.family("2->a,1->b:ins", 1, 0)
+    for i, j in combinations_with_replacement(range(h), 2):
+        e.emit(b[j] + 1, {i: e.grown(i, 2)}, {j: e.longer(j, 1)})
     # 2 merges into a one of run j1 (3), 1 inserted in run j2 > j1
-    for j1 in range(h):
-        for j2 in range(j1 + 1, h):
-            e.family("2->b1:3,1->b2:ins")
-            for p, q in _splits2(b[j1] - 1):
-                e.emit(b[j2] + 1, 1, 1, runs={j1: _ins(p, 3, q), j2: e.longer(j2, 1)})
+    e.family("2->b1:3,1->b2:ins", 1, 1)
+    for j1, j2 in combinations(range(h), 2):
+        for p, q in _splits2(b[j1] - 1):
+            e.emit(b[j2] + 1, runs={j1: _ins(p, 3, q), j2: e.longer(j2, 1)})
     # 2 merges into a one of run j (3), 1 inserted after it in the same run
     # (printed with an index slip that breaks the weight)
+    e.family("2->b:3,1->b+1(same)", 1, 1)
     for j in range(h):
-        e.family("2->b:3,1->b+1(same)")
         for p, q in _splits2(b[j]):
-            e.emit(q, 1, 1, runs={j: _ins(p, 3, q)})
+            e.emit(q, runs={j: _ins(p, 3, q)})
     # 2 inserted at the front, 1 merges into a_i
+    e.family("2->front,1->a", 1, 1)
     for i in range(h):
-        e.family("2->front,1->a").emit(1, 1, 1, {i: e.grown(i, 1)}, front=(2,))
+        e.emit(1, {i: e.grown(i, 1)}, front=(2,))
     # 2 inserted in run j, 1 merges into a_i, j < i
-    for j in range(h):
-        for i in range(j + 1, h):
-            e.family("2->b:ins,1->a")
-            for p, q in _splits2(b[j]):
-                e.emit(1, 1, 1, {i: e.grown(i, 1)}, {j: _ins(p, 2, q)})
+    e.family("2->b:ins,1->a", 1, 1)
+    for j, i in combinations(range(h), 2):
+        for p, q in _splits2(b[j]):
+            e.emit(1, {i: e.grown(i, 1)}, {j: _ins(p, 2, q)})
     # 2 inserted at the front, 1 merges into a one of run j
+    e.family("2->front,1->b", 1, 2)
     for j in range(h):
-        e.family("2->front,1->b")
         for p, q in _splits2(b[j] - 1):
-            e.emit(1, 1, 2, runs={j: _ins(p, 2, q)}, front=(2,))
+            e.emit(1, runs={j: _ins(p, 2, q)}, front=(2,))
     # 2 inserted in run j1, 1 merges into a one of run j2 > j1
-    for j1 in range(h):
-        for j2 in range(j1 + 1, h):
-            e.family("2->b1:ins,1->b2")
-            for p1, q1 in _splits2(b[j1]):
-                for p2, q2 in _splits2(b[j2] - 1):
-                    e.emit(1, 1, 2, runs={j1: _ins(p1, 2, q1), j2: _ins(p2, 2, q2)})
+    e.family("2->b1:ins,1->b2", 1, 2)
+    for j1, j2 in combinations(range(h), 2):
+        for p1, q1 in _splits2(b[j1]):
+            for p2, q2 in _splits2(b[j2] - 1):
+                e.emit(1, runs={j1: _ins(p1, 2, q1), j2: _ins(p2, 2, q2)})
     # 2 inserted in run j, 1 merges into a one after it in the same run
     # (printed with an index slip that breaks the weight)
+    e.family("2->b:ins,1->b(same)", 1, 2)
     for j in range(h):
-        e.family("2->b:ins,1->b(same)")
         for p, q, r in _splits3(b[j] - 1):
-            e.emit(1, 1, 2, runs={j: _ins2(p, 2, q, 2, r)})
+            e.emit(1, runs={j: _ins2(p, 2, q, 2, r)})
     # the unit (2,1) at the front
-    e.family("21->front").emit(1, 2, 1, front=(2, 1))
+    e.family("21->front", 2, 1).emit(1, front=(2, 1))
     # 2 inserted at the front, 1 inserted in run j (missing from print)
+    e.family("2->front,1->b+1", 2, 1)
     for j in range(h):
-        e.family("2->front,1->b+1").emit(
-            b[j] + 1, 2, 1, runs={j: e.longer(j, 1)}, front=(2,))
+        e.emit(b[j] + 1, runs={j: e.longer(j, 1)}, front=(2,))
     # 2 inserted in run j, 1 inserted after it in the same run
+    e.family("2->b:ins,1->b+1(same)", 2, 1)
     for j in range(h):
-        e.family("2->b:ins,1->b+1(same)")
         for p, q in _splits2(b[j]):
-            e.emit(q + 1, 2, 1, runs={j: _ins(p, 2, q + 1)})
+            e.emit(q + 1, runs={j: _ins(p, 2, q + 1)})
     # 2 inserted in run j1, 1 inserted in run j2 > j1
-    for j1 in range(h):
-        for j2 in range(j1 + 1, h):
-            e.family("2->b1:ins,1->b2:ins")
-            for p, q in _splits2(b[j1]):
-                e.emit(b[j2] + 1, 2, 1, runs={j1: _ins(p, 2, q), j2: e.longer(j2, 1)})
+    e.family("2->b1:ins,1->b2:ins", 2, 1)
+    for j1, j2 in combinations(range(h), 2):
+        for p, q in _splits2(b[j1]):
+            e.emit(b[j2] + 1, runs={j1: _ins(p, 2, q), j2: e.longer(j2, 1)})
 
 
 def _shuffle_21(e: _Emitter) -> None:
     a, b, h = e.a, e.b, e.h
     # 0 and the adjacent 11 inside one 0-run
+    e.family("0->a,11->a(pair)", 2, 1)
     for i in range(h):
-        e.family("0->a,11->a(pair)")
         for a1, a2 in _asplits(a[i] + 2):
-            e.emit(a1 - 1, 2, 1, {i: (a1, 1, a2)})
+            e.emit(a1 - 1, {i: (a1, 1, a2)})
     # 0 and both 1s split one 0-run twice
+    e.family("0->a,1->a,1->a(same)", 2, 2)
     for i in range(h):
-        e.family("0->a,1->a,1->a(same)")
         for a1, a2, a3 in _asplits3(a[i] + 3):
-            e.emit(a1 - 1, 2, 2, {i: (a1, a2, a3)})
+            e.emit(a1 - 1, {i: (a1, a2, a3)})
     # 0 in 1-run j (new 2), both 1s after it in the same run
+    e.family("0->b,11->b(same)", 2, 1)
     for j in range(h):
-        e.family("0->b,11->b(same)")
         for p, q in _splits2(b[j] - 1):
-            e.emit((q + 3) * (q + 2) // 2, 2, 1, runs={j: _ins(p, 2, q + 2)})
+            e.emit((q + 3) * (q + 2) // 2, runs={j: _ins(p, 2, q + 2)})
     # 0 and one 1 split a_i1, the other 1 splits a_i2 (the printed inner
     # sums dangle, so this family is reconstructed; absent as printed)
-    for i1 in range(h):
-        for i2 in range(i1 + 1, h):
-            e.family("0->a1,1->a1,1->a2")
-            for a1, a2 in _asplits(a[i1] + 2):
-                for A1, A2 in _asplits(a[i2] + 1):
-                    e.emit(a1 - 1, 2, 2, {i1: (a1, a2), i2: (A1, A2)})
+    e.family("0->a1,1->a1,1->a2", 2, 2)
+    for i1, i2 in combinations(range(h), 2):
+        for a1, a2 in _asplits(a[i1] + 2):
+            for A1, A2 in _asplits(a[i2] + 1):
+                e.emit(a1 - 1, {i1: (a1, a2), i2: (A1, A2)})
     # 0 and one 1 split a_i, the other 1 in 1-run j >= i
-    for i in range(h):
-        for j in range(i, h):
-            e.family("0->a,1->a,1->b")
-            for a1, a2 in _asplits(a[i] + 2):
-                e.emit((a1 - 1) * (b[j] + 2), 2, 1, {i: (a1, a2)}, {j: e.longer(j, 1)})
+    e.family("0->a,1->a,1->b", 2, 1)
+    for i, j in combinations_with_replacement(range(h), 2):
+        for a1, a2 in _asplits(a[i] + 2):
+            e.emit((a1 - 1) * (b[j] + 2), {i: (a1, a2)}, {j: e.longer(j, 1)})
     # 0 in 1-run j (new 2), one 1 after it, the other splits a_i > j
-    for j in range(h):
-        for i in range(j + 1, h):
-            e.family("0->b,1->b(same),1->a")
-            for p, q in _splits2(b[j] - 1):
-                for a1, a2 in _asplits(a[i] + 1):
-                    e.emit(q + 2, 2, 2, {i: (a1, a2)}, {j: _ins(p, 2, q + 1)},
-                           printed=q + 1)
+    e.family("0->b,1->b(same),1->a", 2, 2)
+    for j, i in combinations(range(h), 2):
+        for p, q in _splits2(b[j] - 1):
+            for a1, a2 in _asplits(a[i] + 1):
+                e.emit(q + 2, {i: (a1, a2)}, {j: _ins(p, 2, q + 1)}, printed=q + 1)
     # 0 in 1-run j1 (new 2), one 1 after it, the other in 1-run j2
-    for j1 in range(h):
-        for j2 in range(j1 + 1, h):
-            e.family("0->b1,1->b1(same),1->b2")
-            for p, q in _splits2(b[j1] - 1):
-                e.emit((q + 2) * (b[j2] + 2), 2, 1,
-                       runs={j1: _ins(p, 2, q + 1), j2: e.longer(j2, 1)})
+    e.family("0->b1,1->b1(same),1->b2", 2, 1)
+    for j1, j2 in combinations(range(h), 2):
+        for p, q in _splits2(b[j1] - 1):
+            e.emit((q + 2) * (b[j2] + 2), runs={j1: _ins(p, 2, q + 1), j2: e.longer(j2, 1)})
     # 0 into a_i1, adjacent 11 inside a_i2
-    for i1 in range(h):
-        for i2 in range(i1 + 1, h):
-            e.family("0->a1,11->a2(pair)")
-            for a1, a2 in _asplits(a[i2] + 1):
-                e.emit(a[i1], 2, 1, {i1: e.grown(i1, 1), i2: (a1, 1, a2)})
+    e.family("0->a1,11->a2(pair)", 2, 1)
+    for i1, i2 in combinations(range(h), 2):
+        for a1, a2 in _asplits(a[i2] + 1):
+            e.emit(a[i1], {i1: e.grown(i1, 1), i2: (a1, 1, a2)})
     # 0 into a_i1, both 1s split a_i2 twice
-    for i1 in range(h):
-        for i2 in range(i1 + 1, h):
-            e.family("0->a1,1->a2,1->a2")
-            for a1, a2, a3 in _asplits3(a[i2] + 2):
-                e.emit(a[i1], 2, 2, {i1: e.grown(i1, 1), i2: (a1, a2, a3)})
+    e.family("0->a1,1->a2,1->a2", 2, 2)
+    for i1, i2 in combinations(range(h), 2):
+        for a1, a2, a3 in _asplits3(a[i2] + 2):
+            e.emit(a[i1], {i1: e.grown(i1, 1), i2: (a1, a2, a3)})
     # 0 into a_i, both 1s into 1-run j >= i
-    for i in range(h):
-        for j in range(i, h):
-            e.family("0->a,1->b,1->b(same)").emit(
-                a[i] * (b[j] + 3) * (b[j] + 2) // 2, 2, 0,
-                {i: e.grown(i, 1)}, {j: e.longer(j, 2)})
+    e.family("0->a,1->b,1->b(same)", 2, 0)
+    for i, j in combinations_with_replacement(range(h), 2):
+        e.emit(a[i] * (b[j] + 3) * (b[j] + 2) // 2, {i: e.grown(i, 1)}, {j: e.longer(j, 2)})
     # 0 in 1-run j (new 2), adjacent 11 inside a_i > j
-    for j in range(h):
-        for i in range(j + 1, h):
-            e.family("0->b,11->a(pair)")
-            for p, q in _splits2(b[j] - 1):
-                for a1, a2 in _asplits(a[i] + 1):
-                    e.emit(1, 2, 2, {i: (a1, 1, a2)}, {j: _ins(p, 2, q)})
+    e.family("0->b,11->a(pair)", 2, 2)
+    for j, i in combinations(range(h), 2):
+        for p, q in _splits2(b[j] - 1):
+            for a1, a2 in _asplits(a[i] + 1):
+                e.emit(1, {i: (a1, 1, a2)}, {j: _ins(p, 2, q)})
     # 0 in 1-run j (new 2), both 1s split a_i > j twice
-    for j in range(h):
-        for i in range(j + 1, h):
-            e.family("0->b,1->a,1->a")
-            for p, q in _splits2(b[j] - 1):
-                for a1, a2, a3 in _asplits3(a[i] + 2):
-                    e.emit(1, 2, 3, {i: (a1, a2, a3)}, {j: _ins(p, 2, q)})
+    e.family("0->b,1->a,1->a", 2, 3)
+    for j, i in combinations(range(h), 2):
+        for p, q in _splits2(b[j] - 1):
+            for a1, a2, a3 in _asplits3(a[i] + 2):
+                e.emit(1, {i: (a1, a2, a3)}, {j: _ins(p, 2, q)})
     # 0 in 1-run j1 (new 2), both 1s into 1-run j2
-    for j1 in range(h):
-        for j2 in range(j1 + 1, h):
-            e.family("0->b1,1->b2,1->b2")
-            for p, q in _splits2(b[j1] - 1):
-                e.emit((b[j2] + 3) * (b[j2] + 2) // 2, 2, 1,
-                       runs={j1: _ins(p, 2, q), j2: e.longer(j2, 2)})
+    e.family("0->b1,1->b2,1->b2", 2, 1)
+    for j1, j2 in combinations(range(h), 2):
+        for p, q in _splits2(b[j1] - 1):
+            e.emit((b[j2] + 3) * (b[j2] + 2) // 2, runs={j1: _ins(p, 2, q), j2: e.longer(j2, 2)})
     # 0 into a_i1, 1 splits a_i2, 1 splits a_i3
-    for i1 in range(h):
-        for i2 in range(i1 + 1, h):
-            for i3 in range(i2 + 1, h):
-                e.family("0->a1,1->a2,1->a3")
-                for a1, a2 in _asplits(a[i2] + 1):
-                    for A1, A2 in _asplits(a[i3] + 1):
-                        e.emit(a[i1], 2, 2, {i1: e.grown(i1, 1), i2: (a1, a2), i3: (A1, A2)})
+    e.family("0->a1,1->a2,1->a3", 2, 2)
+    for i1, i2, i3 in combinations(range(h), 3):
+        for a1, a2 in _asplits(a[i2] + 1):
+            for A1, A2 in _asplits(a[i3] + 1):
+                e.emit(a[i1], {i1: e.grown(i1, 1), i2: (a1, a2), i3: (A1, A2)})
     # 0 into a_i1, 1 splits a_i2, 1 into 1-run j >= i2
-    for i1 in range(h):
-        for i2 in range(i1 + 1, h):
-            for j in range(i2, h):
-                e.family("0->a1,1->a2,1->b")
-                for a1, a2 in _asplits(a[i2] + 1):
-                    e.emit(a[i1] * (b[j] + 2), 2, 1,
-                           {i1: e.grown(i1, 1), i2: (a1, a2)}, {j: e.longer(j, 1)})
+    e.family("0->a1,1->a2,1->b", 2, 1)
+    for i1, i2 in combinations(range(h), 2):
+        for j in range(i2, h):
+            for a1, a2 in _asplits(a[i2] + 1):
+                e.emit(a[i1] * (b[j] + 2), {i1: e.grown(i1, 1), i2: (a1, a2)}, {j: e.longer(j, 1)})
     # 0 into a_i1, 1 into 1-run j, 1 splits a_i2   (i1 <= j < i2)
-    for i1 in range(h):
-        for j in range(i1, h):
-            for i2 in range(j + 1, h):
-                e.family("0->a1,1->b,1->a2")
-                for a1, a2 in _asplits(a[i2] + 1):
-                    e.emit(a[i1] * (b[j] + 2), 2, 1,
-                           {i1: e.grown(i1, 1), i2: (a1, a2)}, {j: e.longer(j, 1)})
+    e.family("0->a1,1->b,1->a2", 2, 1)
+    for i1, j in combinations_with_replacement(range(h), 2):
+        for i2 in range(j + 1, h):
+            for a1, a2 in _asplits(a[i2] + 1):
+                e.emit(a[i1] * (b[j] + 2), {i1: e.grown(i1, 1), i2: (a1, a2)}, {j: e.longer(j, 1)})
     # 0 into a_i, 1 into 1-run j1, 1 into 1-run j2   (i <= j1 < j2)
-    for i in range(h):
-        for j1 in range(i, h):
-            for j2 in range(j1 + 1, h):
-                e.family("0->a,1->b1,1->b2").emit(
-                    a[i] * (b[j1] + 2) * (b[j2] + 2), 2, 0,
-                    {i: e.grown(i, 1)}, {j1: e.longer(j1, 1), j2: e.longer(j2, 1)})
+    e.family("0->a,1->b1,1->b2", 2, 0)
+    for i, j1 in combinations_with_replacement(range(h), 2):
+        for j2 in range(j1 + 1, h):
+            e.emit(a[i] * (b[j1] + 2) * (b[j2] + 2), {i: e.grown(i, 1)},
+                   {j1: e.longer(j1, 1), j2: e.longer(j2, 1)})
     # 0 in 1-run j (new 2), 1 splits a_i1, 1 splits a_i2   (j < i1 < i2)
-    for j in range(h):
-        for i1 in range(j + 1, h):
-            for i2 in range(i1 + 1, h):
-                e.family("0->b,1->a1,1->a2")
-                for p, q in _splits2(b[j] - 1):
-                    for a1, a2 in _asplits(a[i1] + 1):
-                        for A1, A2 in _asplits(a[i2] + 1):
-                            e.emit(1, 2, 3, {i1: (a1, a2), i2: (A1, A2)}, {j: _ins(p, 2, q)})
+    e.family("0->b,1->a1,1->a2", 2, 3)
+    for j, i1, i2 in combinations(range(h), 3):
+        for p, q in _splits2(b[j] - 1):
+            for a1, a2 in _asplits(a[i1] + 1):
+                for A1, A2 in _asplits(a[i2] + 1):
+                    e.emit(1, {i1: (a1, a2), i2: (A1, A2)}, {j: _ins(p, 2, q)})
     # 0 in 1-run j1 (new 2), 1 splits a_i, 1 into 1-run j2   (j1 < i <= j2)
-    for j1 in range(h):
-        for i in range(j1 + 1, h):
-            for j2 in range(i, h):
-                e.family("0->b1,1->a,1->b2")
-                for p, q in _splits2(b[j1] - 1):
-                    for a1, a2 in _asplits(a[i] + 1):
-                        e.emit(b[j2] + 2, 2, 2, {i: (a1, a2)},
-                               {j1: _ins(p, 2, q), j2: e.longer(j2, 1)})
+    e.family("0->b1,1->a,1->b2", 2, 2)
+    for j1, i in combinations(range(h), 2):
+        for j2 in range(i, h):
+            for p, q in _splits2(b[j1] - 1):
+                for a1, a2 in _asplits(a[i] + 1):
+                    e.emit(b[j2] + 2, {i: (a1, a2)}, {j1: _ins(p, 2, q), j2: e.longer(j2, 1)})
     # 0 in 1-run j1 (new 2), 1 into 1-run j2, 1 splits a_i   (j1 < j2 < i)
-    for j1 in range(h):
-        for j2 in range(j1 + 1, h):
-            for i in range(j2 + 1, h):
-                e.family("0->b1,1->b2,1->a")
-                for p, q in _splits2(b[j1] - 1):
-                    for a1, a2 in _asplits(a[i] + 1):
-                        e.emit(b[j2] + 2, 2, 2, {i: (a1, a2)},
-                               {j1: _ins(p, 2, q), j2: e.longer(j2, 1)})
+    e.family("0->b1,1->b2,1->a", 2, 2)
+    for j1, j2, i in combinations(range(h), 3):
+        for p, q in _splits2(b[j1] - 1):
+            for a1, a2 in _asplits(a[i] + 1):
+                e.emit(b[j2] + 2, {i: (a1, a2)}, {j1: _ins(p, 2, q), j2: e.longer(j2, 1)})
     # 0 in 1-run j1 (new 2), 1 into 1-run j2, 1 into 1-run j3
-    for j1 in range(h):
-        for j2 in range(j1 + 1, h):
-            for j3 in range(j2 + 1, h):
-                e.family("0->b1,1->b2,1->b3")
-                for p, q in _splits2(b[j1] - 1):
-                    e.emit((b[j2] + 2) * (b[j3] + 2), 2, 1,
-                           runs={j1: _ins(p, 2, q), j2: e.longer(j2, 1), j3: e.longer(j3, 1)})
+    e.family("0->b1,1->b2,1->b3", 2, 1)
+    for j1, j2, j3 in combinations(range(h), 3):
+        for p, q in _splits2(b[j1] - 1):
+            e.emit((b[j2] + 2) * (b[j3] + 2),
+                   runs={j1: _ins(p, 2, q), j2: e.longer(j2, 1), j3: e.longer(j3, 1)})
     # the unit (2,1) appended at the very end
-    e.family("011->end").emit(1, 2, 1, back=(2, 1))
+    e.family("011->end", 2, 1).emit(1, back=(2, 1))
 
 
 def _dsr_21(e: _Emitter) -> None:
@@ -813,37 +765,34 @@ _ABSENT = {key: frozenset(c.family for c in records if c.kind in _ABSENT_FROM_PR
 
 def _emission(g: str, side: str, z) -> _Emitter:
     """Check the arguments and run the generator of (g, side) over z once."""
-    if g not in LEFT_FACTORS:
-        raise ValueError(f"unknown left factor key {g!r}; use one of {', '.join(LEFT_FACTORS)}")
+    _left_factor(g)
     if (g, side) not in _GENERATORS:
         raise ValueError(f"unknown side {side!r}; use stuffle, shuffle or dsr")
-    e = _Emitter(to_ab(z if isinstance(z, Composition) else Composition(z)))
+    e = _Emitter(z if isinstance(z, Composition) else Composition(z))
     _GENERATORS[(g, side)](e)
     return e
 
 
 def closed_terms(g: str, side: str, z) -> list[FamilyTerm]:
     """All family terms of the closed expansion, with predicted signatures."""
-    return _emission(g, side, z).out
-
-
-def _sum_terms(terms: list[FamilyTerm]) -> LinComb:
-    return LinComb((t.composition, t.coeff) for t in terms)
+    e = _emission(g, side, z)
+    return [FamilyTerm(name, t, c, depth, height)
+            for name, depth, height, first, end in e.families() for t, c in e.terms[first:end]]
 
 
 def closed_stuffle(g: str, z) -> LinComb:
     """Closed quasi-shuffle product of the left factor ``g`` with z."""
-    return _sum_terms(closed_terms(g, "stuffle", z))
+    return LinComb(_emission(g, "stuffle", z).terms)
 
 
 def closed_shuffle(g: str, z) -> LinComb:
     """Closed shuffle product of the left factor ``g`` with z."""
-    return _sum_terms(closed_terms(g, "shuffle", z))
+    return LinComb(_emission(g, "shuffle", z).terms)
 
 
 def closed_dsr(g: str, z) -> LinComb:
     """Closed relation body shuffle - stuffle; never contains a divergent term."""
-    out = _sum_terms(closed_terms(g, "dsr", z))
+    out = LinComb(_emission(g, "dsr", z).terms)
     if out.has_divergent():
         raise InternalConsistencyError(
             f"divergent residue in closed dsr (g={g}, z={format_composition(Composition(z))})"
@@ -907,7 +856,7 @@ def reconcile_one(g: str, side: str, z) -> DiscrepancyReport:
     """Compare the shipped closed form against the oracle for one z."""
     z = z if isinstance(z, Composition) else Composition(z)
     e = _emission(g, side, z)
-    shipped = _sum_terms(e.out).terms()
+    shipped = LinComb(e.terms).terms()
     target = _ORACLE_PRODUCTS[side](LEFT_FACTORS[g], z).terms()
     rep = DiscrepancyReport(g=g, side=side, z=z)
     for t, c in target.items():
@@ -922,12 +871,12 @@ def reconcile_one(g: str, side: str, z) -> DiscrepancyReport:
     corrections, absent = _CORRECTIONS[g, side], _ABSENT[g, side]
     deltas: list[tuple[Composition, int]] = []
     net: dict[str, int] = {}  # family -> summed delta; one sign per family and side
-    for t, p in zip(e.out, e.printed):
-        family = t.family.removeprefix("-")
-        delta = t.coeff - (0 if family in absent else p)
-        if delta:
-            deltas.append((t.composition, delta))
-            net[family] = net.get(family, 0) + delta
+    for name, _, _, first, end in e.families():
+        family = name.removeprefix("-")
+        part = e.terms[first:end] if family in absent else [
+            (e.terms[n][0], e.terms[n][1] - p) for n, p in e.printed.items() if first <= n < end]
+        deltas += part
+        net[family] = net.get(family, 0) + sum(c for _, c in part)
     rep.beyond_printed = LinComb(deltas).terms()
     rep.corrections_engaged = list(dict.fromkeys(  # registry order, once each
         c.family for c in corrections if net.get(c.family)))
@@ -946,7 +895,7 @@ def reconcile(g: str, side: str, max_weight: int = 12) -> list[DiscrepancyReport
         raise ValueError(
             f"max_weight {max_weight} exceeds the configured cap {RECONCILE_WEIGHT_CAP}"
         )
-    least = LEFT_FACTORS[g].weight + 2
+    least = _left_factor(g).weight + 2
     if max_weight < least:
         raise ValueError(f"max_weight {max_weight} is below {least}, the least "
                          f"total weight with a source for g={g}")

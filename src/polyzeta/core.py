@@ -50,16 +50,22 @@ class Composition(tuple):
     make sense for convergent indices.
 
     ``Composition(entries)`` converts every entry with ``int`` and
-    rejects an entry below 1; so do :func:`parse_composition` and the
-    relation-cache reader, which go through it.  ``Composition._make``
-    wraps a tuple as it is, for the package's own term builders, whose
-    entries are ints >= 1 by construction.
+    rejects a non-integral entry (2.9, ``Fraction(5, 2)``) and an entry
+    below 1; so do :func:`parse_composition` and the relation-cache
+    reader, which go through it.  ``Composition._make`` wraps a tuple as
+    it is, for the package's own term builders, whose entries are ints
+    >= 1 by construction.
     """
 
     __slots__ = ()
 
     def __new__(cls, entries: Iterable[int] = ()) -> "Composition":
-        entries = tuple(map(int, entries))
+        given = tuple(entries)
+        entries = tuple(map(int, given))
+        if entries != given:  # some entry is a digit string, or a number int() moved
+            for g, e in zip(given, entries):
+                if e != g and not isinstance(g, str):
+                    raise ValueError(f"composition entry {g!r} is not an integer")
         if entries and min(entries) < 1:
             raise ValueError(f"composition entries must be >= 1, got {entries}")
         return super().__new__(cls, entries)

@@ -11,8 +11,6 @@ from dataclasses import replace
 from fractions import Fraction
 from math import comb
 
-import pytest
-
 from polyzeta.closedforms import (
     LEFT_FACTORS,
     closed_dsr,

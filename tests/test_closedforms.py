@@ -18,6 +18,7 @@ from polyzeta.closedforms import (
     closed_terms,
     reconcile,
     reconcile_one,
+    sources,
 )
 from polyzeta.core import Composition, Word, decode_word, signature
 from polyzeta.counting import family_term_counts
@@ -141,6 +142,14 @@ class TestReconcile:
             with pytest.raises(ValueError, match=f"below {least}"):
                 reconcile(g, "dsr", max_weight)
 
+    @pytest.mark.parametrize("call", [
+        lambda: reconcile("9", "dsr", 6), lambda: sources("9", 6),
+        lambda: reconcile_one("9", "dsr", (2,)), lambda: closed_terms("9", "shuffle", (2,)),
+    ], ids=["reconcile", "sources", "reconcile_one", "closed_terms"])
+    def test_unknown_left_factor_is_named(self, call):
+        with pytest.raises(ValueError, match="unknown left factor key '9'; use one of 1, 2, 3, 21"):
+            call()
+
     @pytest.mark.parametrize("g", LEFT_FACTORS)
     @pytest.mark.parametrize("side", SIDES)
     def test_random_sources_above_the_cap(self, g, side):
@@ -238,14 +247,14 @@ class TestReconcile:
 
         def broken(e):
             real(e)
-            kept = [n for n, t in enumerate(e.out) if t.family != e.out[0].family]
-            e.out = [e.out[n] for n in kept]
-            e.printed = [e.printed[n] for n in kept]
-            e.out[0] = dataclasses.replace(e.out[0], coeff=e.out[0].coeff + 1)
+            assert e.spans[0][3] == 0 and not e.printed
+            n = e.spans[1][3]  # the first family, "2->a", is terms[:n], one term per block
+            del e.terms[:n]
+            e.spans = [(*span, first - n) for *span, first in e.spans[1:]]
+            t, c = e.terms[0]
+            e.terms[0] = (t, c + 1)
             # (2) * z has depth at most depth(z) + 1 <= w - 2: (2,1^(w-2)) is no term
-            w = e.out[0].composition.weight
-            e.out.append(closedforms.FamilyTerm("stray", C((2,) + (1,) * (w - 2)), 1, w - 1, 1))
-            e.printed.append(1)
+            e.terms.append((C((2,) + (1,) * (t.weight - 2)), 1))
 
         monkeypatch.setitem(closedforms._GENERATORS, ("2", "stuffle"), broken)
         rep = reconcile_one("2", "stuffle", C((2, 1)))
@@ -274,15 +283,33 @@ class TestTermConstruction:
                 for t, _ in ORACLE[side](LEFT_FACTORS[g], z).items():
                     self.assert_valid(t)
 
+    def test_family_terms_only_on_request(self, monkeypatch):
+        # the products and relation bodies are summed from the emitted pairs;
+        # only closed_terms builds FamilyTerm records
+        built = []
+        init = closedforms.FamilyTerm.__init__
+
+        def counting_init(self, *args):
+            built.append(args)
+            init(self, *args)
+
+        monkeypatch.setattr(closedforms.FamilyTerm, "__init__", counting_init)
+        for g in LEFT_FACTORS:
+            for z in sources(g, 9):
+                closed_dsr(g, z)
+        assert built == []
+        terms = closed_terms("21", "dsr", C((2, 1, 1)))
+        assert len(built) == len(terms) > 0
+        assert all(type(t) is closedforms.FamilyTerm for t in terms)
+
     def test_mixed_weights_still_raise(self, monkeypatch):
         # a generator that appends a term of weight w - 1 is refused
         real = closedforms._GENERATORS[("2", "dsr")]
 
         def short(e):
             real(e)
-            w = e.out[0].composition.weight
-            e.out.append(closedforms.FamilyTerm("short", C((2,) + (1,) * (w - 3)), 1, w - 2, 1))
-            e.printed.append(1)
+            w = e.terms[0][0].weight
+            e.terms.append((C((2,) + (1,) * (w - 3)), 1))
 
         monkeypatch.setitem(closedforms._GENERATORS, ("2", "dsr"), short)
         with pytest.raises(ValueError, match="mixed weights"):
@@ -307,9 +334,9 @@ def printed_terms(g, side, z):
     sides = SIDES if side == "dsr" else (side,)
     absent = {c.family for c in PRINT_CORRECTIONS
               if c.g == g and c.side in sides and c.kind in ABSENT_FROM_PRINT}
-    e = closedforms._emission(g, side, z)
-    return [dataclasses.replace(t, coeff=p) for t, p in zip(e.out, e.printed)
-            if p and t.family.removeprefix("-") not in absent]
+    printed = closedforms._emission(g, side, z).printed  # where it differs, by term index
+    return [dataclasses.replace(t, coeff=p) for n, t in enumerate(closed_terms(g, side, z))
+            if (p := printed.get(n, t.coeff)) and t.family.removeprefix("-") not in absent]
 
 
 def closed_terms_digest(g, side, variant, max_total_weight):

@@ -1,3 +1,5 @@
+import re
+from fractions import Fraction
 from itertools import product
 
 import pytest
@@ -21,6 +23,29 @@ from polyzeta.core import (
     to_ab,
 )
 from polyzeta.ordering import enumerate_weight
+
+
+class TestComposition:
+    @pytest.mark.parametrize("entries", [(2, 1, 3), (2.0, 1, 3.0), ("2", "1", 3), [2, True, "3"]])
+    def test_integral_entries_convert(self, entries):
+        c = Composition(entries)
+        assert c == (2, 1, 3) and all(type(e) is int for e in c)
+
+    @pytest.mark.parametrize("bad", [2.9, Fraction(5, 2), 1.5, 0.5])
+    def test_non_integral_entry_raises(self, bad):
+        # int() would truncate each of these to an entry that looks valid (0.5 to 0)
+        with pytest.raises(ValueError, match=re.escape(f"entry {bad!r} is not an integer")):
+            Composition((2, bad))
+
+    @pytest.mark.parametrize("bad", [(2, 0), (2, -1.0), ("0",)])
+    def test_entry_below_one_raises(self, bad):
+        with pytest.raises(ValueError, match="must be >= 1"):
+            Composition(bad)
+
+    def test_make_wraps_as_is(self):
+        assert Composition.__dict__["_make"].__func__ is tuple.__new__
+        c = Composition._make((2, 1))
+        assert type(c) is Composition and c == (2, 1)
 
 
 class TestParse:

@@ -131,7 +131,7 @@ class TestGenerate:
             generate_relations(9, families="21")
 
     def test_modes_agree(self):
-        for w in range(4, 9):
+        for w in range(4, 13):
             ra = generate_relations(w, mode="closed")
             rb = generate_relations(w, mode="oracle")
             assert [(r.family, r.source) for r in ra.relations] == [
@@ -149,7 +149,7 @@ class TestGenerate:
         # dsr must cancel, is caught where the body is summed
         def dsr_1_with_front(e):
             closedforms._dsr_1(e)
-            e.family("1->front").emit(1, 1, 0, front=(1,))
+            e.family("1->front", 1, 0).emit(1, front=(1,))
 
         monkeypatch.setitem(closedforms._GENERATORS, ("1", "dsr"), dsr_1_with_front)
         with pytest.raises(InternalConsistencyError, match="divergent residue"):
