@@ -29,6 +29,7 @@ and which of them fired.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import partial
 from itertools import accumulate, combinations, combinations_with_replacement
@@ -856,27 +857,33 @@ def reconcile_one(g: str, side: str, z) -> DiscrepancyReport:
     """Compare the shipped closed form against the oracle for one z."""
     z = z if isinstance(z, Composition) else Composition(z)
     e = _emission(g, side, z)
-    shipped = LinComb(e.terms).terms()
-    target = _ORACLE_PRODUCTS[side](LEFT_FACTORS[g], z).terms()
+    shipped = LinComb(e.terms)
+    target = _ORACLE_PRODUCTS[side](LEFT_FACTORS[g], z)
     rep = DiscrepancyReport(g=g, side=side, z=z)
-    for t, c in target.items():
-        got = shipped.get(t)
-        if got is None:
-            rep.missing[t] = c
-        elif got != c:
-            rep.mismatched[t] = (got, c)
-    for t, c in shipped.items():
-        if t not in target:
-            rep.extra[t] = c
+    if shipped != target:  # walk the terms only where the products differ
+        for t, c in target.items():
+            if t not in shipped:
+                rep.missing[t] = c
+            elif shipped[t] != c:
+                rep.mismatched[t] = (shipped[t], c)
+        rep.extra = {t: c for t, c in shipped.items() if t not in target}
     corrections, absent = _CORRECTIONS[g, side], _ABSENT[g, side]
     deltas: list[tuple[Composition, int]] = []
     net: dict[str, int] = {}  # family -> summed delta; one sign per family and side
-    for name, _, _, first, end in e.families():
-        family = name.removeprefix("-")
-        part = e.terms[first:end] if family in absent else [
-            (e.terms[n][0], e.terms[n][1] - p) for n, p in e.printed.items() if first <= n < end]
-        deltas += part
-        net[family] = net.get(family, 0) + sum(c for _, c in part)
+    starts = [span[3] for span in e.spans]
+    for n, p in e.printed.items():  # terms[n] is in the last family to start at or before n
+        family = e.spans[bisect_right(starts, n) - 1][0].removeprefix("-")
+        if family not in absent:
+            t, c = e.terms[n]
+            deltas.append((t, c - p))
+            net[family] = net.get(family, 0) + c - p
+    if absent:  # the print lacks these families: each of their terms is a delta
+        for name, _, _, first, end in e.families():
+            family = name.removeprefix("-")
+            if family in absent:
+                part = e.terms[first:end]
+                deltas += part
+                net[family] = net.get(family, 0) + sum(c for _, c in part)
     rep.beyond_printed = LinComb(deltas).terms()
     rep.corrections_engaged = list(dict.fromkeys(  # registry order, once each
         c.family for c in corrections if net.get(c.family)))

@@ -1,16 +1,18 @@
-"""Ground-truth products: quasi-shuffle on compositions, shuffle on words.
+"""Ground-truth products: quasi-shuffle and shuffle, both on compositions.
 
 These are the standard inductive recursions, extended bilinearly to
 formal rational combinations.  Everything else in the package is
-validated against them.
+validated against them.  The shuffle reads a composition as its word
+(``core.encode_word``) one letter at a time, so no word is built.
 
 What is memoized, for the life of the process: the products of proper
-suffix pairs, in ``_stuffle`` (compositions as tuples) and
-``_shuffle_words`` (words as strings), each entry two parallel tuples of
-terms and multiplicities.  A public product (``stuffle``, ``shuffle``,
-``shuffle_words``, ``dsr``) is summed fresh from the memoized products
-of its arguments' suffix pairs, so the memo holds no top-level product
-and each call builds its own terms.
+suffix pairs, in ``_stuffle`` (suffixes of the compositions) and
+``_shuffle_words`` (suffixes of the words, read as compositions), each
+entry two parallel tuples of terms and multiplicities.  A product with
+the empty factor is the other factor and is never stored.  A public
+product (``stuffle``, ``shuffle``, ``shuffle_words``, ``dsr``) is summed
+fresh from the memoized products of its arguments' suffix pairs, so the
+memo holds no top-level product and each call builds its own terms.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from functools import lru_cache
 from itertools import chain
 from typing import Iterable, Iterator, Mapping
 
-from .core import Composition, Word, decode_word, encode_word, format_composition
+from .core import Composition, NotConvergentError, Word, format_composition
 
 __all__ = ["LinComb", "coeff_dict", "InternalConsistencyError", "stuffle", "shuffle_words",
            "shuffle", "dsr"]
@@ -145,19 +147,13 @@ class LinComb:
         return sum(self._terms.values())
 
     def has_divergent(self) -> bool:
-        """True iff some term is a non-convergent composition."""
-        return any(
-            isinstance(t, Composition) and not t.convergent() for t in self._terms
-        )
+        """True iff some term is divergent: a composition with a leading
+        entry 1.  The empty composition is the unit, and a Word, whose
+        letters are strings, is never one."""
+        return any(t and t[0] == 1 for t in self._terms)
 
     def divergent_part(self) -> "LinComb":
-        return LinComb(
-            {
-                t: c
-                for t, c in self._terms.items()
-                if isinstance(t, Composition) and not t.convergent()
-            }
-        )
+        return LinComb._make({t: c for t, c in self._terms.items() if t and t[0] == 1})
 
     def sorted_items(self) -> list[tuple]:
         """Items with convergent terms first in the fixed-weight order."""
@@ -200,8 +196,11 @@ def coeff_dict(c: int | Fraction) -> dict[str, str]:
     return {"num": str(c.numerator), "den": str(c.denominator)}
 
 
-# the memo is keyed by the argument pair in ascending order
+# the memo is keyed by the argument pair in ascending order; a product
+# with an empty factor is the other factor, and gets no entry
 def _memo(product, x, y):
+    if not x or not y:
+        return (x + y,), (1,)
     return product(x, y) if x <= y else product(y, x)
 
 
@@ -227,95 +226,89 @@ def _stuffle(x: tuple, y: tuple) -> tuple[tuple[tuple, ...], tuple[int, ...]]:
     return tuple(out), tuple(out.values())
 
 
-def _shuffle_sum(u: str, v: str) -> dict[str, int]:
-    """The shuffle of the words u and v as {word: multiplicity}."""
-    if not u or not v:
-        return {u + v: 1}
-    if u > v:
-        u, v = v, u
-    out: dict[str, int] = {}
-    for head, (ts, ns) in ((u[0], _memo(_shuffle_words, u[1:], v)),
-                           (v[0], _memo(_shuffle_words, u, v[1:]))):
-        for t, n in zip(ts, ns):
-            t = head + t
-            out[t] = out.get(t, 0) + n
+def _shuffle_sum(x: tuple, y: tuple) -> dict[tuple, int]:
+    """The shuffle of the words of x and y as {composition: multiplicity}.
+
+    (a, *rest) is the word 0^(a-1) 1 word(rest): its first letter is 0 when
+    a > 1, leaving (a-1, *rest), and a term takes the 0 back as 1 more on
+    its first entry; else 1, leaving rest, taken back as an entry 1 in
+    front.  Words that end in 1 shuffle to words that do: compositions."""
+    if not x or not y:
+        return {x + y: 1}
+    if x > y:
+        x, y = y, x
+    out: dict[tuple, int] = {}
+    for c, other in ((x, y), (y, x)):
+        a = c[0]
+        ts, ns = _memo(_shuffle_words, (a - 1,) + c[1:] if a > 1 else c[1:], other)
+        ts = [(t[0] + 1,) + t[1:] for t in ts] if a > 1 else [(1,) + t for t in ts]
+        if out and (x[0] > 1) == (y[0] > 1):  # both first letters alike: terms meet
+            for t, n in zip(ts, ns):
+                out[t] = out.get(t, 0) + n
+        else:  # the terms of one branch are distinct, and apart from the other's
+            out.update(zip(ts, ns))
     return out
 
 
 @lru_cache(maxsize=None)
-def _shuffle_words(u: str, v: str) -> tuple[tuple[str, ...], tuple[int, ...]]:
-    out = _shuffle_sum(u, v)
+def _shuffle_words(x: tuple, y: tuple) -> tuple[tuple[tuple, ...], tuple[int, ...]]:
+    out = _shuffle_sum(x, y)
     return tuple(out), tuple(out.values())
 
 
 def _as_lincomb(x) -> LinComb:
-    if isinstance(x, LinComb):
-        return x
-    if isinstance(x, Composition):
-        return LinComb({x: 1})
-    return LinComb({Composition(x): 1})
+    return x if isinstance(x, LinComb) else LinComb({Composition(x): 1})
 
 
 def _bilinear(x, y, product) -> LinComb:
     """Extend a product of two terms bilinearly to combinations;
-    ``product(tx, ty)`` yields the distinct (term, multiplicity) pairs of
-    one product of terms."""
+    ``product(tx, ty)`` is one product of terms as {tuple: multiplicity}."""
     if type(x) is Composition and type(y) is Composition:
-        return LinComb._make(dict(product(x, y)))
+        return LinComb._make({Composition._make(t): n for t, n in product(x, y).items()})
     lx, ly = _as_lincomb(x), _as_lincomb(y)
-
-    def pairs():
-        for tx, cx in lx.items():
-            for ty, cy in ly.items():
-                c = cx * cy
-                for t, n in product(tx, ty):
-                    yield t, c * n
-
-    return LinComb(pairs())
-
-
-def _stuffle_terms(tx: Composition, ty: Composition) -> Iterator[tuple[Composition, int]]:
-    for t, n in _stuffle_sum(tuple(tx), tuple(ty)).items():
-        yield Composition._make(t), n  # sums of entries >= 1
+    return LinComb((Composition._make(t), cx * cy * n) for tx, cx in lx.items()
+                   for ty, cy in ly.items() for t, n in product(tx, ty).items())
 
 
 def stuffle(x, y) -> LinComb:
     """Quasi-shuffle product of compositions, extended bilinearly."""
-    return _bilinear(x, y, _stuffle_terms)
+    return _bilinear(x, y, _stuffle_sum)
 
 
 def shuffle_words(u: Word, v: Word) -> LinComb:
-    """Shuffle product of binary words; coefficient mass C(|u|+|v|, |u|)."""
-    if not isinstance(u, Word):
-        u = Word(u)
-    if not isinstance(v, Word):
-        v = Word(v)
-    return LinComb({Word(t): c for t, c in _shuffle_sum(str(u), str(v)).items()})
+    """Shuffle product of binary words; coefficient mass C(|u|+|v|, |u|).
+
+    Runs on the words' compositions, in the kernel of ``shuffle``: each
+    ``0^(a-1) 1`` is an entry a, so a leading 1 is an entry 1 and the
+    empty word the empty composition.  A word that ends in 0 has no
+    composition and raises ``ValueError``.
+    """
+    words = Word(u), Word(v)
+    for w in words:
+        if w[-1:] == "0":
+            raise ValueError(f"shuffle_words: word {w!r} ends in 0 and has no composition")
+    x, y = (tuple(len(run) + 1 for run in w.split("1")[:-1]) for w in words)
+    return LinComb({Word("".join("0" * (e - 1) + "1" for e in t)): n
+                    for t, n in _shuffle_sum(x, y).items()})
 
 
-_ONE = Composition((1,))
-
-
-def _shuffle_encode(c: Composition) -> Word:
-    # (1) is the single-letter word "1"; anything else must be convergent
-    if c == _ONE:
-        return Word("1")
-    return encode_word(c)
-
-
-def _shuffle_terms(tx: Composition, ty: Composition) -> Iterator[tuple[Composition, int]]:
-    for wt, n in _shuffle_sum(str(_shuffle_encode(tx)), str(_shuffle_encode(ty))).items():
-        yield decode_word(wt), n  # both words end in 1, so every interleaving does
+def _shuffle_checked(x: Composition, y: Composition) -> dict[tuple, int]:
+    """``_shuffle_sum`` of factors checked to be convergent or (1)."""
+    for c in (x, y):
+        if not c or (c[0] == 1 and len(c) > 1):
+            raise NotConvergentError(
+                f"shuffle: factor {format_composition(c)} is neither convergent nor (1)")
+    return _shuffle_sum(x, y)
 
 
 def shuffle(x, y) -> LinComb:
-    """Shuffle product on compositions via the word encoding.
+    """Shuffle product of compositions, read as words.
 
     Both factors must be convergent, except that the factor (1) is
-    allowed (encoded as the bare word "1"); its products carry one
-    divergent term that regularization cancels.
+    allowed (the bare word "1"); its products carry one divergent term
+    that regularization cancels.
     """
-    return _bilinear(x, y, _shuffle_terms)
+    return _bilinear(x, y, _shuffle_checked)
 
 
 def dsr(g, z) -> LinComb:
@@ -328,14 +321,14 @@ def dsr(g, z) -> LinComb:
     z = z if isinstance(z, Composition) else Composition(z)
     if not z.convergent():
         raise ValueError(f"dsr: z must be convergent, got {format_composition(z)}")
-    body = dict(_shuffle_terms(g, z))
-    for t, n in _stuffle_terms(g, z):
+    body = _shuffle_checked(g, z)
+    for t, n in _stuffle_sum(g, z).items():
         c = body.get(t, 0) - n
         if c:
             body[t] = c
         else:
             del body[t]
-    out = LinComb._make(body)  # one weight, summed: the constructor's work is done
+    out = LinComb._make({Composition._make(t): c for t, c in body.items()})  # summed, one weight
     if out.has_divergent():
         raise InternalConsistencyError(
             f"divergent residue in dsr({format_composition(g)}, "

@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 from math import comb
 
@@ -9,7 +10,8 @@ from hypothesis import strategies as st
 from conftest import compositions
 from polyzeta import oracle
 from polyzeta.closedforms import LEFT_FACTORS, closed_dsr
-from polyzeta.core import Composition, Word, decode_word, encode_word
+from polyzeta.core import (Composition, NotConvergentError, Word, decode_word, encode_word,
+                           format_composition)
 from polyzeta.oracle import LinComb, dsr, shuffle, shuffle_words, stuffle
 from polyzeta.ordering import enumerate_weight
 
@@ -29,6 +31,14 @@ class TestLinComb:
         lc = LinComb({C((1, 2)): 1, C((3,)): -1})
         assert lc.has_divergent()
         assert lc.divergent_part() == LinComb({C((1, 2)): 1})
+
+    def test_divergent_terms_lead_with_one(self):
+        lc = LinComb({C((1, 1, 2)): 2, C((1, 3)): -1, C((2, 2)): 1, C((4,)): 5})
+        assert lc.has_divergent()
+        assert lc.divergent_part() == LinComb({C((1, 1, 2)): 2, C((1, 3)): -1})
+        # a Word never counts, whatever its first letter; nor does the unit
+        for lc in (LinComb({Word("101"): 1, Word("011"): 2}), LinComb({C(()): 1}), LinComb()):
+            assert not lc.has_divergent() and lc.divergent_part() == LinComb()
 
     def test_arithmetic(self):
         a = LinComb({C((3,)): Fraction(1, 2)})
@@ -206,6 +216,19 @@ class TestShuffleWords:
         u, v = encode_word(x), encode_word(y)
         assert shuffle_words(u, v).mass() == comb(len(u) + len(v), len(u))
 
+    def test_empty_and_leading_one_words_multiply(self):
+        # words, not compositions: the empty word is the unit, and a word
+        # with leading 1s is a factor like any other that ends in 1
+        assert shuffle_words(Word(""), Word("")) == LinComb({Word(""): 1})
+        assert shuffle_words(Word("11"), Word("1")) == LinComb({Word("111"): 3})
+        assert shuffle_words(Word("1"), Word("101")) == LinComb({Word("1101"): 2, Word("1011"): 2})
+
+    @pytest.mark.parametrize("u, v", [("10", "1"), ("01", "0"), ("0", "")])
+    def test_rejects_a_word_ending_in_0(self, u, v):
+        bad = u if u.endswith("0") else v
+        with pytest.raises(ValueError, match=f"'{bad}'"):
+            shuffle_words(Word(u), Word(v))
+
     def test_commutative_exhaustive_small(self):
         words = ["01", "011", "0011", "001", "1"]
         for u in words:
@@ -254,6 +277,33 @@ class TestShuffle:
                     assert shuffle(shuffle(x, y), z) == shuffle(x, shuffle(y, z))
 
 
+NOT_SHUFFLE_FACTORS = [(), (1, 2), (1, 1), (1, 3, 1)]  # empty, or leading 1 other than (1)
+
+
+class TestShuffleFactors:
+    """The factors the shuffle of compositions accepts: convergent ones
+    and (1); anything else is a NotConvergentError naming the factor."""
+
+    @pytest.mark.parametrize("bad", NOT_SHUFFLE_FACTORS)
+    @pytest.mark.parametrize("product", [shuffle, dsr])
+    def test_rejects_a_left_factor(self, product, bad):
+        named = re.escape(f"factor {format_composition(C(bad))} ")
+        with pytest.raises(NotConvergentError, match=named):
+            product(C(bad), C((2, 1)))
+
+    @pytest.mark.parametrize("bad", NOT_SHUFFLE_FACTORS)
+    def test_rejects_a_right_factor(self, bad):
+        named = re.escape(f"factor {format_composition(C(bad))} ")
+        with pytest.raises(NotConvergentError, match=named):
+            shuffle(C((2, 1)), C(bad))
+        with pytest.raises(NotConvergentError):
+            shuffle(C((3,)), LinComb({C(bad): 1}))
+
+    def test_accepts_one(self):
+        assert shuffle(C((1,)), C((1,))) == LinComb({C((1, 1)): 2})
+        assert shuffle(C((2,)), C((1,))) == shuffle(C((1,)), C((2,)))
+
+
 class TestDsr:
     def test_euler(self):
         assert dsr(C((1,)), C((2,))) == LinComb({C((2, 1)): 1, C((3,)): -1})
@@ -296,37 +346,41 @@ def ref_shuffle(u: str, v: str) -> dict:
 
 
 def test_products_match_an_unmemoised_recursion():
-    # every ordered pair, so both argument orders of the memo key are met
-    for x, y in [(x, y) for wx in range(2, 7) for wy in range(2, 9 - wx)
-                 for x in CONVERGENT[wx] for y in CONVERGENT[wy]]:
+    # every ordered pair, so both argument orders of the memo key are met;
+    # the string recursion on the words referees the composition kernel
+    ones = [(C((1,)), y) for wy in range(2, 7) for y in CONVERGENT[wy]]
+    for x, y in ones + [(x, y) for wx in range(2, 7) for wy in range(2, 9 - wx)
+                        for x in CONVERGENT[wx] for y in CONVERGENT[wy]]:
         assert stuffle(x, y).terms() == ref_stuffle(x, y)
-        u, v = encode_word(x), encode_word(y)
-        words = ref_shuffle(u, v)
-        assert shuffle_words(u, v).terms() == words
+        u = "1" if x == (1,) else encode_word(x)
+        words = ref_shuffle(u, encode_word(y))
+        assert shuffle_words(u, encode_word(y)).terms() == words
         assert shuffle(x, y).terms() == {decode_word(t): n for t, n in words.items()}
+        assert shuffle(y, x).terms() == shuffle(x, y).terms()
 
 
-def sub_pairs(a, b, both_empty: bool) -> set:
-    """The argument pairs, smaller first, that the recursion of the
-    product of a and b meets below (a, b): every pair of suffixes, with
-    (empty, empty) only where a step drops both heads (the stuffle)."""
-    pairs = {tuple(sorted((a[i:], b[j:]))) for i in range(len(a) + 1) for j in range(len(b) + 1)}
-    pairs.discard(tuple(sorted((a, b))))
-    if not both_empty:
-        pairs.discard((a[:0], b[:0]))
+def word_suffixes(x: tuple) -> list[tuple]:
+    """The suffixes of x's word 0^(a_1-1) 1 ... 0^(a_d-1) 1, as compositions."""
+    return [(k,) + x[i + 1:] for i in range(len(x)) for k in range(1, x[i] + 1)] + [()]
+
+
+def sub_pairs(xs: list, ys: list, top: tuple) -> set:
+    """The argument pairs, smaller first, that the recursion of the product
+    of (x, y) = top meets below it: pairs of suffixes from xs and ys, none
+    of them empty (a product with the unit is not memoised)."""
+    pairs = {tuple(sorted((a, b))) for a in xs for b in ys if a and b}
+    pairs.discard(tuple(sorted(top)))
     return pairs
 
 
 @pytest.mark.parametrize("x, y", [((3, 1, 2), (2, 1)), ((2, 1, 1), (2, 1, 1)), ((2, 2), (5,))])
 @pytest.mark.parametrize("product", ["stuffle", "shuffle", "shuffle_words", "dsr"])
 def test_memo_keeps_sub_products_only(x, y, product):
-    xy = (x, y)
-    uv = (str(encode_word(C(x))), str(encode_word(C(y))))
     memos = {"stuffle": oracle._stuffle, "shuffle": oracle._shuffle_words}
     for memo in memos.values():
         memo.cache_clear()
     if product == "shuffle_words":
-        shuffle_words(*uv)
+        shuffle_words(encode_word(C(x)), encode_word(C(y)))
     else:
         getattr(oracle, product)(C(x), C(y))
     sides = {"stuffle": ["stuffle"], "dsr": ["stuffle", "shuffle"]}.get(product, ["shuffle"])
@@ -334,8 +388,13 @@ def test_memo_keeps_sub_products_only(x, y, product):
         if side not in sides:
             assert memo.cache_info().currsize == 0
             continue
-        args, both_empty = (xy, True) if side == "stuffle" else (uv, False)
+        suffixes = (lambda c: [c[i:] for i in range(len(c) + 1)]) if side == "stuffle" \
+            else word_suffixes
+        want = sub_pairs(suffixes(x), suffixes(y), (x, y))
         info = memo.cache_info()
-        assert info.currsize == len(sub_pairs(*args, both_empty))
-        memo(*sorted(args))  # the product's own pair is a miss
+        assert info.currsize == len(want)
+        for pair in want:  # each a hit: the memo holds these pairs, none with an empty side
+            memo(*pair)
+        assert memo.cache_info().misses == info.misses
+        memo(*sorted((x, y)))  # the product's own pair is a miss
         assert memo.cache_info().misses == info.misses + 1
