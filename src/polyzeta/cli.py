@@ -13,39 +13,19 @@ import argparse
 import json
 import os
 import sys
+from collections import Counter
 from fractions import Fraction
 from functools import partial
+from math import comb
 from pathlib import Path
 
 from . import __version__
-from .closedforms import (
-    LEFT_FACTORS,
-    SIDES,
-    closed_dsr,
-    closed_shuffle,
-    closed_stuffle,
-    reconcile,
-    reconcile_one,
-    sources,
-)
-from .core import (
-    Composition,
-    ParseError,
-    dual,
-    format_composition,
-    parse_composition,
-    signature,
-)
+from .closedforms import (LEFT_FACTORS, SIDES, closed_dsr, closed_shuffle, closed_stuffle,
+                          reconcile, reconcile_one, sources)
+from .core import Composition, ParseError, dual, format_composition, parse_composition, signature
 from .counting import count_report, n_total, n_wd, n_wdh
-from .engine import (
-    GENERATOR_VERSION,
-    RelationSet,
-    Relation,
-    expected_relation_count,
-    generate_relations,
-    reduce_relations,
-    verify_numeric,
-)
+from .engine import (GENERATOR_VERSION, RelationSet, Relation, expected_relation_count,
+                     generate_relations, reduce_relations, verify_numeric)
 from .numeric import MAX_TERMS, ToleranceUnreachable, check_tolerance, eval_mzv
 from .oracle import InternalConsistencyError, LinComb, coeff_dict, shuffle, stuffle
 from .ordering import enumerate_weight, positions
@@ -201,11 +181,7 @@ def _families_arg(text: str) -> tuple[str, ...]:
 
 def _cmd_list(args) -> int:
     comps = enumerate_weight(args.weight)
-    payload = {
-        "schema": SCHEMA,
-        "weight": args.weight,
-        "compositions": [list(c) for c in comps],
-    }
+    payload = {"schema": SCHEMA, "weight": args.weight, "compositions": [list(c) for c in comps]}
     _emit_payload(args, payload, "\n".join(format_composition(c) for c in comps))
     return 0
 
@@ -240,8 +216,6 @@ def _count_table_text(w: int) -> str:
         for h in range(1, min(d, w - d) + 1):
             n = n_wdh(w, d, h)
             if n:
-                from math import comb
-
                 prods.append(f"{comb(d - 1, d - h)}*{comb(w - d - 1, h - 1)}")
         lines.append(f"  d={d}: {' + '.join(prods)} = {n_wd(w, d)}")
     lines.append(f"  total = {n_total(w)}")
@@ -291,9 +265,7 @@ def _cmd_closed(args) -> int:
 
 def _cmd_reconcile(args) -> int:
     reports = reconcile(args.g, args.side, args.max_weight)
-    counts: dict[str, int] = {}
-    for r in reports:
-        counts[r.verdict] = counts.get(r.verdict, 0) + 1
+    counts = Counter(r.verdict for r in reports)
     payload = {
         "schema": SCHEMA,
         "g": args.g,

@@ -3,13 +3,13 @@
 Each product is a finite sum of *families*.  A family walks the blocks
 (a_1, 1^b_1, ..., a_h, 1^b_h) of the right factor and emits terms with
 integer coefficients; it states once the shift of its terms' depth and
-height from z's, and each term is a (composition, coefficient) pair.  The
-per-term :class:`FamilyTerm` (family, predicted signature) is built only
-by :func:`closed_terms`.  Family names record where the inserted letters
-land: ``a`` in a 0-run (the head a_k, grown or split), ``b`` in a 1-run
-(the ones 1^b_k, one merged or a new entry inserted); ``a1 a2`` distinct
-blocks, a repeated letter the same block; ``front``/``end`` the special
-unit insertions.
+height from z's, and each term is a plain (tuple, coefficient) pair: a
+product makes one Composition per summed term, and :func:`closed_terms`
+its :class:`FamilyTerm` records.  Family names record where the inserted
+letters land: ``a`` in a 0-run (the head a_k, grown or split), ``b`` in a
+1-run (the ones 1^b_k, one merged or a new entry inserted); ``a1 a2``
+distinct blocks, a repeated letter the same block; ``front``/``end`` the
+special unit insertions.
 
 In the word ``0^(a_k-1) 1 1^b_k`` of block k, the head a_k and the run
 1^b_k are disjoint segments.  A term therefore replaces heads and runs
@@ -31,13 +31,13 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from functools import partial
-from itertools import accumulate, combinations, combinations_with_replacement
+from functools import cache, partial
+from itertools import combinations, combinations_with_replacement
 from typing import Callable, Iterator, Sequence
 
-from .core import Composition, format_composition, to_ab
-from .oracle import InternalConsistencyError, LinComb, coeff_dict, dsr as oracle_dsr
-from .oracle import shuffle as oracle_shuffle, stuffle as oracle_stuffle
+from .core import Composition, _require_convergent, format_composition
+from .oracle import InternalConsistencyError, LinComb, _dsr_sum, _kept, _shuffle_checked
+from .oracle import _stuffle_sum, _summed, coeff_dict
 from .ordering import enumerate_weight
 
 __all__ = [
@@ -167,35 +167,29 @@ _ABSENT_FROM_PRINT = ("missing-family", "index-typo", "unreadable")  # see Print
 
 def _splits2(total: int) -> Iterator[tuple[int, int]]:
     """All (p, q) >= 0 with p + q = total (empty when total < 0)."""
-    for p in range(total + 1):
-        yield p, total - p
+    return zip(range(total + 1), range(total, -1, -1))
 
 
-def _splits3(total: int) -> Iterator[tuple[int, int, int]]:
-    for p in range(total + 1):
-        for q in range(total - p + 1):
-            yield p, q, total - p - q
+@cache
+def _splits3(total: int) -> tuple[tuple[int, int, int], ...]:
+    return tuple((p, q, total - p - q) for p in range(total + 1) for q in range(total - p + 1))
 
 
 def _asplits(total: int, lo1: int = 2) -> Iterator[tuple[int, int]]:
     """All (a', a'') with a' + a'' = total, a' >= lo1, a'' >= 2."""
-    for a1 in range(lo1, total - 1):
-        yield a1, total - a1
+    return zip(range(lo1, total - 1), range(total - lo1, 1, -1))
 
 
-def _asplits3(total: int) -> Iterator[tuple[int, int, int]]:
-    for a1 in range(2, total - 3 + 1):
-        for a2 in range(2, total - a1 - 2 + 1):
-            yield a1, a2, total - a1 - a2
+@cache
+def _asplits3(total: int) -> tuple[tuple[int, int, int], ...]:
+    return tuple((a1, a2, total - a1 - a2) for a1 in range(2, total - 2)
+                 for a2 in range(2, total - a1 - 1))
 
 
-def _ins(p: int, v: int, q: int) -> tuple[int, ...]:
-    """A run with the entry v placed among its ones: 1^p, v, 1^q."""
-    return (1,) * p + (v,) + (1,) * q
-
-
-def _ins2(p: int, v1: int, q: int, v2: int, r: int) -> tuple[int, ...]:
-    return (1,) * p + (v1,) + (1,) * q + (v2,) + (1,) * r
+@cache
+def _runs_of_ones(n: int) -> tuple[tuple[int, ...], ...]:
+    """(), (1,), (1, 1), ...: the n runs of fewer than n ones."""
+    return tuple((1,) * k for k in range(n))
 
 
 _NO_EDIT: dict[int, tuple[int, ...]] = {}  # emit's default heads and runs; never written
@@ -211,9 +205,10 @@ class _Emitter:
     around each touched block k, rebuilt as ``heads.get(k, head[k]) +
     runs.get(k, run[k])``; its entries are >= 1 by construction.  A head
     may grow (``grown``) or split (``(a1, a2)``, ``(a1, 1, a2)``, ...); a
-    run may grow (``longer``) or take new entries (``_ins``, ``_ins2``).
+    run may grow (``longer``) or take new entries (``ins``, ``ins2``),
+    both cut from ``ones``, the runs of ones made once.
 
-    ``terms`` holds (composition, coefficient) pairs in emission order and
+    ``terms`` holds (tuple, coefficient) pairs in emission order and
     ``spans`` the (name, depth, height, first term) of each family, which
     runs to the next span's first term; ``printed[n]`` is the print's
     coefficient of ``terms[n]`` where it differs (``emit(printed=...)``).
@@ -221,13 +216,15 @@ class _Emitter:
     negated: a dsr's stuffle side.
     """
 
-    def __init__(self, z: Composition):
-        blocks = to_ab(z)
-        self.a, self.b = [a for a, _ in blocks], [b for _, b in blocks]
-        self.z, self.h, self.d = tuple(z), len(blocks), len(z)
-        self.head, self.run = [(a,) for a in self.a], [(1,) * b for b in self.b]
-        self.at = [0, *accumulate(1 + b for b in self.b)]  # at[k]: the position of a_k in z
-        self.terms: list[tuple[Composition, int]] = []
+    def __init__(self, z: Composition):  # convergent: _emission checks it
+        self.z, self.d = tuple(z), len(z)
+        self.at = [k for k, x in enumerate(z) if x > 1] + [self.d]  # at[k]: the position of a_k
+        self.a = [z[k] for k in self.at[:-1]]
+        self.h = len(self.a)
+        self.b = [k - j - 1 for j, k in zip(self.at, self.at[1:])]
+        self.ones = _runs_of_ones(max(self.b) + 3)  # a run grows by at most 2 ones
+        self.head, self.run = [(a,) for a in self.a], [self.ones[b] for b in self.b]
+        self.terms: list[tuple[tuple[int, ...], int]] = []
         self.spans: list[tuple[str, int, int, int]] = []
         self.printed: dict[int, int] = {}
         self.sign = 1
@@ -251,7 +248,7 @@ class _Emitter:
             pos = at[k + 1]
         if printed is not None and printed != coeff:
             self.printed[len(self.terms)] = self.sign * printed
-        self.terms.append((Composition._make(comp + z[pos:] + back), self.sign * coeff))
+        self.terms.append((comp + z[pos:] + back, self.sign * coeff))
 
     def families(self) -> Iterator[tuple[str, int, int, int, int]]:
         """(name, depth, height, first, end) of each family, whose terms are terms[first:end]."""
@@ -264,7 +261,16 @@ class _Emitter:
 
     def longer(self, j: int, k: int) -> tuple[int, ...]:
         """Run j with k more ones."""
-        return (1,) * (self.b[j] + k)
+        return self.ones[self.b[j] + k]
+
+    def ins(self, p: int, v: int, q: int) -> tuple[int, ...]:
+        """A run with the entry v placed among its ones: 1^p, v, 1^q."""
+        ones = self.ones
+        return ones[p] + (v,) + ones[q]
+
+    def ins2(self, p: int, v1: int, q: int, v2: int, r: int) -> tuple[int, ...]:
+        ones = self.ones
+        return ones[p] + (v1,) + ones[q] + (v2,) + ones[r]
 
 
 def _merge(e: _Emitter, k: int) -> None:
@@ -276,7 +282,7 @@ def _merge(e: _Emitter, k: int) -> None:
     e.family(f"{k}->b:merge", 0, 1)
     for j in range(e.h):
         for p, q in _splits2(e.b[j] - 1):
-            e.emit(1, runs={j: _ins(p, k + 1, q)})
+            e.emit(1, runs={j: e.ins(p, k + 1, q)})
 
 
 def _subtract(e: _Emitter, emit: Callable[..., None], *args) -> None:
@@ -333,7 +339,7 @@ def _stuffle_entry(e: _Emitter, k: int) -> None:
     e.family(f"{k}->b:ins", 1, 1)
     for j in range(e.h):
         for p, q in _splits2(e.b[j]):
-            e.emit(1, runs={j: _ins(p, k, q)})
+            e.emit(1, runs={j: e.ins(p, k, q)})
 
 
 _stuffle_2 = partial(_stuffle_entry, k=2)
@@ -353,12 +359,12 @@ def _shuffle_2(e: _Emitter, dsr: bool = False) -> None:
     e.family("0->b1,1->b2", 1, 1)
     for j1, j2 in combinations(range(e.h), 2):
         for p, q in _splits2(e.b[j1] - 1):
-            e.emit(e.b[j2] + 2, runs={j1: _ins(p, 2, q), j2: e.longer(j2, 1)})
+            e.emit(e.b[j2] + 2, runs={j1: e.ins(p, 2, q), j2: e.longer(j2, 1)})
     # 0 and 1 in the same 1-run
     e.family("0->b,1->b(same)", 1, 1)
     for j in range(e.h):
         for p, q in _splits2(e.b[j]):
-            e.emit(q if dsr else q + 1, runs={j: _ins(p, 2, q)})
+            e.emit(q if dsr else q + 1, runs={j: e.ins(p, 2, q)})
     # 0 and 1 in the same 0-run (plus the front unit when not subtracted)
     e.family("00->a,1->a", 1, 1)
     if not dsr:
@@ -376,7 +382,7 @@ def _shuffle_2(e: _Emitter, dsr: bool = False) -> None:
     for j, i in combinations(range(e.h), 2):
         for p, q in _splits2(e.b[j] - 1):
             for a1, a2 in _asplits(e.a[i] + 1):
-                e.emit(1, {i: (a1, a2)}, {j: _ins(p, 2, q)})
+                e.emit(1, {i: (a1, a2)}, {j: e.ins(p, 2, q)})
 
 
 def _dsr_2(e: _Emitter) -> None:
@@ -400,12 +406,12 @@ def _shuffle_3(e: _Emitter) -> None:
     e.family("00->b:3,1->b(same)", 1, 1)
     for j in range(h):
         for p, q in _splits2(b[j]):
-            e.emit(q + 1, runs={j: _ins(p, 3, q)})
+            e.emit(q + 1, runs={j: e.ins(p, 3, q)})
     # 00 split in a 1-run (two 2s), 1 in the same run
     e.family("00->b:22,1->b(same)", 1, 2)
     for j in range(h):
         for p, q, r in _splits3(b[j] - 1):
-            e.emit(r + 1, runs={j: _ins2(p, 2, q, 2, r)})
+            e.emit(r + 1, runs={j: e.ins2(p, 2, q, 2, r)})
     # both 0s in a_i1, 1 splits a_i2
     e.family("00->a1,1->a2", 1, 1)
     for i1, i2 in combinations(range(h), 2):
@@ -420,23 +426,23 @@ def _shuffle_3(e: _Emitter) -> None:
     for j, i in combinations(range(h), 2):
         for p, q in _splits2(b[j] - 1):
             for a1, a2 in _asplits(a[i] + 1):
-                e.emit(1, {i: (a1, a2)}, {j: _ins(p, 3, q)})
+                e.emit(1, {i: (a1, a2)}, {j: e.ins(p, 3, q)})
     # 00 split in 1-run j (two 2s), 1 splits a_i
     e.family("00->b:22,1->a", 1, 3)
     for j, i in combinations(range(h), 2):
         for p, q, r in _splits3(b[j] - 2):
             for a1, a2 in _asplits(a[i] + 1):
-                e.emit(1, {i: (a1, a2)}, {j: _ins2(p, 2, q, 2, r)})
+                e.emit(1, {i: (a1, a2)}, {j: e.ins2(p, 2, q, 2, r)})
     # 00 adjacent in 1-run j1 (new 3), 1 in 1-run j2
     e.family("00->b1:3,1->b2", 1, 1)
     for j1, j2 in combinations(range(h), 2):
         for p, q in _splits2(b[j1] - 1):
-            e.emit(b[j2] + 2, runs={j1: _ins(p, 3, q), j2: e.longer(j2, 1)}, printed=b[j2] + 1)
+            e.emit(b[j2] + 2, runs={j1: e.ins(p, 3, q), j2: e.longer(j2, 1)}, printed=b[j2] + 1)
     # 00 split in 1-run j1 (two 2s), 1 in 1-run j2
     e.family("00->b1:22,1->b2", 1, 2)
     for j1, j2 in combinations(range(h), 2):
         for p, q, r in _splits3(b[j1] - 2):
-            e.emit(b[j2] + 2, runs={j1: _ins2(p, 2, q, 2, r), j2: e.longer(j2, 1)})
+            e.emit(b[j2] + 2, runs={j1: e.ins2(p, 2, q, 2, r), j2: e.longer(j2, 1)})
     # 0 -> a_i1, 0 and 1 -> a_i2
     e.family("0->a1,0->a2,1->a2", 1, 1)
     for i1, i2 in combinations(range(h), 2):
@@ -446,19 +452,19 @@ def _shuffle_3(e: _Emitter) -> None:
     e.family("0->a,0->b,1->b(same)", 1, 1)
     for i, j in combinations_with_replacement(range(h), 2):
         for p, q in _splits2(b[j]):
-            e.emit(a[i] * (q + 1), {i: e.grown(i, 1)}, {j: _ins(p, 2, q)})
+            e.emit(a[i] * (q + 1), {i: e.grown(i, 1)}, {j: e.ins(p, 2, q)})
     # 0 -> 1-run j (new 2), 0 and 1 -> a_i
     e.family("0->b,0->a,1->a(same)", 1, 2)
     for j, i in combinations(range(h), 2):
         for p, q in _splits2(b[j] - 1):
             for a1, a2 in _asplits(a[i] + 2, lo1=3):
-                e.emit(a1 - 1, {i: (a1, a2)}, {j: _ins(p, 2, q)})
+                e.emit(a1 - 1, {i: (a1, a2)}, {j: e.ins(p, 2, q)})
     # 0 -> 1-run j1 (new 2), 0 and 1 -> 1-run j2
     e.family("0->b1,0->b2,1->b2", 1, 2)
     for j1, j2 in combinations(range(h), 2):
         for p1, q1 in _splits2(b[j1] - 1):
             for p2, q2 in _splits2(b[j2]):
-                e.emit(q2 + 1, runs={j1: _ins(p1, 2, q1), j2: _ins(p2, 2, q2)})
+                e.emit(q2 + 1, runs={j1: e.ins(p1, 2, q1), j2: e.ins(p2, 2, q2)})
     # 0 -> a_i1, 0 -> a_i2, 1 -> a_i3
     e.family("0->a1,0->a2,1->a3", 1, 1)
     for i1, i2, i3 in combinations(range(h), 3):
@@ -476,40 +482,40 @@ def _shuffle_3(e: _Emitter) -> None:
         for i2 in range(j + 1, h):
             for p, q in _splits2(b[j] - 1):
                 for a1, a2 in _asplits(a[i2] + 1):
-                    e.emit(a[i1], {i1: e.grown(i1, 1), i2: (a1, a2)}, {j: _ins(p, 2, q)})
+                    e.emit(a[i1], {i1: e.grown(i1, 1), i2: (a1, a2)}, {j: e.ins(p, 2, q)})
     # 0 -> a_i, 0 -> 1-run j1, 1 -> 1-run j2   (i <= j1 < j2)
     e.family("0->a,0->b1,1->b2", 1, 1)
     for i, j1 in combinations_with_replacement(range(h), 2):
         for j2 in range(j1 + 1, h):
             for p, q in _splits2(b[j1] - 1):
                 e.emit(a[i] * (b[j2] + 2), {i: e.grown(i, 1)},
-                       {j1: _ins(p, 2, q), j2: e.longer(j2, 1)})
+                       {j1: e.ins(p, 2, q), j2: e.longer(j2, 1)})
     # 0 -> 1-run j (new 2), 0 -> a_i1, 1 -> a_i2   (j < i1 < i2)
     e.family("0->b,0->a1,1->a2", 1, 2)
     for j, i1, i2 in combinations(range(h), 3):
         for p, q in _splits2(b[j] - 1):
             for a1, a2 in _asplits(a[i2] + 1):
-                e.emit(a[i1], {i1: e.grown(i1, 1), i2: (a1, a2)}, {j: _ins(p, 2, q)}, printed=1)
+                e.emit(a[i1], {i1: e.grown(i1, 1), i2: (a1, a2)}, {j: e.ins(p, 2, q)}, printed=1)
     # 0 -> 1-run j1 (new 2), 0 -> a_i, 1 -> 1-run j2   (j1 < i <= j2)
     e.family("0->b1,0->a,1->b2", 1, 1)
     for j1, i in combinations(range(h), 2):
         for j2 in range(i, h):
             for p, q in _splits2(b[j1] - 1):
                 e.emit(a[i] * (b[j2] + 2), {i: e.grown(i, 1)},
-                       {j1: _ins(p, 2, q), j2: e.longer(j2, 1)})
+                       {j1: e.ins(p, 2, q), j2: e.longer(j2, 1)})
     # 0 -> 1-run j1, 0 -> 1-run j2, 1 -> a_i   (j1 < j2 < i)
     e.family("0->b1,0->b2,1->a", 1, 3)
     for j1, j2, i in combinations(range(h), 3):
         for p1, q1 in _splits2(b[j1] - 1):
             for p2, q2 in _splits2(b[j2] - 1):
                 for a1, a2 in _asplits(a[i] + 1):
-                    e.emit(1, {i: (a1, a2)}, {j1: _ins(p1, 2, q1), j2: _ins(p2, 2, q2)})
+                    e.emit(1, {i: (a1, a2)}, {j1: e.ins(p1, 2, q1), j2: e.ins(p2, 2, q2)})
     # 0 -> 1-run j1, 0 -> 1-run j2, 1 -> 1-run j3
     e.family("0->b1,0->b2,1->b3", 1, 2)
     for j1, j2, j3 in combinations(range(h), 3):
         for p1, q1 in _splits2(b[j1] - 1):
             for p2, q2 in _splits2(b[j2] - 1):
-                e.emit(b[j3] + 2, runs={j1: _ins(p1, 2, q1), j2: _ins(p2, 2, q2),
+                e.emit(b[j3] + 2, runs={j1: e.ins(p1, 2, q1), j2: e.ins(p2, 2, q2),
                                         j3: e.longer(j3, 1)})
 
 
@@ -532,23 +538,23 @@ def _stuffle_21(e: _Emitter) -> None:
     e.family("2->a,1->b", 0, 1)
     for i, j in combinations_with_replacement(range(h), 2):
         for p, q in _splits2(b[j] - 1):
-            e.emit(1, {i: e.grown(i, 2)}, {j: _ins(p, 2, q)})
+            e.emit(1, {i: e.grown(i, 2)}, {j: e.ins(p, 2, q)})
     # 2 merges into a one of run j (3), 1 merges into a_i, j < i
     e.family("2->b:3,1->a", 0, 1)
     for j, i in combinations(range(h), 2):
         for p, q in _splits2(b[j] - 1):
-            e.emit(1, {i: e.grown(i, 1)}, {j: _ins(p, 3, q)})
+            e.emit(1, {i: e.grown(i, 1)}, {j: e.ins(p, 3, q)})
     # both merge into ones of distinct runs
     e.family("2->b1:3,1->b2", 0, 2)
     for j1, j2 in combinations(range(h), 2):
         for p1, q1 in _splits2(b[j1] - 1):
             for p2, q2 in _splits2(b[j2] - 1):
-                e.emit(1, runs={j1: _ins(p1, 3, q1), j2: _ins(p2, 2, q2)})
+                e.emit(1, runs={j1: e.ins(p1, 3, q1), j2: e.ins(p2, 2, q2)})
     # both merge into ones of the same run (missing from the printed list)
     e.family("2->b:3,1->b(same)", 0, 2)
     for j in range(h):
         for p, q, r in _splits3(b[j] - 2):
-            e.emit(1, runs={j: _ins2(p, 3, q, 2, r)})
+            e.emit(1, runs={j: e.ins2(p, 3, q, 2, r)})
     # 2 merges into a_i, 1 inserted in run j >= i
     e.family("2->a,1->b:ins", 1, 0)
     for i, j in combinations_with_replacement(range(h), 2):
@@ -557,13 +563,13 @@ def _stuffle_21(e: _Emitter) -> None:
     e.family("2->b1:3,1->b2:ins", 1, 1)
     for j1, j2 in combinations(range(h), 2):
         for p, q in _splits2(b[j1] - 1):
-            e.emit(b[j2] + 1, runs={j1: _ins(p, 3, q), j2: e.longer(j2, 1)})
+            e.emit(b[j2] + 1, runs={j1: e.ins(p, 3, q), j2: e.longer(j2, 1)})
     # 2 merges into a one of run j (3), 1 inserted after it in the same run
     # (printed with an index slip that breaks the weight)
     e.family("2->b:3,1->b+1(same)", 1, 1)
     for j in range(h):
         for p, q in _splits2(b[j]):
-            e.emit(q, runs={j: _ins(p, 3, q)})
+            e.emit(q, runs={j: e.ins(p, 3, q)})
     # 2 inserted at the front, 1 merges into a_i
     e.family("2->front,1->a", 1, 1)
     for i in range(h):
@@ -572,24 +578,24 @@ def _stuffle_21(e: _Emitter) -> None:
     e.family("2->b:ins,1->a", 1, 1)
     for j, i in combinations(range(h), 2):
         for p, q in _splits2(b[j]):
-            e.emit(1, {i: e.grown(i, 1)}, {j: _ins(p, 2, q)})
+            e.emit(1, {i: e.grown(i, 1)}, {j: e.ins(p, 2, q)})
     # 2 inserted at the front, 1 merges into a one of run j
     e.family("2->front,1->b", 1, 2)
     for j in range(h):
         for p, q in _splits2(b[j] - 1):
-            e.emit(1, runs={j: _ins(p, 2, q)}, front=(2,))
+            e.emit(1, runs={j: e.ins(p, 2, q)}, front=(2,))
     # 2 inserted in run j1, 1 merges into a one of run j2 > j1
     e.family("2->b1:ins,1->b2", 1, 2)
     for j1, j2 in combinations(range(h), 2):
         for p1, q1 in _splits2(b[j1]):
             for p2, q2 in _splits2(b[j2] - 1):
-                e.emit(1, runs={j1: _ins(p1, 2, q1), j2: _ins(p2, 2, q2)})
+                e.emit(1, runs={j1: e.ins(p1, 2, q1), j2: e.ins(p2, 2, q2)})
     # 2 inserted in run j, 1 merges into a one after it in the same run
     # (printed with an index slip that breaks the weight)
     e.family("2->b:ins,1->b(same)", 1, 2)
     for j in range(h):
         for p, q, r in _splits3(b[j] - 1):
-            e.emit(1, runs={j: _ins2(p, 2, q, 2, r)})
+            e.emit(1, runs={j: e.ins2(p, 2, q, 2, r)})
     # the unit (2,1) at the front
     e.family("21->front", 2, 1).emit(1, front=(2, 1))
     # 2 inserted at the front, 1 inserted in run j (missing from print)
@@ -600,12 +606,12 @@ def _stuffle_21(e: _Emitter) -> None:
     e.family("2->b:ins,1->b+1(same)", 2, 1)
     for j in range(h):
         for p, q in _splits2(b[j]):
-            e.emit(q + 1, runs={j: _ins(p, 2, q + 1)})
+            e.emit(q + 1, runs={j: e.ins(p, 2, q + 1)})
     # 2 inserted in run j1, 1 inserted in run j2 > j1
     e.family("2->b1:ins,1->b2:ins", 2, 1)
     for j1, j2 in combinations(range(h), 2):
         for p, q in _splits2(b[j1]):
-            e.emit(b[j2] + 1, runs={j1: _ins(p, 2, q), j2: e.longer(j2, 1)})
+            e.emit(b[j2] + 1, runs={j1: e.ins(p, 2, q), j2: e.longer(j2, 1)})
 
 
 def _shuffle_21(e: _Emitter) -> None:
@@ -624,7 +630,7 @@ def _shuffle_21(e: _Emitter) -> None:
     e.family("0->b,11->b(same)", 2, 1)
     for j in range(h):
         for p, q in _splits2(b[j] - 1):
-            e.emit((q + 3) * (q + 2) // 2, runs={j: _ins(p, 2, q + 2)})
+            e.emit((q + 3) * (q + 2) // 2, runs={j: e.ins(p, 2, q + 2)})
     # 0 and one 1 split a_i1, the other 1 splits a_i2 (the printed inner
     # sums dangle, so this family is reconstructed; absent as printed)
     e.family("0->a1,1->a1,1->a2", 2, 2)
@@ -642,12 +648,12 @@ def _shuffle_21(e: _Emitter) -> None:
     for j, i in combinations(range(h), 2):
         for p, q in _splits2(b[j] - 1):
             for a1, a2 in _asplits(a[i] + 1):
-                e.emit(q + 2, {i: (a1, a2)}, {j: _ins(p, 2, q + 1)}, printed=q + 1)
+                e.emit(q + 2, {i: (a1, a2)}, {j: e.ins(p, 2, q + 1)}, printed=q + 1)
     # 0 in 1-run j1 (new 2), one 1 after it, the other in 1-run j2
     e.family("0->b1,1->b1(same),1->b2", 2, 1)
     for j1, j2 in combinations(range(h), 2):
         for p, q in _splits2(b[j1] - 1):
-            e.emit((q + 2) * (b[j2] + 2), runs={j1: _ins(p, 2, q + 1), j2: e.longer(j2, 1)})
+            e.emit((q + 2) * (b[j2] + 2), runs={j1: e.ins(p, 2, q + 1), j2: e.longer(j2, 1)})
     # 0 into a_i1, adjacent 11 inside a_i2
     e.family("0->a1,11->a2(pair)", 2, 1)
     for i1, i2 in combinations(range(h), 2):
@@ -667,18 +673,18 @@ def _shuffle_21(e: _Emitter) -> None:
     for j, i in combinations(range(h), 2):
         for p, q in _splits2(b[j] - 1):
             for a1, a2 in _asplits(a[i] + 1):
-                e.emit(1, {i: (a1, 1, a2)}, {j: _ins(p, 2, q)})
+                e.emit(1, {i: (a1, 1, a2)}, {j: e.ins(p, 2, q)})
     # 0 in 1-run j (new 2), both 1s split a_i > j twice
     e.family("0->b,1->a,1->a", 2, 3)
     for j, i in combinations(range(h), 2):
         for p, q in _splits2(b[j] - 1):
             for a1, a2, a3 in _asplits3(a[i] + 2):
-                e.emit(1, {i: (a1, a2, a3)}, {j: _ins(p, 2, q)})
+                e.emit(1, {i: (a1, a2, a3)}, {j: e.ins(p, 2, q)})
     # 0 in 1-run j1 (new 2), both 1s into 1-run j2
     e.family("0->b1,1->b2,1->b2", 2, 1)
     for j1, j2 in combinations(range(h), 2):
         for p, q in _splits2(b[j1] - 1):
-            e.emit((b[j2] + 3) * (b[j2] + 2) // 2, runs={j1: _ins(p, 2, q), j2: e.longer(j2, 2)})
+            e.emit((b[j2] + 3) * (b[j2] + 2) // 2, runs={j1: e.ins(p, 2, q), j2: e.longer(j2, 2)})
     # 0 into a_i1, 1 splits a_i2, 1 splits a_i3
     e.family("0->a1,1->a2,1->a3", 2, 2)
     for i1, i2, i3 in combinations(range(h), 3):
@@ -709,26 +715,26 @@ def _shuffle_21(e: _Emitter) -> None:
         for p, q in _splits2(b[j] - 1):
             for a1, a2 in _asplits(a[i1] + 1):
                 for A1, A2 in _asplits(a[i2] + 1):
-                    e.emit(1, {i1: (a1, a2), i2: (A1, A2)}, {j: _ins(p, 2, q)})
+                    e.emit(1, {i1: (a1, a2), i2: (A1, A2)}, {j: e.ins(p, 2, q)})
     # 0 in 1-run j1 (new 2), 1 splits a_i, 1 into 1-run j2   (j1 < i <= j2)
     e.family("0->b1,1->a,1->b2", 2, 2)
     for j1, i in combinations(range(h), 2):
         for j2 in range(i, h):
             for p, q in _splits2(b[j1] - 1):
                 for a1, a2 in _asplits(a[i] + 1):
-                    e.emit(b[j2] + 2, {i: (a1, a2)}, {j1: _ins(p, 2, q), j2: e.longer(j2, 1)})
+                    e.emit(b[j2] + 2, {i: (a1, a2)}, {j1: e.ins(p, 2, q), j2: e.longer(j2, 1)})
     # 0 in 1-run j1 (new 2), 1 into 1-run j2, 1 splits a_i   (j1 < j2 < i)
     e.family("0->b1,1->b2,1->a", 2, 2)
     for j1, j2, i in combinations(range(h), 3):
         for p, q in _splits2(b[j1] - 1):
             for a1, a2 in _asplits(a[i] + 1):
-                e.emit(b[j2] + 2, {i: (a1, a2)}, {j1: _ins(p, 2, q), j2: e.longer(j2, 1)})
+                e.emit(b[j2] + 2, {i: (a1, a2)}, {j1: e.ins(p, 2, q), j2: e.longer(j2, 1)})
     # 0 in 1-run j1 (new 2), 1 into 1-run j2, 1 into 1-run j3
     e.family("0->b1,1->b2,1->b3", 2, 1)
     for j1, j2, j3 in combinations(range(h), 3):
         for p, q in _splits2(b[j1] - 1):
             e.emit((b[j2] + 2) * (b[j3] + 2),
-                   runs={j1: _ins(p, 2, q), j2: e.longer(j2, 1), j3: e.longer(j3, 1)})
+                   runs={j1: e.ins(p, 2, q), j2: e.longer(j2, 1), j3: e.longer(j3, 1)})
     # the unit (2,1) appended at the very end
     e.family("011->end", 2, 1).emit(1, back=(2, 1))
 
@@ -764,36 +770,37 @@ _ABSENT = {key: frozenset(c.family for c in records if c.kind in _ABSENT_FROM_PR
            for key, records in _CORRECTIONS.items()}
 
 
-def _emission(g: str, side: str, z) -> _Emitter:
-    """Check the arguments and run the generator of (g, side) over z once."""
+def _emission(g: str, side: str, z, op: str) -> _Emitter:
+    """Check the arguments of the public operation ``op`` (z must be
+    convergent) and run the generator of (g, side) over z once."""
     _left_factor(g)
     if (g, side) not in _GENERATORS:
         raise ValueError(f"unknown side {side!r}; use stuffle, shuffle or dsr")
-    e = _Emitter(z if isinstance(z, Composition) else Composition(z))
+    e = _Emitter(_require_convergent(z, op))
     _GENERATORS[(g, side)](e)
     return e
 
 
 def closed_terms(g: str, side: str, z) -> list[FamilyTerm]:
     """All family terms of the closed expansion, with predicted signatures."""
-    e = _emission(g, side, z)
-    return [FamilyTerm(name, t, c, depth, height)
+    e = _emission(g, side, z, "closed_terms")
+    return [FamilyTerm(name, Composition._make(t), c, depth, height)
             for name, depth, height, first, end in e.families() for t, c in e.terms[first:end]]
 
 
 def closed_stuffle(g: str, z) -> LinComb:
     """Closed quasi-shuffle product of the left factor ``g`` with z."""
-    return LinComb(_emission(g, "stuffle", z).terms)
+    return _kept(LinComb(_emission(g, "stuffle", z, "closed_stuffle").terms).items())
 
 
 def closed_shuffle(g: str, z) -> LinComb:
     """Closed shuffle product of the left factor ``g`` with z."""
-    return LinComb(_emission(g, "shuffle", z).terms)
+    return _kept(LinComb(_emission(g, "shuffle", z, "closed_shuffle").terms).items())
 
 
 def closed_dsr(g: str, z) -> LinComb:
     """Closed relation body shuffle - stuffle; never contains a divergent term."""
-    out = LinComb(_emission(g, "dsr", z).terms)
+    out = _kept(LinComb(_emission(g, "dsr", z, "closed_dsr").terms).items())
     if out.has_divergent():
         raise InternalConsistencyError(
             f"divergent residue in closed dsr (g={g}, z={format_composition(Composition(z))})"
@@ -850,25 +857,26 @@ class DiscrepancyReport:
         }
 
 
-_ORACLE_PRODUCTS = {"stuffle": oracle_stuffle, "shuffle": oracle_shuffle, "dsr": oracle_dsr}
+# the oracle's products as {tuple: coefficient}
+_ORACLE_SUMS = {"stuffle": _stuffle_sum, "shuffle": _shuffle_checked, "dsr": _dsr_sum}
 
 
 def reconcile_one(g: str, side: str, z) -> DiscrepancyReport:
     """Compare the shipped closed form against the oracle for one z."""
     z = z if isinstance(z, Composition) else Composition(z)
-    e = _emission(g, side, z)
-    shipped = LinComb(e.terms)
-    target = _ORACLE_PRODUCTS[side](LEFT_FACTORS[g], z)
+    e = _emission(g, side, z, "reconcile_one")
+    shipped = _summed(e.terms)
+    target = _ORACLE_SUMS[side](LEFT_FACTORS[g], z)
     rep = DiscrepancyReport(g=g, side=side, z=z)
     if shipped != target:  # walk the terms only where the products differ
         for t, c in target.items():
             if t not in shipped:
-                rep.missing[t] = c
+                rep.missing[Composition._make(t)] = c
             elif shipped[t] != c:
-                rep.mismatched[t] = (shipped[t], c)
-        rep.extra = {t: c for t, c in shipped.items() if t not in target}
+                rep.mismatched[Composition._make(t)] = (shipped[t], c)
+        rep.extra = {Composition._make(t): c for t, c in shipped.items() if t not in target}
     corrections, absent = _CORRECTIONS[g, side], _ABSENT[g, side]
-    deltas: list[tuple[Composition, int]] = []
+    deltas: list[tuple[tuple[int, ...], int]] = []
     net: dict[str, int] = {}  # family -> summed delta; one sign per family and side
     starts = [span[3] for span in e.spans]
     for n, p in e.printed.items():  # terms[n] is in the last family to start at or before n
@@ -884,7 +892,7 @@ def reconcile_one(g: str, side: str, z) -> DiscrepancyReport:
                 part = e.terms[first:end]
                 deltas += part
                 net[family] = net.get(family, 0) + sum(c for _, c in part)
-    rep.beyond_printed = LinComb(deltas).terms()
+    rep.beyond_printed = {Composition._make(t): c for t, c in _summed(deltas).items()}
     rep.corrections_engaged = list(dict.fromkeys(  # registry order, once each
         c.family for c in corrections if net.get(c.family)))
     clean = not (rep.missing or rep.extra or rep.mismatched)

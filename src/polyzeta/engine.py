@@ -19,10 +19,10 @@ from operator import mul
 from typing import Iterable
 
 from . import numeric
-from .closedforms import LEFT_FACTORS, closed_dsr, sources
+from .closedforms import LEFT_FACTORS, _emission, sources
 from .core import Composition, dual, format_composition
 from .counting import hoffman_dim, is_hoffman
-from .oracle import InternalConsistencyError, LinComb, dsr as oracle_dsr
+from .oracle import InternalConsistencyError, LinComb, _dsr_sum, _summed
 from .ordering import enumerate_weight, positions
 
 __all__ = [
@@ -89,10 +89,13 @@ def generate_relations(
     must agree.  ``mode="oracle"`` is the reference path that the tests
     compare against; it is not on the CLI.
 
-    Every body term is ``enumerate_weight(w)``'s own object, found through
+    Each body is summed over plain tuples, and every summed term is then
+    ``enumerate_weight(w)``'s own object, found through
     ``ordering.positions(w)`` (which checks w first), so a set holds one
-    object per distinct composition however many relations share it; a
-    term outside the weight's enumeration raises InternalConsistencyError.
+    object per distinct composition however many relations share it.  A
+    term outside the weight's enumeration raises InternalConsistencyError;
+    the only divergent term a body can hold is (1, *z) of g = (1), which
+    must cancel.
     """
     if isinstance(families, str):
         raise TypeError(f"families is a collection of names, not the str {families!r}")
@@ -107,21 +110,20 @@ def generate_relations(
     at = positions(w)
     comps = enumerate_weight(w)
     relations: list[Relation] = []
-
-    def interned(body: LinComb) -> LinComb:
-        try:
-            return LinComb._make({comps[at[t]]: c for t, c in body.items()})
-        except KeyError as exc:
-            raise InternalConsistencyError(
-                f"relation term ({format_composition(exc.args[0])}) is not a "
-                f"convergent polyzeta of weight {w}"
-            ) from None
-
     for f in families:
         g = LEFT_FACTORS[f]
         for z in sources(f, w):
-            body = closed_dsr(f, z) if mode == "closed" else oracle_dsr(g, z)
-            relations.append(Relation(interned(body), f, z))
+            body = (_summed(_emission(f, "dsr", z, "generate_relations").terms)
+                    if mode == "closed" else _dsr_sum(g, z))  # {tuple: coefficient}
+            try:
+                body = {comps[at[t]]: c for t, c in body.items()}
+            except KeyError as exc:  # the oracle's _dsr_sum has refused a divergent term
+                t = exc.args[0]
+                raise InternalConsistencyError(
+                    f"divergent residue in closed dsr (g={f}, z={format_composition(z)})"
+                    if t == (1, *z) else f"relation term ({format_composition(t)}) is not "
+                    f"a convergent polyzeta of weight {w}") from None
+            relations.append(Relation(LinComb._make(body), f, z))
     if include_duality:
         for k, z in enumerate(comps):
             j = at[dual(z)]
@@ -504,11 +506,8 @@ class HoffmanReport:
 
     @property
     def ok(self) -> bool:
-        return (
-            self.rank == self.expected_rank
-            and not self.non_hoffman_free
-            and not self.missing_hoffman
-        )
+        return self.rank == self.expected_rank and not (self.non_hoffman_free
+                                                        or self.missing_hoffman)
 
     def as_dict(self) -> dict:
         return {

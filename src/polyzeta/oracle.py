@@ -43,9 +43,10 @@ class LinComb:
     in ints end to end; a ``Fraction`` appears only where a division
     did, as in the reduction table.
 
-    The constructor is the one accumulator of the package: products,
-    sums and relation bodies all hand it (term, coefficient) pairs, in a
-    mapping or any iterable, and a term may repeat.  It adds the
+    Its accumulator ``_summed`` is the one of the package: products, sums
+    and relation bodies all hand it (term, coefficient) pairs, in a
+    mapping or any iterable, and a term may repeat (the products plain
+    tuples, then one Composition per summed term).  It adds the
     coefficients of each term, drops the zero sums, turns a sum with
     denominator 1 back into its numerator and, on every construction,
     checks that one weight remains (the entry sum of a Composition, the
@@ -60,25 +61,9 @@ class LinComb:
     __slots__ = ("_terms",)
 
     def __init__(self, terms: Mapping | Iterable[tuple] | None = None):
-        data: dict = {}
-        all_ints = True
-        if terms:
-            if type(terms) is dict or isinstance(terms, Mapping):
-                terms = terms.items()
-            for t, c in terms:
-                if type(c) is not int:
-                    all_ints = False
-                    if type(c) is not Fraction:
-                        c = Fraction(c)
-                s = data.get(t, 0) + c
-                if s:
-                    data[t] = s
-                else:
-                    data.pop(t, None)
-        if not all_ints:
-            for t, c in data.items():
-                if type(c) is not int and c.denominator == 1:
-                    data[t] = c.numerator
+        if type(terms) is dict or isinstance(terms, Mapping):
+            terms = terms.items()
+        data = _summed(terms) if terms else {}
         size = len if isinstance(next(iter(data), None), str) else sum  # Word, Composition
         weights = set(map(size, data))
         if len(weights) > 1:
@@ -191,6 +176,34 @@ class LinComb:
         return f"LinComb({self._terms!r})"
 
 
+def _summed(pairs: Iterable[tuple]) -> dict:
+    """``LinComb``'s accumulator: the pairs summed per term into a dict of
+    non-zero canonical coefficients, with no check of the terms."""
+    data: dict = {}
+    all_ints = True
+    for t, c in pairs:
+        if type(c) is not int:
+            all_ints = False
+            if type(c) is not Fraction:
+                c = Fraction(c)
+        s = data.get(t, 0) + c
+        if s:
+            data[t] = s
+        else:
+            data.pop(t, None)
+    if not all_ints:
+        for t, c in data.items():
+            if type(c) is not int and c.denominator == 1:
+                data[t] = c.numerator
+    return data
+
+
+def _kept(items: Iterable[tuple]) -> LinComb:
+    """Summed (tuple, coefficient) items of one weight as a combination of
+    Compositions, one made per term."""
+    return LinComb._make({Composition._make(t): c for t, c in items})
+
+
 def coeff_dict(c: int | Fraction) -> dict[str, str]:
     """The JSON form of a coefficient: numerator and denominator as strings."""
     return {"num": str(c.numerator), "den": str(c.denominator)}
@@ -264,10 +277,10 @@ def _bilinear(x, y, product) -> LinComb:
     """Extend a product of two terms bilinearly to combinations;
     ``product(tx, ty)`` is one product of terms as {tuple: multiplicity}."""
     if type(x) is Composition and type(y) is Composition:
-        return LinComb._make({Composition._make(t): n for t, n in product(x, y).items()})
+        return _kept(product(x, y).items())
     lx, ly = _as_lincomb(x), _as_lincomb(y)
-    return LinComb((Composition._make(t), cx * cy * n) for tx, cx in lx.items()
-                   for ty, cy in ly.items() for t, n in product(tx, ty).items())
+    return _kept(_summed((t, cx * cy * n) for tx, cx in lx.items()
+                         for ty, cy in ly.items() for t, n in product(tx, ty).items()).items())
 
 
 def stuffle(x, y) -> LinComb:
@@ -311,12 +324,8 @@ def shuffle(x, y) -> LinComb:
     return _bilinear(x, y, _shuffle_checked)
 
 
-def dsr(g, z) -> LinComb:
-    """Double-shuffle relation body: shuffle(g, z) - stuffle(g, z).
-
-    For g = (1) the single divergent term must cancel exactly; a residue
-    is an internal error, never a value.
-    """
+def _dsr_sum(g, z) -> dict[tuple, int]:
+    """The body of ``dsr`` as {tuple: coefficient}."""
     g = g if isinstance(g, Composition) else Composition(g)
     z = z if isinstance(z, Composition) else Composition(z)
     if not z.convergent():
@@ -328,10 +337,18 @@ def dsr(g, z) -> LinComb:
             body[t] = c
         else:
             del body[t]
-    out = LinComb._make({Composition._make(t): c for t, c in body.items()})  # summed, one weight
-    if out.has_divergent():
+    if any(t[0] == 1 for t in body):
         raise InternalConsistencyError(
             f"divergent residue in dsr({format_composition(g)}, "
-            f"{format_composition(z)}): {out.divergent_part()}"
+            f"{format_composition(z)}): {_kept(body.items()).divergent_part()}"
         )
-    return out
+    return body
+
+
+def dsr(g, z) -> LinComb:
+    """Double-shuffle relation body: shuffle(g, z) - stuffle(g, z).
+
+    For g = (1) the single divergent term must cancel exactly; a residue
+    is an internal error, never a value.
+    """
+    return _kept(_dsr_sum(g, z).items())

@@ -3,6 +3,7 @@ import hashlib
 import json
 import random
 from fractions import Fraction
+from functools import partial
 from pathlib import Path
 
 import pytest
@@ -20,7 +21,7 @@ from polyzeta.closedforms import (
     reconcile_one,
     sources,
 )
-from polyzeta.core import Composition, Word, decode_word, signature
+from polyzeta.core import Composition, NotConvergentError, Word, decode_word, signature
 from polyzeta.counting import family_term_counts
 from polyzeta.oracle import LinComb, dsr, shuffle, stuffle
 from polyzeta.ordering import enumerate_weight
@@ -28,6 +29,7 @@ from polyzeta.ordering import enumerate_weight
 C = Composition
 SIDES = ("stuffle", "shuffle", "dsr")
 ORACLE = {"stuffle": stuffle, "shuffle": shuffle, "dsr": dsr}
+CLOSED = {"stuffle": closed_stuffle, "shuffle": closed_shuffle, "dsr": closed_dsr}
 
 
 GOLDEN = Path(__file__).resolve().parent / "golden" / "closed_terms.json"
@@ -254,12 +256,18 @@ class TestReconcile:
             t, c = e.terms[0]
             e.terms[0] = (t, c + 1)
             # (2) * z has depth at most depth(z) + 1 <= w - 2: (2,1^(w-2)) is no term
-            e.terms.append((C((2,) + (1,) * (t.weight - 2)), 1))
+            e.terms.append(((2,) + (1,) * (sum(t) - 2), 1))
 
         monkeypatch.setitem(closedforms._GENERATORS, ("2", "stuffle"), broken)
         rep = reconcile_one("2", "stuffle", C((2, 1)))
         assert rep.verdict == "mismatch"
         assert rep.missing and rep.mismatched and rep.extra
+        # the report's terms are Compositions, though the sums ran over tuples;
+        # (2) stuffle has no print correction, so (21) dsr fills beyond_printed
+        corrected = reconcile_one("21", "dsr", C((2, 1, 1)))
+        assert corrected.beyond_printed
+        for d in (rep.missing, rep.extra, rep.mismatched, corrected.beyond_printed):
+            assert all(type(t) is Composition for t in d)
         assert main(["reconcile", "--g", "2", "--side", "stuffle", "--max-weight", "6"]) == 1
         assert "mismatch=" in capsys.readouterr().out
 
@@ -280,8 +288,18 @@ class TestTermConstruction:
             for side in SIDES:
                 for t in closed_terms(g, side, z):
                     self.assert_valid(t.composition)
+                for t in CLOSED[side](g, z):
+                    self.assert_valid(t)
                 for t, _ in ORACLE[side](LEFT_FACTORS[g], z).items():
                     self.assert_valid(t)
+
+    def test_combination_products_hold_compositions(self):
+        x = LinComb({C((3,)): 1, C((2, 1)): -2})
+        for product in (stuffle, shuffle):
+            got = product(x, C((2,)))
+            assert got == product(C((3,)), C((2,))) + -2 * product(C((2, 1)), C((2,)))
+            for t in got:
+                self.assert_valid(t)
 
     def test_family_terms_only_on_request(self, monkeypatch):
         # the products and relation bodies are summed from the emitted pairs;
@@ -308,8 +326,8 @@ class TestTermConstruction:
 
         def short(e):
             real(e)
-            w = e.terms[0][0].weight
-            e.terms.append((C((2,) + (1,) * (w - 3)), 1))
+            w = sum(e.terms[0][0])
+            e.terms.append(((2,) + (1,) * (w - 3), 1))
 
         monkeypatch.setitem(closedforms._GENERATORS, ("2", "dsr"), short)
         with pytest.raises(ValueError, match="mixed weights"):
@@ -334,7 +352,8 @@ def printed_terms(g, side, z):
     sides = SIDES if side == "dsr" else (side,)
     absent = {c.family for c in PRINT_CORRECTIONS
               if c.g == g and c.side in sides and c.kind in ABSENT_FROM_PRINT}
-    printed = closedforms._emission(g, side, z).printed  # where it differs, by term index
+    # where the print's coefficient differs, by term index
+    printed = closedforms._emission(g, side, z, "closed_terms").printed
     return [dataclasses.replace(t, coeff=p) for n, t in enumerate(closed_terms(g, side, z))
             if (p := printed.get(n, t.coeff)) and t.family.removeprefix("-") not in absent]
 
@@ -385,3 +404,29 @@ def test_reconcile_golden():
     w = doc["max_weight"]
     got = {f"{g}/{side}": reconcile_digest(g, side, w) for g in LEFT_FACTORS for side in SIDES}
     assert got == doc["digests"]
+
+
+class TestConvergenceContract:
+    """A right factor that is not convergent is refused by the operation
+    called, with NotConvergentError (a usage error, exit 2, on the CLI)."""
+
+    OPS = {**{f"closed_{side}": partial(op, "2") for side, op in CLOSED.items()},
+           "closed_terms": partial(closed_terms, "2", "dsr"),
+           "reconcile_one": partial(reconcile_one, "2", "dsr")}
+
+    @pytest.mark.parametrize("name", OPS)
+    @pytest.mark.parametrize("z, why", [((1, 2), "leading entry 1 in 1,2"),
+                                        ((), "empty composition is not a polyzeta")])
+    def test_refused_by_name(self, name, z, why):
+        for arg in (z, C(z)):
+            with pytest.raises(NotConvergentError) as info:
+                self.OPS[name](arg)
+            assert str(info.value) == f"{name}: {why}"
+
+    @pytest.mark.parametrize("side", SIDES)
+    def test_cli_exit_code(self, side, capsys):
+        argv = ["closed", "--g", "2", "--side", side]
+        assert main([*argv, "1,2"]) == 2
+        assert capsys.readouterr().err == f"error: closed_{side}: leading entry 1 in 1,2\n"
+        assert main([*argv, ""]) == 2  # the CLI has no text for the empty composition
+        assert capsys.readouterr().err == "error: empty composition text\n"

@@ -28,8 +28,8 @@ from polyzeta.engine import (
     verify_numeric,
 )
 from polyzeta.numeric import ToleranceUnreachable, eval_mzv
-from polyzeta.oracle import InternalConsistencyError, LinComb
-from polyzeta.ordering import enumerate_weight, order_key
+from polyzeta.oracle import InternalConsistencyError
+from polyzeta.ordering import enumerate_weight, order_key, positions
 
 C = Composition
 GOLDEN = Path(__file__).resolve().parents[1] / "perfbench" / "golden.json"
@@ -176,11 +176,13 @@ class TestGenerate:
 
     def test_term_outside_the_enumeration_is_an_inconsistency(self, monkeypatch, capsys):
         # a planted body term of the right weight that no polyzeta of it is
-        def closed_dsr_planted(g, z):
-            w = LEFT_FACTORS[g].weight + z.weight
-            return closedforms.closed_dsr(g, z) + LinComb({C((1,) * w): 1})
+        real = closedforms._GENERATORS[("2", "dsr")]
 
-        monkeypatch.setattr(engine, "closed_dsr", closed_dsr_planted)
+        def dsr_2_planted(e):
+            real(e)
+            e.terms.append(((1,) * (2 + sum(e.z)), 1))
+
+        monkeypatch.setitem(closedforms._GENERATORS, ("2", "dsr"), dsr_2_planted)
         with pytest.raises(InternalConsistencyError, match=r"\(1\^5\) is not a convergent"):
             generate_relations(5)
         code = main(["reduce", "--weight", "5"])
@@ -188,6 +190,24 @@ class TestGenerate:
         assert code == 3 and not captured.out and "Traceback" not in captured.err
         assert captured.err.startswith("internal inconsistency: ")
         assert captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize("mode", ["closed", "oracle"])
+    @pytest.mark.parametrize("w", [9, 10])
+    def test_no_composition_per_term(self, monkeypatch, w, mode):
+        # bodies are summed over plain tuples, and each summed term is the
+        # enumeration's own object: once it is built, no Composition is made
+        for k in range(2, w + 1):
+            positions(k)
+        made = []
+        make = Composition._make
+
+        def counting_make(cls, entries):
+            made.append(entries)
+            return make(entries)
+
+        monkeypatch.setattr(Composition, "_make", classmethod(counting_make))
+        rs = generate_relations(w, mode=mode)
+        assert len(rs) == expected_relation_count(w) and made == []
 
     def test_integer_coefficients(self):
         for r in generate_relations(9).relations:
