@@ -384,6 +384,35 @@ def test_closed_terms_golden():
     assert got == doc["digests"]
 
 
+def test_no_term_has_coefficient_zero():
+    """A family skips the placements that its coefficient counts as 0."""
+    zero = [(g, side, tuple(z), t.family, tuple(t.composition))
+            for g in LEFT_FACTORS for side in SIDES for z in sweep(g, side, 11)
+            for t in closed_terms(g, side, z) if t.coeff == 0]
+    assert zero == [], f"terms with coefficient 0 (g, side, z, family, term): {zero[:5]}"
+
+
+EMISSION_GOLDEN = Path(__file__).resolve().parent / "golden" / "emission_digests.json"
+
+
+def emission_digest(g, side, w):
+    """sha256 over the emission of every source of total weight w: per z,
+    its terms in order, its spans and its printed entries."""
+    h = hashlib.sha256()
+    for z in sources(g, w):
+        e = closedforms._emission(g, side, z, "closed_terms")
+        h.update(repr((tuple(z), e.terms, e.spans, sorted(e.printed.items()))).encode() + b"\n")
+    return h.hexdigest()
+
+
+def test_emission_golden():
+    """The dsr emission at the benchmark's weight is frozen term by term,
+    beyond the weights that ``closed_terms.json`` sweeps."""
+    doc = json.loads(EMISSION_GOLDEN.read_text())
+    w = doc["total_weight"]
+    assert {f"{g}/dsr": emission_digest(g, "dsr", w) for g in LEFT_FACTORS} == doc["digests"]
+
+
 RECONCILE_GOLDEN = Path(__file__).resolve().parent / "golden" / "reconcile_digests.json"
 
 
