@@ -165,19 +165,15 @@ PRINT_CORRECTIONS: tuple[PrintCorrection, ...] = (
 _ABSENT_FROM_PRINT = ("missing-family", "index-typo", "unreadable")  # see PrintCorrection
 
 
-def _splits2(total: int) -> Iterator[tuple[int, int]]:
-    """All (p, q) >= 0 with p + q = total (empty when total < 0)."""
-    return zip(range(total + 1), range(total, -1, -1))
-
-
 @cache
 def _splits3(total: int) -> tuple[tuple[int, int, int], ...]:
     return tuple((p, q, total - p - q) for p in range(total + 1) for q in range(total - p + 1))
 
 
-def _asplits(total: int, lo1: int = 2) -> Iterator[tuple[int, int]]:
+@cache
+def _asplits(total: int, lo1: int = 2) -> tuple[tuple[int, int], ...]:
     """All (a', a'') with a' + a'' = total, a' >= lo1, a'' >= 2."""
-    return zip(range(lo1, total - 1), range(total - lo1, 1, -1))
+    return tuple(zip(range(lo1, total - 1), range(total - lo1, 1, -1)))
 
 
 @cache
@@ -187,110 +183,93 @@ def _asplits3(total: int) -> tuple[tuple[int, int, int], ...]:
 
 
 @cache
-def _runs_of_ones(n: int) -> tuple[tuple[int, ...], ...]:
-    """(), (1,), (1, 1), ...: the n runs of fewer than n ones."""
-    return tuple((1,) * k for k in range(n))
+def _ins(n: int, v: int) -> tuple[tuple[int, ...], ...]:
+    """The runs 1^p, v, 1^(n-p) for p = 0..n: the entry v placed among n
+    ones, with n - p ones after it (none when n < 0)."""
+    return tuple((1,) * p + (v,) + (1,) * (n - p) for p in range(n + 1))
 
 
-_NO_EDIT: dict[int, tuple[int, ...]] = {}  # emit's default heads and runs; never written
+@cache
+def _ins2(n: int, v1: int, v2: int) -> tuple[tuple[int, ...], ...]:
+    """The runs 1^p, v1, 1^q, v2, 1^r over the splits (p, q, r) of n, in
+    ``_splits3`` order."""
+    return tuple((1,) * p + (v1,) + (1,) * q + (v2,) + (1,) * r for p, q, r in _splits3(n))
 
 
 class _Emitter:
     """Builds the terms of one expansion over the blocks of z, family by family.
 
-    ``family(name, dd, dh)`` opens a family and states, once, the shift of
-    its terms' (depth, height) from z's.  Block k of z is the head
-    ``(a_k,)`` followed by the run ``(1,) * b_k``.  ``emit`` takes the
-    replaced heads and runs as two dicts keyed by block and slices z
-    around each touched block k, rebuilt as ``heads.get(k, head[k]) +
-    runs.get(k, run[k])``; its entries are >= 1 by construction.  A head
-    may grow (``grown``) or split (``(a1, a2)``, ``(a1, 1, a2)``, ...); a
-    run may grow (``longer``) or take new entries (``ins``, ``ins2``),
-    both cut from ``ones``, the runs of ones made once.
+    Block k of z is its head a_k at position ``s[k]`` and its run of b_k
+    ones, ``z[r[k]:s[k + 1]]`` with ``r[k] = s[k] + 1``.  A term is z with
+    up to three heads or runs replaced: a head grown or split, a run grown
+    (ones inserted at its end, ``s[k + 1]``) or given new entries (``_ins``,
+    ``_ins2``).  A family splices each term: it joins, in ascending order,
+    the slice of z before the first replaced piece, the replacements, the
+    slices of z between them and the slice after the last.  The slices
+    before and after each block, ``pre[k]`` and ``post[k]``, and before
+    and after its run, ``thru[k]`` and ``rest[k]``, are cut once per z.
+    What an inner loop does not change (a slice between pieces, a grown
+    head, a joined prefix or suffix) is built once, outside it.  A head i
+    and a run j >= i are cut at ``s[i]``, ``r[i]``, ``r[j]`` and
+    ``s[j + 1]``, so the same block needs no case of its own.  Every entry
+    is >= 1 by construction, and a family skips the placements that its
+    coefficient counts as 0.
 
-    ``terms`` holds (tuple, coefficient) pairs in emission order and
-    ``spans`` the (name, depth, height, first term) of each family, which
-    runs to the next span's first term; ``printed[n]`` is the print's
-    coefficient of ``terms[n]`` where it differs (``emit(printed=...)``).
-    While ``sign`` is -1, families are named ``-family`` and coefficients
-    negated: a dsr's stuffle side.
+    ``family(name, dd, dh, *terms)`` opens a family, states once the shift
+    of its terms' (depth, height) from z's, and emits ``terms``.  ``terms``
+    holds (tuple, coefficient) pairs in emission order and ``spans`` the
+    (name, depth, height, first term) of each family, which runs to the
+    next span's first term; ``printed[n]`` is the print's coefficient of
+    ``terms[n]`` where it differs.
     """
 
     def __init__(self, z: Composition):  # convergent: _emission checks it
-        self.z, self.d = tuple(z), len(z)
-        self.at = [k for k, x in enumerate(z) if x > 1] + [self.d]  # at[k]: the position of a_k
-        self.a = [z[k] for k in self.at[:-1]]
-        self.h = len(self.a)
-        self.b = [k - j - 1 for j, k in zip(self.at, self.at[1:])]
-        self.ones = _runs_of_ones(max(self.b) + 3)  # a run grows by at most 2 ones
-        self.head, self.run = [(a,) for a in self.a], [self.ones[b] for b in self.b]
+        z = self.z = tuple(z)
+        s = self.s = [k for k, x in enumerate(z) if x > 1]  # s[k]: the position of a_k
+        self.a = [z[k] for k in s]
+        self.d, self.h = len(z), len(s)
+        r = self.r = [k + 1 for k in s]
+        s.append(self.d)
+        self.b = [k - j for j, k in zip(r, s[1:])]
+        self.pre, self.post = [z[:k] for k in s], [z[k:] for k in s[1:]]
+        self.thru, self.rest = [z[:k] for k in r], [z[k:] for k in r]
         self.terms: list[tuple[tuple[int, ...], int]] = []
         self.spans: list[tuple[str, int, int, int]] = []
         self.printed: dict[int, int] = {}
-        self.sign = 1
 
-    def family(self, name: str, dd: int, dh: int) -> "_Emitter":
-        name = "-" + name if self.sign < 0 else name
+    def family(self, name: str, dd: int, dh: int, *terms: tuple[tuple[int, ...], int]) -> None:
         self.spans.append((name, self.d + dd, self.h + dh, len(self.terms)))
-        return self
-
-    def emit(self, coeff: int, heads: dict[int, tuple[int, ...]] = _NO_EDIT,
-             runs: dict[int, tuple[int, ...]] = _NO_EDIT,
-             front: tuple[int, ...] = (), back: tuple[int, ...] = (),
-             printed: int | None = None) -> None:
-        if coeff == 0:
-            return
-        z, at, head, run = self.z, self.at, self.head, self.run
-        comp, pos = front, 0
-        # the touched blocks, left to right (each dict's keys ascend)
-        for k in sorted(heads.keys() | runs.keys()) if heads and runs else heads or runs:
-            comp += z[pos:at[k]] + heads.get(k, head[k]) + runs.get(k, run[k])
-            pos = at[k + 1]
-        if printed is not None and printed != coeff:
-            self.printed[len(self.terms)] = self.sign * printed
-        self.terms.append((comp + z[pos:] + back, self.sign * coeff))
+        self.terms += terms
 
     def families(self) -> Iterator[tuple[str, int, int, int, int]]:
         """(name, depth, height, first, end) of each family, whose terms are terms[first:end]."""
         ends = [span[3] for span in self.spans[1:]] + [len(self.terms)]
         return ((*span, end) for span, end in zip(self.spans, ends))
 
-    def grown(self, i: int, k: int) -> tuple[int, ...]:
-        """Head i with k more zeros."""
-        return (self.a[i] + k,)
 
-    def longer(self, j: int, k: int) -> tuple[int, ...]:
-        """Run j with k more ones."""
-        return self.ones[self.b[j] + k]
-
-    def ins(self, p: int, v: int, q: int) -> tuple[int, ...]:
-        """A run with the entry v placed among its ones: 1^p, v, 1^q."""
-        ones = self.ones
-        return ones[p] + (v,) + ones[q]
-
-    def ins2(self, p: int, v1: int, q: int, v2: int, r: int) -> tuple[int, ...]:
-        ones = self.ones
-        return ones[p] + (v1,) + ones[q] + (v2,) + ones[r]
+def _subtract(stuffle: Callable[[_Emitter], None], shuffle: Callable[[_Emitter], None],
+              e: _Emitter) -> None:
+    """The dsr shuffle - stuffle: run ``stuffle``, negate what it emitted
+    (its terms, their printed coefficients and, prefixed with ``-``, its
+    family names), then run ``shuffle``."""
+    n, m = len(e.terms), len(e.spans)
+    stuffle(e)
+    e.terms[n:] = [(t, -c) for t, c in e.terms[n:]]
+    e.spans[m:] = [("-" + name, d, h, first) for name, d, h, first in e.spans[m:]]
+    e.printed.update({k: -p for k, p in e.printed.items() if k >= n})
+    shuffle(e)
 
 
 def _merge(e: _Emitter, k: int) -> None:
     """The single entry k merged into z: into a head (``k->a``) or into a
     one of a run, which becomes k + 1 (``k->b:merge``)."""
-    e.family(f"{k}->a", 0, 0)
-    for i in range(e.h):
-        e.emit(1, {i: e.grown(i, k)})
+    add = e.terms.append
+    e.family(f"{k}->a", 0, 0, *[(lead + (x + k,) + end, 1)
+                               for lead, x, end in zip(e.pre, e.a, e.rest)])
     e.family(f"{k}->b:merge", 0, 1)
-    for j in range(e.h):
-        for p, q in _splits2(e.b[j] - 1):
-            e.emit(1, runs={j: e.ins(p, k + 1, q)})
-
-
-def _subtract(e: _Emitter, emit: Callable[..., None], *args) -> None:
-    """Run ``emit(e, *args)`` with its terms negated and their family names
-    prefixed with ``-``: the stuffle side of a dsr."""
-    e.sign = -1
-    emit(e, *args)
-    e.sign = 1
+    for lead, n, end in zip(e.thru, e.b, e.post):
+        for run in _ins(n - 1, k + 1):
+            add((lead + run + end, 1))
 
 
 # ---------------------------------------------------------------------------
@@ -299,32 +278,21 @@ def _subtract(e: _Emitter, emit: Callable[..., None], *args) -> None:
 
 def _stuffle_1(e: _Emitter) -> None:
     _merge(e, 1)
-    e.family("1->front", 1, 0).emit(1, front=(1,))  # divergent, cancels in dsr
-    e.family("1->b:ins", 1, 0)
-    for j in range(e.h):
-        e.emit(e.b[j] + 1, runs={j: e.longer(j, 1)})
+    e.family("1->front", 1, 0, ((1,) + e.z, 1))  # divergent, cancels in dsr
+    e.family("1->b:ins", 1, 0, *[(lead + (1,) + end, n + 1)
+                                 for lead, n, end in zip(e.pre[1:], e.b, e.post)])
 
 
-def _shuffle_1(e: _Emitter) -> None:
-    e.family("1->b", 1, 0)
-    for j in range(e.h):
-        e.emit(e.b[j] + 2, runs={j: e.longer(j, 1)})
-    e.family("1->front", 1, 0).emit(1, front=(1,))  # divergent, cancels in dsr
+def _shuffle_1(e: _Emitter, dsr: bool = False) -> None:
+    add = e.terms.append
+    e.family("1->b", 1, 0, *[(lead + (1,) + end, 1 if dsr else n + 2)
+                             for lead, n, end in zip(e.pre[1:], e.b, e.post)])
+    if not dsr:
+        e.family("1->front", 1, 0, ((1,) + e.z, 1))  # divergent, cancels in dsr
     e.family("1->a", 1, 1)
-    for i in range(e.h):
-        for a1, a2 in _asplits(e.a[i] + 1):
-            e.emit(1, {i: (a1, a2)})
-
-
-def _dsr_1(e: _Emitter) -> None:
-    _subtract(e, _merge, 1)
-    e.family("1->b", 1, 0)
-    for j in range(e.h):
-        e.emit(1, runs={j: e.longer(j, 1)})
-    e.family("1->a", 1, 1)
-    for i in range(e.h):
-        for a1, a2 in _asplits(e.a[i] + 1):
-            e.emit(1, {i: (a1, a2)})
+    for lead, x, end in zip(e.pre, e.a, e.rest):
+        for hd in _asplits(x + 1):
+            add((lead + hd + end, 1))
 
 
 # ---------------------------------------------------------------------------
@@ -334,12 +302,13 @@ def _dsr_1(e: _Emitter) -> None:
 def _stuffle_entry(e: _Emitter, k: int) -> None:
     """The stuffle generator of the single entry k >= 2 (for k = 1 the
     inserted 1 joins a run of ones and the front unit adds no height)."""
+    add = e.terms.append
     _merge(e, k)
-    e.family(f"{k}->front", 1, 1).emit(1, front=(k,))
+    e.family(f"{k}->front", 1, 1, ((k,) + e.z, 1))
     e.family(f"{k}->b:ins", 1, 1)
-    for j in range(e.h):
-        for p, q in _splits2(e.b[j]):
-            e.emit(1, runs={j: e.ins(p, k, q)})
+    for lead, n, end in zip(e.thru, e.b, e.post):
+        for run in _ins(n, k):
+            add((lead + run + end, 1))
 
 
 _stuffle_2 = partial(_stuffle_entry, k=2)
@@ -351,43 +320,43 @@ _stuffle_3 = partial(_stuffle_entry, k=3)
 # ---------------------------------------------------------------------------
 
 def _shuffle_2(e: _Emitter, dsr: bool = False) -> None:
+    z, s, r, a, b, h, add = e.z, e.s, e.r, e.a, e.b, e.h, e.terms.append
+    pre, post, thru, rest = e.pre, e.post, e.thru, e.rest
     # 0 -> a_i, 1 -> 1-run j (same block allowed)
-    e.family("0->a,1->b", 1, 0)
-    for i, j in combinations_with_replacement(range(e.h), 2):
-        e.emit(e.a[i] * (e.b[j] + 2), {i: e.grown(i, 1)}, {j: e.longer(j, 1)})
+    e.family("0->a,1->b", 1, 0, *[
+        (pre[i] + (a[i] + 1,) + z[r[i]:s[j + 1]] + (1,) + post[j], a[i] * (b[j] + 2))
+        for i, j in combinations_with_replacement(range(h), 2)])
     # 0 -> 1-run j1 (new 2), 1 -> 1-run j2
     e.family("0->b1,1->b2", 1, 1)
-    for j1, j2 in combinations(range(e.h), 2):
-        for p, q in _splits2(e.b[j1] - 1):
-            e.emit(e.b[j2] + 2, runs={j1: e.ins(p, 2, q), j2: e.longer(j2, 1)})
-    # 0 and 1 in the same 1-run
+    for j1, j2 in combinations(range(h), 2):
+        end = z[s[j1 + 1]:s[j2 + 1]] + (1,) + post[j2]
+        for run in _ins(b[j1] - 1, 2):
+            add((thru[j1] + run + end, b[j2] + 2))
+    # 0 and 1 in the same 1-run, q ones after the 2 (no q = 0 term when subtracted)
     e.family("0->b,1->b(same)", 1, 1)
-    for j in range(e.h):
-        for p, q in _splits2(e.b[j]):
-            e.emit(q if dsr else q + 1, runs={j: e.ins(p, 2, q)})
+    for lead, n, end in zip(thru, b, post):
+        for p, run in enumerate(_ins(n, 2)[:n + 1 - dsr]):
+            add((lead + run + end, n - p + 1 - dsr))
     # 0 and 1 in the same 0-run (plus the front unit when not subtracted)
-    e.family("00->a,1->a", 1, 1)
-    if not dsr:
-        e.emit(1, front=(2,))
-    for i in range(e.h):
-        for a1, a2 in _asplits(e.a[i] + 2, lo1=3):
-            e.emit(a1 - 1, {i: (a1, a2)}, printed=a1 - 1 if e.a[i] >= 5 else 0)
+    e.family("00->a,1->a", 1, 1, *(() if dsr else [((2,) + z, 1)]))
+    for lead, x, end in zip(pre, a, rest):
+        for a1, a2 in _asplits(x + 2, 3):
+            if x < 5:  # printed with the guard a_i >= 5
+                e.printed[len(e.terms)] = 0
+            add((lead + (a1, a2) + end, a1 - 1))
     # 0 -> a_i1, 1 -> a_i2
     e.family("0->a1,1->a2", 1, 1)
-    for i1, i2 in combinations(range(e.h), 2):
-        for a1, a2 in _asplits(e.a[i2] + 1):
-            e.emit(e.a[i1], {i1: e.grown(i1, 1), i2: (a1, a2)})
+    for i1, i2 in combinations(range(h), 2):
+        lead = pre[i1] + (a[i1] + 1,) + z[r[i1]:s[i2]]
+        for hd in _asplits(a[i2] + 1):
+            add((lead + hd + rest[i2], a[i1]))
     # 0 -> 1-run j, 1 -> a_i with j < i
     e.family("0->b,1->a", 1, 2)
-    for j, i in combinations(range(e.h), 2):
-        for p, q in _splits2(e.b[j] - 1):
-            for a1, a2 in _asplits(e.a[i] + 1):
-                e.emit(1, {i: (a1, a2)}, {j: e.ins(p, 2, q)})
-
-
-def _dsr_2(e: _Emitter) -> None:
-    _subtract(e, _merge, 2)
-    _shuffle_2(e, dsr=True)
+    for j, i in combinations(range(h), 2):
+        for run in _ins(b[j] - 1, 2):
+            left = thru[j] + run + z[s[j + 1]:s[i]]
+            for hd in _asplits(a[i] + 1):
+                add((left + hd + rest[i], 1))
 
 
 # ---------------------------------------------------------------------------
@@ -395,133 +364,150 @@ def _dsr_2(e: _Emitter) -> None:
 # ---------------------------------------------------------------------------
 
 def _shuffle_3(e: _Emitter) -> None:
-    a, b, h = e.a, e.b, e.h
-    e.family("001->front", 1, 1).emit(1, front=(3,))
+    z, s, r, a, b, h, add = e.z, e.s, e.r, e.a, e.b, e.h, e.terms.append
+    pre, post, thru, rest = e.pre, e.post, e.thru, e.rest
+    e.family("001->front", 1, 1, ((3,) + z, 1))
     # both 0s and the 1 inside one 0-run
     e.family("00->a,1->a(same)", 1, 1)
-    for i in range(h):
-        for a1, a2 in _asplits(a[i] + 3, lo1=4):
-            e.emit((a1 - 1) * (a1 - 2) // 2, {i: (a1, a2)})
+    for lead, x, end in zip(pre, a, rest):
+        for a1, a2 in _asplits(x + 3, 4):
+            add((lead + (a1, a2) + end, (a1 - 1) * (a1 - 2) // 2))
     # 00 adjacent in a 1-run (new 3), 1 in the same run
     e.family("00->b:3,1->b(same)", 1, 1)
-    for j in range(h):
-        for p, q in _splits2(b[j]):
-            e.emit(q + 1, runs={j: e.ins(p, 3, q)})
+    for lead, n, end in zip(thru, b, post):
+        for p, run in enumerate(_ins(n, 3)):
+            add((lead + run + end, n - p + 1))
     # 00 split in a 1-run (two 2s), 1 in the same run
     e.family("00->b:22,1->b(same)", 1, 2)
-    for j in range(h):
-        for p, q, r in _splits3(b[j] - 1):
-            e.emit(r + 1, runs={j: e.ins2(p, 2, q, 2, r)})
+    for lead, n, end in zip(thru, b, post):
+        for (_, _, q), run in zip(_splits3(n - 1), _ins2(n - 1, 2, 2)):
+            add((lead + run + end, q + 1))
     # both 0s in a_i1, 1 splits a_i2
     e.family("00->a1,1->a2", 1, 1)
     for i1, i2 in combinations(range(h), 2):
-        for a1, a2 in _asplits(a[i2] + 1):
-            e.emit(a[i1] * (a[i1] + 1) // 2, {i1: e.grown(i1, 2), i2: (a1, a2)})
+        lead = pre[i1] + (a[i1] + 2,) + z[r[i1]:s[i2]]
+        for hd in _asplits(a[i2] + 1):
+            add((lead + hd + rest[i2], a[i1] * (a[i1] + 1) // 2))
     # both 0s in a_i, 1 in 1-run j
-    e.family("00->a,1->b", 1, 0)
-    for i, j in combinations_with_replacement(range(h), 2):
-        e.emit(a[i] * (a[i] + 1) // 2 * (b[j] + 2), {i: e.grown(i, 2)}, {j: e.longer(j, 1)})
+    e.family("00->a,1->b", 1, 0, *[
+        (pre[i] + (a[i] + 2,) + z[r[i]:s[j + 1]] + (1,) + post[j],
+         a[i] * (a[i] + 1) // 2 * (b[j] + 2))
+        for i, j in combinations_with_replacement(range(h), 2)])
     # 00 adjacent in 1-run j (new 3), 1 splits a_i
     e.family("00->b:3,1->a", 1, 2)
     for j, i in combinations(range(h), 2):
-        for p, q in _splits2(b[j] - 1):
-            for a1, a2 in _asplits(a[i] + 1):
-                e.emit(1, {i: (a1, a2)}, {j: e.ins(p, 3, q)})
+        for run in _ins(b[j] - 1, 3):
+            left = thru[j] + run + z[s[j + 1]:s[i]]
+            for hd in _asplits(a[i] + 1):
+                add((left + hd + rest[i], 1))
     # 00 split in 1-run j (two 2s), 1 splits a_i
     e.family("00->b:22,1->a", 1, 3)
     for j, i in combinations(range(h), 2):
-        for p, q, r in _splits3(b[j] - 2):
-            for a1, a2 in _asplits(a[i] + 1):
-                e.emit(1, {i: (a1, a2)}, {j: e.ins2(p, 2, q, 2, r)})
+        for run in _ins2(b[j] - 2, 2, 2):
+            left = thru[j] + run + z[s[j + 1]:s[i]]
+            for hd in _asplits(a[i] + 1):
+                add((left + hd + rest[i], 1))
     # 00 adjacent in 1-run j1 (new 3), 1 in 1-run j2
     e.family("00->b1:3,1->b2", 1, 1)
     for j1, j2 in combinations(range(h), 2):
-        for p, q in _splits2(b[j1] - 1):
-            e.emit(b[j2] + 2, runs={j1: e.ins(p, 3, q), j2: e.longer(j2, 1)}, printed=b[j2] + 1)
+        end = z[s[j1 + 1]:s[j2 + 1]] + (1,) + post[j2]
+        for run in _ins(b[j1] - 1, 3):
+            e.printed[len(e.terms)] = b[j2] + 1
+            add((thru[j1] + run + end, b[j2] + 2))
     # 00 split in 1-run j1 (two 2s), 1 in 1-run j2
     e.family("00->b1:22,1->b2", 1, 2)
     for j1, j2 in combinations(range(h), 2):
-        for p, q, r in _splits3(b[j1] - 2):
-            e.emit(b[j2] + 2, runs={j1: e.ins2(p, 2, q, 2, r), j2: e.longer(j2, 1)})
+        end = z[s[j1 + 1]:s[j2 + 1]] + (1,) + post[j2]
+        for run in _ins2(b[j1] - 2, 2, 2):
+            add((thru[j1] + run + end, b[j2] + 2))
     # 0 -> a_i1, 0 and 1 -> a_i2
     e.family("0->a1,0->a2,1->a2", 1, 1)
     for i1, i2 in combinations(range(h), 2):
-        for a1, a2 in _asplits(a[i2] + 2, lo1=3):
-            e.emit(a[i1] * (a1 - 1), {i1: e.grown(i1, 1), i2: (a1, a2)})
+        lead = pre[i1] + (a[i1] + 1,) + z[r[i1]:s[i2]]
+        for a1, a2 in _asplits(a[i2] + 2, 3):
+            add((lead + (a1, a2) + rest[i2], a[i1] * (a1 - 1)))
     # 0 -> a_i, 0 and 1 in 1-run j
     e.family("0->a,0->b,1->b(same)", 1, 1)
     for i, j in combinations_with_replacement(range(h), 2):
-        for p, q in _splits2(b[j]):
-            e.emit(a[i] * (q + 1), {i: e.grown(i, 1)}, {j: e.ins(p, 2, q)})
+        lead = pre[i] + (a[i] + 1,) + z[r[i]:r[j]]
+        for p, run in enumerate(_ins(b[j], 2)):
+            add((lead + run + post[j], a[i] * (b[j] - p + 1)))
     # 0 -> 1-run j (new 2), 0 and 1 -> a_i
     e.family("0->b,0->a,1->a(same)", 1, 2)
     for j, i in combinations(range(h), 2):
-        for p, q in _splits2(b[j] - 1):
-            for a1, a2 in _asplits(a[i] + 2, lo1=3):
-                e.emit(a1 - 1, {i: (a1, a2)}, {j: e.ins(p, 2, q)})
+        for run in _ins(b[j] - 1, 2):
+            left = thru[j] + run + z[s[j + 1]:s[i]]
+            for a1, a2 in _asplits(a[i] + 2, 3):
+                add((left + (a1, a2) + rest[i], a1 - 1))
     # 0 -> 1-run j1 (new 2), 0 and 1 -> 1-run j2
     e.family("0->b1,0->b2,1->b2", 1, 2)
     for j1, j2 in combinations(range(h), 2):
-        for p1, q1 in _splits2(b[j1] - 1):
-            for p2, q2 in _splits2(b[j2]):
-                e.emit(q2 + 1, runs={j1: e.ins(p1, 2, q1), j2: e.ins(p2, 2, q2)})
+        for run1 in _ins(b[j1] - 1, 2):
+            left = thru[j1] + run1 + z[s[j1 + 1]:r[j2]]
+            for p, run in enumerate(_ins(b[j2], 2)):
+                add((left + run + post[j2], b[j2] - p + 1))
     # 0 -> a_i1, 0 -> a_i2, 1 -> a_i3
     e.family("0->a1,0->a2,1->a3", 1, 1)
     for i1, i2, i3 in combinations(range(h), 3):
-        for a1, a2 in _asplits(a[i3] + 1):
-            e.emit(a[i1] * a[i2], {i1: e.grown(i1, 1), i2: e.grown(i2, 1), i3: (a1, a2)})
+        lead = pre[i1] + (a[i1] + 1,) + z[r[i1]:s[i2]] + (a[i2] + 1,) + z[r[i2]:s[i3]]
+        for hd in _asplits(a[i3] + 1):
+            add((lead + hd + rest[i3], a[i1] * a[i2]))
     # 0 -> a_i1, 0 -> a_i2, 1 -> 1-run j
     e.family("0->a1,0->a2,1->b", 1, 0)
     for i1, i2 in combinations(range(h), 2):
+        lead = pre[i1] + (a[i1] + 1,) + z[r[i1]:s[i2]] + (a[i2] + 1,)
         for j in range(i2, h):
-            e.emit(a[i1] * a[i2] * (b[j] + 2),
-                   {i1: e.grown(i1, 1), i2: e.grown(i2, 1)}, {j: e.longer(j, 1)})
+            add((lead + z[r[i2]:s[j + 1]] + (1,) + post[j], a[i1] * a[i2] * (b[j] + 2)))
     # 0 -> a_i1, 0 -> 1-run j, 1 -> a_i2   (i1 <= j < i2)
     e.family("0->a1,0->b,1->a2", 1, 2)
     for i1, j in combinations_with_replacement(range(h), 2):
+        lead = pre[i1] + (a[i1] + 1,) + z[r[i1]:r[j]]
         for i2 in range(j + 1, h):
-            for p, q in _splits2(b[j] - 1):
-                for a1, a2 in _asplits(a[i2] + 1):
-                    e.emit(a[i1], {i1: e.grown(i1, 1), i2: (a1, a2)}, {j: e.ins(p, 2, q)})
+            for run in _ins(b[j] - 1, 2):
+                left = lead + run + z[s[j + 1]:s[i2]]
+                for hd in _asplits(a[i2] + 1):
+                    add((left + hd + rest[i2], a[i1]))
     # 0 -> a_i, 0 -> 1-run j1, 1 -> 1-run j2   (i <= j1 < j2)
     e.family("0->a,0->b1,1->b2", 1, 1)
     for i, j1 in combinations_with_replacement(range(h), 2):
+        lead = pre[i] + (a[i] + 1,) + z[r[i]:r[j1]]
         for j2 in range(j1 + 1, h):
-            for p, q in _splits2(b[j1] - 1):
-                e.emit(a[i] * (b[j2] + 2), {i: e.grown(i, 1)},
-                       {j1: e.ins(p, 2, q), j2: e.longer(j2, 1)})
+            end = z[s[j1 + 1]:s[j2 + 1]] + (1,) + post[j2]
+            for run in _ins(b[j1] - 1, 2):
+                add((lead + run + end, a[i] * (b[j2] + 2)))
     # 0 -> 1-run j (new 2), 0 -> a_i1, 1 -> a_i2   (j < i1 < i2)
     e.family("0->b,0->a1,1->a2", 1, 2)
     for j, i1, i2 in combinations(range(h), 3):
-        for p, q in _splits2(b[j] - 1):
-            for a1, a2 in _asplits(a[i2] + 1):
-                e.emit(a[i1], {i1: e.grown(i1, 1), i2: (a1, a2)}, {j: e.ins(p, 2, q)}, printed=1)
+        mid = z[s[j + 1]:s[i1]] + (a[i1] + 1,) + z[r[i1]:s[i2]]
+        for run in _ins(b[j] - 1, 2):
+            left = thru[j] + run + mid
+            for hd in _asplits(a[i2] + 1):
+                e.printed[len(e.terms)] = 1
+                add((left + hd + rest[i2], a[i1]))
     # 0 -> 1-run j1 (new 2), 0 -> a_i, 1 -> 1-run j2   (j1 < i <= j2)
     e.family("0->b1,0->a,1->b2", 1, 1)
     for j1, i in combinations(range(h), 2):
+        mid = z[s[j1 + 1]:s[i]] + (a[i] + 1,)
         for j2 in range(i, h):
-            for p, q in _splits2(b[j1] - 1):
-                e.emit(a[i] * (b[j2] + 2), {i: e.grown(i, 1)},
-                       {j1: e.ins(p, 2, q), j2: e.longer(j2, 1)})
+            end = mid + z[r[i]:s[j2 + 1]] + (1,) + post[j2]
+            for run in _ins(b[j1] - 1, 2):
+                add((thru[j1] + run + end, a[i] * (b[j2] + 2)))
     # 0 -> 1-run j1, 0 -> 1-run j2, 1 -> a_i   (j1 < j2 < i)
     e.family("0->b1,0->b2,1->a", 1, 3)
     for j1, j2, i in combinations(range(h), 3):
-        for p1, q1 in _splits2(b[j1] - 1):
-            for p2, q2 in _splits2(b[j2] - 1):
-                for a1, a2 in _asplits(a[i] + 1):
-                    e.emit(1, {i: (a1, a2)}, {j1: e.ins(p1, 2, q1), j2: e.ins(p2, 2, q2)})
+        for run1 in _ins(b[j1] - 1, 2):
+            for run2 in _ins(b[j2] - 1, 2):
+                left = thru[j1] + run1 + z[s[j1 + 1]:r[j2]] + run2 + z[s[j2 + 1]:s[i]]
+                for hd in _asplits(a[i] + 1):
+                    add((left + hd + rest[i], 1))
     # 0 -> 1-run j1, 0 -> 1-run j2, 1 -> 1-run j3
     e.family("0->b1,0->b2,1->b3", 1, 2)
     for j1, j2, j3 in combinations(range(h), 3):
-        for p1, q1 in _splits2(b[j1] - 1):
-            for p2, q2 in _splits2(b[j2] - 1):
-                e.emit(b[j3] + 2, runs={j1: e.ins(p1, 2, q1), j2: e.ins(p2, 2, q2),
-                                        j3: e.longer(j3, 1)})
-
-
-def _dsr_3(e: _Emitter) -> None:
-    _subtract(e, _stuffle_3)
-    _shuffle_3(e)
+        end = z[s[j2 + 1]:s[j3 + 1]] + (1,) + post[j3]
+        for run1 in _ins(b[j1] - 1, 2):
+            left = thru[j1] + run1 + z[s[j1 + 1]:r[j2]]
+            for run in _ins(b[j2] - 1, 2):
+                add((left + run + end, b[j3] + 2))
 
 
 # ---------------------------------------------------------------------------
@@ -529,234 +515,261 @@ def _dsr_3(e: _Emitter) -> None:
 # ---------------------------------------------------------------------------
 
 def _stuffle_21(e: _Emitter) -> None:
-    a, b, h = e.a, e.b, e.h
+    z, s, r, a, b, h, add = e.z, e.s, e.r, e.a, e.b, e.h, e.terms.append
+    pre, post, thru, rest = e.pre, e.post, e.thru, e.rest
     # both entries merge into entries >= 2
-    e.family("2->a1,1->a2", 0, 0)
-    for i1, i2 in combinations(range(h), 2):
-        e.emit(1, {i1: e.grown(i1, 2), i2: e.grown(i2, 1)})
+    e.family("2->a1,1->a2", 0, 0, *[
+        (pre[i1] + (a[i1] + 2,) + z[r[i1]:s[i2]] + (a[i2] + 1,) + rest[i2], 1)
+        for i1, i2 in combinations(range(h), 2)])
     # 2 merges into a_i, 1 merges into a one of run j >= i
     e.family("2->a,1->b", 0, 1)
     for i, j in combinations_with_replacement(range(h), 2):
-        for p, q in _splits2(b[j] - 1):
-            e.emit(1, {i: e.grown(i, 2)}, {j: e.ins(p, 2, q)})
+        lead = pre[i] + (a[i] + 2,) + z[r[i]:r[j]]
+        for run in _ins(b[j] - 1, 2):
+            add((lead + run + post[j], 1))
     # 2 merges into a one of run j (3), 1 merges into a_i, j < i
     e.family("2->b:3,1->a", 0, 1)
     for j, i in combinations(range(h), 2):
-        for p, q in _splits2(b[j] - 1):
-            e.emit(1, {i: e.grown(i, 1)}, {j: e.ins(p, 3, q)})
+        end = z[s[j + 1]:s[i]] + (a[i] + 1,) + rest[i]
+        for run in _ins(b[j] - 1, 3):
+            add((thru[j] + run + end, 1))
     # both merge into ones of distinct runs
     e.family("2->b1:3,1->b2", 0, 2)
     for j1, j2 in combinations(range(h), 2):
-        for p1, q1 in _splits2(b[j1] - 1):
-            for p2, q2 in _splits2(b[j2] - 1):
-                e.emit(1, runs={j1: e.ins(p1, 3, q1), j2: e.ins(p2, 2, q2)})
+        for run1 in _ins(b[j1] - 1, 3):
+            left = thru[j1] + run1 + z[s[j1 + 1]:r[j2]]
+            for run in _ins(b[j2] - 1, 2):
+                add((left + run + post[j2], 1))
     # both merge into ones of the same run (missing from the printed list)
     e.family("2->b:3,1->b(same)", 0, 2)
-    for j in range(h):
-        for p, q, r in _splits3(b[j] - 2):
-            e.emit(1, runs={j: e.ins2(p, 3, q, 2, r)})
+    for lead, n, end in zip(thru, b, post):
+        for run in _ins2(n - 2, 3, 2):
+            add((lead + run + end, 1))
     # 2 merges into a_i, 1 inserted in run j >= i
-    e.family("2->a,1->b:ins", 1, 0)
-    for i, j in combinations_with_replacement(range(h), 2):
-        e.emit(b[j] + 1, {i: e.grown(i, 2)}, {j: e.longer(j, 1)})
+    e.family("2->a,1->b:ins", 1, 0, *[
+        (pre[i] + (a[i] + 2,) + z[r[i]:s[j + 1]] + (1,) + post[j], b[j] + 1)
+        for i, j in combinations_with_replacement(range(h), 2)])
     # 2 merges into a one of run j1 (3), 1 inserted in run j2 > j1
     e.family("2->b1:3,1->b2:ins", 1, 1)
     for j1, j2 in combinations(range(h), 2):
-        for p, q in _splits2(b[j1] - 1):
-            e.emit(b[j2] + 1, runs={j1: e.ins(p, 3, q), j2: e.longer(j2, 1)})
-    # 2 merges into a one of run j (3), 1 inserted after it in the same run
-    # (printed with an index slip that breaks the weight)
+        end = z[s[j1 + 1]:s[j2 + 1]] + (1,) + post[j2]
+        for run in _ins(b[j1] - 1, 3):
+            add((thru[j1] + run + end, b[j2] + 1))
+    # 2 merges into a one of run j (3), 1 inserted among the n - p > 0 ones
+    # after it (printed with an index slip that breaks the weight)
     e.family("2->b:3,1->b+1(same)", 1, 1)
-    for j in range(h):
-        for p, q in _splits2(b[j]):
-            e.emit(q, runs={j: e.ins(p, 3, q)})
+    for lead, n, end in zip(thru, b, post):
+        for p, run in enumerate(_ins(n, 3)[:n]):
+            add((lead + run + end, n - p))
     # 2 inserted at the front, 1 merges into a_i
-    e.family("2->front,1->a", 1, 1)
-    for i in range(h):
-        e.emit(1, {i: e.grown(i, 1)}, front=(2,))
+    e.family("2->front,1->a", 1, 1, *[((2,) + lead + (x + 1,) + end, 1)
+                                      for lead, x, end in zip(pre, a, rest)])
     # 2 inserted in run j, 1 merges into a_i, j < i
     e.family("2->b:ins,1->a", 1, 1)
     for j, i in combinations(range(h), 2):
-        for p, q in _splits2(b[j]):
-            e.emit(1, {i: e.grown(i, 1)}, {j: e.ins(p, 2, q)})
+        end = z[s[j + 1]:s[i]] + (a[i] + 1,) + rest[i]
+        for run in _ins(b[j], 2):
+            add((thru[j] + run + end, 1))
     # 2 inserted at the front, 1 merges into a one of run j
     e.family("2->front,1->b", 1, 2)
-    for j in range(h):
-        for p, q in _splits2(b[j] - 1):
-            e.emit(1, runs={j: e.ins(p, 2, q)}, front=(2,))
+    for lead, n, end in zip(thru, b, post):
+        for run in _ins(n - 1, 2):
+            add(((2,) + lead + run + end, 1))
     # 2 inserted in run j1, 1 merges into a one of run j2 > j1
     e.family("2->b1:ins,1->b2", 1, 2)
     for j1, j2 in combinations(range(h), 2):
-        for p1, q1 in _splits2(b[j1]):
-            for p2, q2 in _splits2(b[j2] - 1):
-                e.emit(1, runs={j1: e.ins(p1, 2, q1), j2: e.ins(p2, 2, q2)})
+        for run1 in _ins(b[j1], 2):
+            left = thru[j1] + run1 + z[s[j1 + 1]:r[j2]]
+            for run in _ins(b[j2] - 1, 2):
+                add((left + run + post[j2], 1))
     # 2 inserted in run j, 1 merges into a one after it in the same run
     # (printed with an index slip that breaks the weight)
     e.family("2->b:ins,1->b(same)", 1, 2)
-    for j in range(h):
-        for p, q, r in _splits3(b[j] - 1):
-            e.emit(1, runs={j: e.ins2(p, 2, q, 2, r)})
+    for lead, n, end in zip(thru, b, post):
+        for run in _ins2(n - 1, 2, 2):
+            add((lead + run + end, 1))
     # the unit (2,1) at the front
-    e.family("21->front", 2, 1).emit(1, front=(2, 1))
+    e.family("21->front", 2, 1, ((2, 1) + z, 1))
     # 2 inserted at the front, 1 inserted in run j (missing from print)
-    e.family("2->front,1->b+1", 2, 1)
-    for j in range(h):
-        e.emit(b[j] + 1, runs={j: e.longer(j, 1)}, front=(2,))
-    # 2 inserted in run j, 1 inserted after it in the same run
+    e.family("2->front,1->b+1", 2, 1, *[((2,) + lead + (1,) + end, n + 1)
+                                        for lead, n, end in zip(pre[1:], b, post)])
+    # 2 inserted in run j, 1 inserted among the n - p > 0 ones after it
     e.family("2->b:ins,1->b+1(same)", 2, 1)
-    for j in range(h):
-        for p, q in _splits2(b[j]):
-            e.emit(q + 1, runs={j: e.ins(p, 2, q + 1)})
+    for lead, n, end in zip(thru, b, post):
+        for p, run in enumerate(_ins(n + 1, 2)[:n + 1]):
+            add((lead + run + end, n + 1 - p))
     # 2 inserted in run j1, 1 inserted in run j2 > j1
     e.family("2->b1:ins,1->b2:ins", 2, 1)
     for j1, j2 in combinations(range(h), 2):
-        for p, q in _splits2(b[j1]):
-            e.emit(b[j2] + 1, runs={j1: e.ins(p, 2, q), j2: e.longer(j2, 1)})
+        end = z[s[j1 + 1]:s[j2 + 1]] + (1,) + post[j2]
+        for run in _ins(b[j1], 2):
+            add((thru[j1] + run + end, b[j2] + 1))
 
 
 def _shuffle_21(e: _Emitter) -> None:
-    a, b, h = e.a, e.b, e.h
+    z, s, r, a, b, h, add = e.z, e.s, e.r, e.a, e.b, e.h, e.terms.append
+    pre, post, thru, rest = e.pre, e.post, e.thru, e.rest
     # 0 and the adjacent 11 inside one 0-run
     e.family("0->a,11->a(pair)", 2, 1)
-    for i in range(h):
-        for a1, a2 in _asplits(a[i] + 2):
-            e.emit(a1 - 1, {i: (a1, 1, a2)})
+    for lead, x, end in zip(pre, a, rest):
+        for a1, a2 in _asplits(x + 2):
+            add((lead + (a1, 1, a2) + end, a1 - 1))
     # 0 and both 1s split one 0-run twice
     e.family("0->a,1->a,1->a(same)", 2, 2)
-    for i in range(h):
-        for a1, a2, a3 in _asplits3(a[i] + 3):
-            e.emit(a1 - 1, {i: (a1, a2, a3)})
-    # 0 in 1-run j (new 2), both 1s after it in the same run
+    for lead, x, end in zip(pre, a, rest):
+        for hd in _asplits3(x + 3):
+            add((lead + hd + end, hd[0] - 1))
+    # 0 in 1-run j (new 2), both 1s among the n - p >= 2 ones after it
     e.family("0->b,11->b(same)", 2, 1)
-    for j in range(h):
-        for p, q in _splits2(b[j] - 1):
-            e.emit((q + 3) * (q + 2) // 2, runs={j: e.ins(p, 2, q + 2)})
+    for lead, n, end in zip(thru, b, post):
+        for p, run in enumerate(_ins(n + 1, 2)[:n]):
+            add((lead + run + end, (n - p + 2) * (n - p + 1) // 2))
     # 0 and one 1 split a_i1, the other 1 splits a_i2 (the printed inner
     # sums dangle, so this family is reconstructed; absent as printed)
     e.family("0->a1,1->a1,1->a2", 2, 2)
     for i1, i2 in combinations(range(h), 2):
         for a1, a2 in _asplits(a[i1] + 2):
-            for A1, A2 in _asplits(a[i2] + 1):
-                e.emit(a1 - 1, {i1: (a1, a2), i2: (A1, A2)})
+            left = pre[i1] + (a1, a2) + z[r[i1]:s[i2]]
+            for hd in _asplits(a[i2] + 1):
+                add((left + hd + rest[i2], a1 - 1))
     # 0 and one 1 split a_i, the other 1 in 1-run j >= i
     e.family("0->a,1->a,1->b", 2, 1)
     for i, j in combinations_with_replacement(range(h), 2):
+        end = z[r[i]:s[j + 1]] + (1,) + post[j]
         for a1, a2 in _asplits(a[i] + 2):
-            e.emit((a1 - 1) * (b[j] + 2), {i: (a1, a2)}, {j: e.longer(j, 1)})
-    # 0 in 1-run j (new 2), one 1 after it, the other splits a_i > j
+            add((pre[i] + (a1, a2) + end, (a1 - 1) * (b[j] + 2)))
+    # 0 in 1-run j (new 2), one 1 among the n - p ones after it, the other
+    # splits a_i > j
     e.family("0->b,1->b(same),1->a", 2, 2)
     for j, i in combinations(range(h), 2):
-        for p, q in _splits2(b[j] - 1):
-            for a1, a2 in _asplits(a[i] + 1):
-                e.emit(q + 2, {i: (a1, a2)}, {j: e.ins(p, 2, q + 1)}, printed=q + 1)
+        n = b[j]
+        for p, run in enumerate(_ins(n, 2)[:n]):
+            left = thru[j] + run + z[s[j + 1]:s[i]]
+            for hd in _asplits(a[i] + 1):
+                e.printed[len(e.terms)] = n - p
+                add((left + hd + rest[i], n - p + 1))
     # 0 in 1-run j1 (new 2), one 1 after it, the other in 1-run j2
     e.family("0->b1,1->b1(same),1->b2", 2, 1)
     for j1, j2 in combinations(range(h), 2):
-        for p, q in _splits2(b[j1] - 1):
-            e.emit((q + 2) * (b[j2] + 2), runs={j1: e.ins(p, 2, q + 1), j2: e.longer(j2, 1)})
+        end, n = z[s[j1 + 1]:s[j2 + 1]] + (1,) + post[j2], b[j1]
+        for p, run in enumerate(_ins(n, 2)[:n]):
+            add((thru[j1] + run + end, (n - p + 1) * (b[j2] + 2)))
     # 0 into a_i1, adjacent 11 inside a_i2
     e.family("0->a1,11->a2(pair)", 2, 1)
     for i1, i2 in combinations(range(h), 2):
+        lead = pre[i1] + (a[i1] + 1,) + z[r[i1]:s[i2]]
         for a1, a2 in _asplits(a[i2] + 1):
-            e.emit(a[i1], {i1: e.grown(i1, 1), i2: (a1, 1, a2)})
+            add((lead + (a1, 1, a2) + rest[i2], a[i1]))
     # 0 into a_i1, both 1s split a_i2 twice
     e.family("0->a1,1->a2,1->a2", 2, 2)
     for i1, i2 in combinations(range(h), 2):
-        for a1, a2, a3 in _asplits3(a[i2] + 2):
-            e.emit(a[i1], {i1: e.grown(i1, 1), i2: (a1, a2, a3)})
+        lead = pre[i1] + (a[i1] + 1,) + z[r[i1]:s[i2]]
+        for hd in _asplits3(a[i2] + 2):
+            add((lead + hd + rest[i2], a[i1]))
     # 0 into a_i, both 1s into 1-run j >= i
-    e.family("0->a,1->b,1->b(same)", 2, 0)
-    for i, j in combinations_with_replacement(range(h), 2):
-        e.emit(a[i] * (b[j] + 3) * (b[j] + 2) // 2, {i: e.grown(i, 1)}, {j: e.longer(j, 2)})
+    e.family("0->a,1->b,1->b(same)", 2, 0, *[
+        (pre[i] + (a[i] + 1,) + z[r[i]:s[j + 1]] + (1, 1) + post[j],
+         a[i] * (b[j] + 3) * (b[j] + 2) // 2)
+        for i, j in combinations_with_replacement(range(h), 2)])
     # 0 in 1-run j (new 2), adjacent 11 inside a_i > j
     e.family("0->b,11->a(pair)", 2, 2)
     for j, i in combinations(range(h), 2):
-        for p, q in _splits2(b[j] - 1):
+        for run in _ins(b[j] - 1, 2):
+            left = thru[j] + run + z[s[j + 1]:s[i]]
             for a1, a2 in _asplits(a[i] + 1):
-                e.emit(1, {i: (a1, 1, a2)}, {j: e.ins(p, 2, q)})
+                add((left + (a1, 1, a2) + rest[i], 1))
     # 0 in 1-run j (new 2), both 1s split a_i > j twice
     e.family("0->b,1->a,1->a", 2, 3)
     for j, i in combinations(range(h), 2):
-        for p, q in _splits2(b[j] - 1):
-            for a1, a2, a3 in _asplits3(a[i] + 2):
-                e.emit(1, {i: (a1, a2, a3)}, {j: e.ins(p, 2, q)})
+        for run in _ins(b[j] - 1, 2):
+            left = thru[j] + run + z[s[j + 1]:s[i]]
+            for hd in _asplits3(a[i] + 2):
+                add((left + hd + rest[i], 1))
     # 0 in 1-run j1 (new 2), both 1s into 1-run j2
     e.family("0->b1,1->b2,1->b2", 2, 1)
     for j1, j2 in combinations(range(h), 2):
-        for p, q in _splits2(b[j1] - 1):
-            e.emit((b[j2] + 3) * (b[j2] + 2) // 2, runs={j1: e.ins(p, 2, q), j2: e.longer(j2, 2)})
+        end = z[s[j1 + 1]:s[j2 + 1]] + (1, 1) + post[j2]
+        for run in _ins(b[j1] - 1, 2):
+            add((thru[j1] + run + end, (b[j2] + 3) * (b[j2] + 2) // 2))
     # 0 into a_i1, 1 splits a_i2, 1 splits a_i3
     e.family("0->a1,1->a2,1->a3", 2, 2)
     for i1, i2, i3 in combinations(range(h), 3):
-        for a1, a2 in _asplits(a[i2] + 1):
-            for A1, A2 in _asplits(a[i3] + 1):
-                e.emit(a[i1], {i1: e.grown(i1, 1), i2: (a1, a2), i3: (A1, A2)})
+        lead, mid = pre[i1] + (a[i1] + 1,) + z[r[i1]:s[i2]], z[r[i2]:s[i3]]
+        for hd1 in _asplits(a[i2] + 1):
+            left = lead + hd1 + mid
+            for hd in _asplits(a[i3] + 1):
+                add((left + hd + rest[i3], a[i1]))
     # 0 into a_i1, 1 splits a_i2, 1 into 1-run j >= i2
     e.family("0->a1,1->a2,1->b", 2, 1)
     for i1, i2 in combinations(range(h), 2):
+        lead = pre[i1] + (a[i1] + 1,) + z[r[i1]:s[i2]]
         for j in range(i2, h):
-            for a1, a2 in _asplits(a[i2] + 1):
-                e.emit(a[i1] * (b[j] + 2), {i1: e.grown(i1, 1), i2: (a1, a2)}, {j: e.longer(j, 1)})
+            end = z[r[i2]:s[j + 1]] + (1,) + post[j]
+            for hd in _asplits(a[i2] + 1):
+                add((lead + hd + end, a[i1] * (b[j] + 2)))
     # 0 into a_i1, 1 into 1-run j, 1 splits a_i2   (i1 <= j < i2)
     e.family("0->a1,1->b,1->a2", 2, 1)
     for i1, j in combinations_with_replacement(range(h), 2):
+        lead = pre[i1] + (a[i1] + 1,) + z[r[i1]:s[j + 1]] + (1,)
         for i2 in range(j + 1, h):
-            for a1, a2 in _asplits(a[i2] + 1):
-                e.emit(a[i1] * (b[j] + 2), {i1: e.grown(i1, 1), i2: (a1, a2)}, {j: e.longer(j, 1)})
+            left = lead + z[s[j + 1]:s[i2]]
+            for hd in _asplits(a[i2] + 1):
+                add((left + hd + rest[i2], a[i1] * (b[j] + 2)))
     # 0 into a_i, 1 into 1-run j1, 1 into 1-run j2   (i <= j1 < j2)
     e.family("0->a,1->b1,1->b2", 2, 0)
     for i, j1 in combinations_with_replacement(range(h), 2):
+        lead = pre[i] + (a[i] + 1,) + z[r[i]:s[j1 + 1]] + (1,)
         for j2 in range(j1 + 1, h):
-            e.emit(a[i] * (b[j1] + 2) * (b[j2] + 2), {i: e.grown(i, 1)},
-                   {j1: e.longer(j1, 1), j2: e.longer(j2, 1)})
+            add((lead + z[s[j1 + 1]:s[j2 + 1]] + (1,) + post[j2],
+                 a[i] * (b[j1] + 2) * (b[j2] + 2)))
     # 0 in 1-run j (new 2), 1 splits a_i1, 1 splits a_i2   (j < i1 < i2)
     e.family("0->b,1->a1,1->a2", 2, 3)
     for j, i1, i2 in combinations(range(h), 3):
-        for p, q in _splits2(b[j] - 1):
-            for a1, a2 in _asplits(a[i1] + 1):
-                for A1, A2 in _asplits(a[i2] + 1):
-                    e.emit(1, {i1: (a1, a2), i2: (A1, A2)}, {j: e.ins(p, 2, q)})
+        for run in _ins(b[j] - 1, 2):
+            for hd1 in _asplits(a[i1] + 1):
+                left = thru[j] + run + z[s[j + 1]:s[i1]] + hd1 + z[r[i1]:s[i2]]
+                for hd in _asplits(a[i2] + 1):
+                    add((left + hd + rest[i2], 1))
     # 0 in 1-run j1 (new 2), 1 splits a_i, 1 into 1-run j2   (j1 < i <= j2)
     e.family("0->b1,1->a,1->b2", 2, 2)
     for j1, i in combinations(range(h), 2):
         for j2 in range(i, h):
-            for p, q in _splits2(b[j1] - 1):
-                for a1, a2 in _asplits(a[i] + 1):
-                    e.emit(b[j2] + 2, {i: (a1, a2)}, {j1: e.ins(p, 2, q), j2: e.longer(j2, 1)})
+            end = z[r[i]:s[j2 + 1]] + (1,) + post[j2]
+            for run in _ins(b[j1] - 1, 2):
+                left = thru[j1] + run + z[s[j1 + 1]:s[i]]
+                for hd in _asplits(a[i] + 1):
+                    add((left + hd + end, b[j2] + 2))
     # 0 in 1-run j1 (new 2), 1 into 1-run j2, 1 splits a_i   (j1 < j2 < i)
     e.family("0->b1,1->b2,1->a", 2, 2)
     for j1, j2, i in combinations(range(h), 3):
-        for p, q in _splits2(b[j1] - 1):
-            for a1, a2 in _asplits(a[i] + 1):
-                e.emit(b[j2] + 2, {i: (a1, a2)}, {j1: e.ins(p, 2, q), j2: e.longer(j2, 1)})
+        mid = z[s[j1 + 1]:s[j2 + 1]] + (1,) + z[s[j2 + 1]:s[i]]
+        for run in _ins(b[j1] - 1, 2):
+            left = thru[j1] + run + mid
+            for hd in _asplits(a[i] + 1):
+                add((left + hd + rest[i], b[j2] + 2))
     # 0 in 1-run j1 (new 2), 1 into 1-run j2, 1 into 1-run j3
     e.family("0->b1,1->b2,1->b3", 2, 1)
     for j1, j2, j3 in combinations(range(h), 3):
-        for p, q in _splits2(b[j1] - 1):
-            e.emit((b[j2] + 2) * (b[j3] + 2),
-                   runs={j1: e.ins(p, 2, q), j2: e.longer(j2, 1), j3: e.longer(j3, 1)})
+        end = z[s[j1 + 1]:s[j2 + 1]] + (1,) + z[s[j2 + 1]:s[j3 + 1]] + (1,) + post[j3]
+        for run in _ins(b[j1] - 1, 2):
+            add((thru[j1] + run + end, (b[j2] + 2) * (b[j3] + 2)))
     # the unit (2,1) appended at the very end
-    e.family("011->end", 2, 1).emit(1, back=(2, 1))
-
-
-def _dsr_21(e: _Emitter) -> None:
-    _subtract(e, _stuffle_21)
-    _shuffle_21(e)
+    e.family("011->end", 2, 1, (z + (2, 1), 1))
 
 
 _GENERATORS: dict[tuple[str, str], Callable[[_Emitter], None]] = {
     ("1", "stuffle"): _stuffle_1,
     ("1", "shuffle"): _shuffle_1,
-    ("1", "dsr"): _dsr_1,
+    ("1", "dsr"): partial(_subtract, partial(_merge, k=1), partial(_shuffle_1, dsr=True)),
     ("2", "stuffle"): _stuffle_2,
     ("2", "shuffle"): _shuffle_2,
-    ("2", "dsr"): _dsr_2,
+    ("2", "dsr"): partial(_subtract, partial(_merge, k=2), partial(_shuffle_2, dsr=True)),
     ("3", "stuffle"): _stuffle_3,
     ("3", "shuffle"): _shuffle_3,
-    ("3", "dsr"): _dsr_3,
+    ("3", "dsr"): partial(_subtract, _stuffle_3, _shuffle_3),
     ("21", "stuffle"): _stuffle_21,
     ("21", "shuffle"): _shuffle_21,
-    ("21", "dsr"): _dsr_21,
+    ("21", "dsr"): partial(_subtract, _stuffle_21, _shuffle_21),
 }
 
 # the print corrections of each (g, side) in registry order (dsr inherits

@@ -147,9 +147,11 @@ class TestGenerate:
     def test_divergent_residue_is_an_inconsistency(self, monkeypatch, tmp_path, capsys):
         # a (1) generator that keeps the divergent front unit, which the
         # dsr must cancel, is caught where the body is summed
+        real = closedforms._GENERATORS[("1", "dsr")]
+
         def dsr_1_with_front(e):
-            closedforms._dsr_1(e)
-            e.family("1->front", 1, 0).emit(1, front=(1,))
+            real(e)
+            e.family("1->front", 1, 0, ((1,) + e.z, 1))
 
         monkeypatch.setitem(closedforms._GENERATORS, ("1", "dsr"), dsr_1_with_front)
         with pytest.raises(InternalConsistencyError, match="divergent residue"):

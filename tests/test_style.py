@@ -1,4 +1,5 @@
 import ast
+from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -39,3 +40,34 @@ def test_no_unused_imports():
                     if name not in used:
                         unused.append(f"{path.relative_to(ROOT)}:{node.lineno} {name}")
     assert unused == []
+
+
+def test_no_dead_private_helpers():
+    """Every private module-level name of the package, and every method of a
+    private class, is used in the package outside its own definition."""
+    def loads(node):
+        return Counter(n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(node)
+                       if isinstance(n, (ast.Name, ast.Attribute)) and isinstance(n.ctx, ast.Load))
+
+    def dunder(name):
+        return name.startswith("__") and name.endswith("__")
+
+    defined, used = [], Counter()
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        used += loads(tree)
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            else:
+                targets = node.targets if isinstance(node, ast.Assign) else [
+                    getattr(node, "target", None)]
+                names = [t.id for t in targets if isinstance(t, ast.Name)]
+            defined += [(path, name, node) for name in names
+                        if name.startswith("_") and not dunder(name)]
+            if isinstance(node, ast.ClassDef) and node.name.startswith("_"):
+                defined += [(path, item.name, item) for item in node.body
+                            if isinstance(item, ast.FunctionDef) and not dunder(item.name)]
+    dead = [f"{path.relative_to(ROOT)}:{node.lineno} {name}" for path, name, node in defined
+            if used[name] == loads(node)[name]]
+    assert dead == []
