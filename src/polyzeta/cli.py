@@ -39,12 +39,8 @@ def _coeff_from_dict(d: dict) -> int | Fraction:
 
 
 def _lincomb_dict(lc: LinComb) -> dict:
-    return {
-        "terms": [
-            {"coeff": coeff_dict(c), "composition": list(t)}
-            for t, c in lc.sorted_items()
-        ]
-    }
+    return {"terms": [{"coeff": coeff_dict(c), "composition": list(t)}
+                      for t, c in lc.sorted_items()]}
 
 
 def _emit(args, text: str) -> None:
@@ -80,20 +76,11 @@ def _relset_dict(rs: RelationSet) -> dict:
     return {
         "schema": SCHEMA,
         "weight": rs.weight,
-        "flags": {
-            "families": list(rs.families),
-            "duality": rs.duality,
-            "generator": GENERATOR_VERSION,
-        },
+        "flags": {"families": list(rs.families), "duality": rs.duality,
+                  "generator": GENERATOR_VERSION},
         "notices": _notices(rs),
-        "relations": [
-            {
-                "family": r.family,
-                "source": list(r.source),
-                **_lincomb_dict(r.body),
-            }
-            for r in rs.relations
-        ],
+        "relations": [{"family": r.family, "source": list(r.source), **_lincomb_dict(r.body)}
+                      for r in rs.relations],
     }
 
 
@@ -104,17 +91,9 @@ def _relset_from_dict(doc: dict) -> RelationSet:
     generated set does."""
     at = positions(doc["weight"])
     comps = enumerate_weight(doc["weight"])
-    rels = [
-        Relation(
-            LinComb(
-                (comps[at[tuple(t["composition"])]], _coeff_from_dict(t["coeff"]))
-                for t in r["terms"]
-            ),
-            r["family"],
-            Composition(r["source"]),
-        )
-        for r in doc["relations"]
-    ]
+    rels = [Relation(LinComb((comps[at[tuple(t["composition"])]], _coeff_from_dict(t["coeff"]))
+                             for t in r["terms"]), r["family"], Composition(r["source"]))
+            for r in doc["relations"]]
     flags = doc["flags"]
     return RelationSet(doc["weight"], rels, tuple(flags["families"]), flags["duality"])
 
@@ -173,6 +152,15 @@ def _families_arg(text: str) -> tuple[str, ...]:
         if fams.count(f) > 1:
             raise argparse.ArgumentTypeError(f"family {f!r} given more than once")
     return fams
+
+
+def _out_arg(text: str) -> str:
+    """--out FILE, refused at parse time where no file can be written."""
+    parent = os.path.dirname(text) or "."
+    if os.path.isdir(text) or not os.path.isdir(parent):
+        why = "it is a directory" if os.path.isdir(text) else f"{parent} is not a directory"
+        raise argparse.ArgumentTypeError(f"cannot write {text!r}: {why}")
+    return text
 
 
 # ---------------------------------------------------------------------------
@@ -407,13 +395,8 @@ def _cmd_verify(args) -> int:
     worst = max((r for _, _, r in nrep.residuals), default=0.0)
     summary.append(f"numeric: worst relative residual {worst:.2e} at tol {args.numeric_tol}")
 
-    payload = {
-        "schema": SCHEMA,
-        "weight": w,
-        "ok": not failures,
-        "summary": summary,
-        "failures": failures,
-    }
+    payload = {"schema": SCHEMA, "weight": w, "ok": not failures, "summary": summary,
+               "failures": failures}
     verdict = f"FAILURES: {len(failures)}" if failures else "all checks passed"
     _emit_payload(args, payload, "\n".join([*summary, verdict]))
     return 1 if failures else 0
@@ -424,7 +407,7 @@ def _cmd_verify(args) -> int:
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("text", "json"), default="text")
-    common.add_argument("--out", metavar="FILE", default=None)
+    common.add_argument("--out", metavar="FILE", type=_out_arg, default=None)
     # one product of the index: left factor and side
     product = argparse.ArgumentParser(add_help=False)
     product.add_argument("--g", choices=tuple(LEFT_FACTORS), required=True)

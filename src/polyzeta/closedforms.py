@@ -3,13 +3,14 @@
 Each product is a finite sum of *families*.  A family walks the blocks
 (a_1, 1^b_1, ..., a_h, 1^b_h) of the right factor and emits terms with
 integer coefficients; it states once the shift of its terms' depth and
-height from z's, and each term is a plain (tuple, coefficient) pair: a
-product makes one Composition per summed term, and :func:`closed_terms`
-its :class:`FamilyTerm` records.  Family names record where the inserted
-letters land: ``a`` in a 0-run (the head a_k, grown or split), ``b`` in a
-1-run (the ones 1^b_k, one merged or a new entry inserted); ``a1 a2``
-distinct blocks, a repeated letter the same block; ``front``/``end`` the
-special unit insertions.
+height from z's.  Each term is spliced: z with up to three heads or runs
+replaced, joined with the unchanged slices of z around them, as a plain
+(tuple, coefficient) pair; a product makes one Composition per summed
+term, and :func:`closed_terms` its :class:`FamilyTerm` records.  Family
+names record where the inserted letters land: ``a`` in a 0-run (the head
+a_k, grown or split), ``b`` in a 1-run (the ones 1^b_k, one merged or a
+new entry inserted); ``a1 a2`` distinct blocks, a repeated letter the
+same block; ``front``/``end`` the special unit insertions.
 
 In the word ``0^(a_k-1) 1 1^b_k`` of block k, the head a_k and the run
 1^b_k are disjoint segments.  A term therefore replaces heads and runs
@@ -97,7 +98,7 @@ class PrintCorrection:
     intended reading is pinned down by the statement's own term counts.
     A ``missing-family``, ``index-typo`` or ``unreadable`` family is absent
     from the print; a ``guard`` or ``coefficient`` defect is the printed
-    coefficient of each term it touches (``_Emitter.emit(printed=...)``).
+    coefficient of each term it touches (``_Emitter.printed``).
     """
 
     g: str
@@ -200,20 +201,17 @@ class _Emitter:
     """Builds the terms of one expansion over the blocks of z, family by family.
 
     Block k of z is its head a_k at position ``s[k]`` and its run of b_k
-    ones, ``z[r[k]:s[k + 1]]`` with ``r[k] = s[k] + 1``.  A term is z with
-    up to three heads or runs replaced: a head grown or split, a run grown
-    (ones inserted at its end, ``s[k + 1]``) or given new entries (``_ins``,
-    ``_ins2``).  A family splices each term: it joins, in ascending order,
-    the slice of z before the first replaced piece, the replacements, the
-    slices of z between them and the slice after the last.  The slices
+    ones, ``z[r[k]:s[k + 1]]`` with ``r[k] = s[k] + 1``.  A family splices
+    each term: the slice of z before the first replaced head or run, the
+    replacements (a head grown or split; a run grown by ones at its end or
+    given new entries, ``_ins``/``_ins2``) with the slices of z between
+    them, and the slice after the last, in ascending order.  The slices
     before and after each block, ``pre[k]`` and ``post[k]``, and before
-    and after its run, ``thru[k]`` and ``rest[k]``, are cut once per z.
-    What an inner loop does not change (a slice between pieces, a grown
-    head, a joined prefix or suffix) is built once, outside it.  A head i
-    and a run j >= i are cut at ``s[i]``, ``r[i]``, ``r[j]`` and
-    ``s[j + 1]``, so the same block needs no case of its own.  Every entry
-    is >= 1 by construction, and a family skips the placements that its
-    coefficient counts as 0.
+    its run and from it on, ``thru[k]`` and ``rest[k]``, are cut once per z;
+    what the innermost loop does not change (a slice between pieces, a
+    grown head, a joined prefix or suffix) is built outside it.  Every
+    entry is >= 1 by construction, and a family skips the placements that
+    its coefficient counts as 0.
 
     ``family(name, dd, dh, *terms)`` opens a family, states once the shift
     of its terms' (depth, height) from z's, and emits ``terms``.  ``terms``
@@ -593,7 +591,7 @@ def _stuffle_21(e: _Emitter) -> None:
     # 2 inserted at the front, 1 inserted in run j (missing from print)
     e.family("2->front,1->b+1", 2, 1, *[((2,) + lead + (1,) + end, n + 1)
                                         for lead, n, end in zip(pre[1:], b, post)])
-    # 2 inserted in run j, 1 inserted among the n - p > 0 ones after it
+    # 2 inserted in run j, 1 inserted among the n + 1 - p > 0 ones after it
     e.family("2->b:ins,1->b+1(same)", 2, 1)
     for lead, n, end in zip(thru, b, post):
         for p, run in enumerate(_ins(n + 1, 2)[:n + 1]):
@@ -619,7 +617,7 @@ def _shuffle_21(e: _Emitter) -> None:
     for lead, x, end in zip(pre, a, rest):
         for hd in _asplits3(x + 3):
             add((lead + hd + end, hd[0] - 1))
-    # 0 in 1-run j (new 2), both 1s among the n - p >= 2 ones after it
+    # 0 in 1-run j (new 2), both 1s among the n + 1 - p >= 2 ones after it
     e.family("0->b,11->b(same)", 2, 1)
     for lead, n, end in zip(thru, b, post):
         for p, run in enumerate(_ins(n + 1, 2)[:n]):

@@ -268,6 +268,27 @@ class TestFilesAndCache:
         assert code == 0
         assert json.loads(out.read_text())["weight"] == 4
 
+    @pytest.mark.parametrize("cmd", [["list", "--weight", "4"], ["verify", "--weight", "8"],
+                                     ["reduce", "--weight", "10"]], ids=lambda cmd: cmd[0])
+    @pytest.mark.parametrize("where, why", [("dir", "it is a directory"),
+                                            ("missing/x", "is not a directory"),
+                                            ("file/x", "is not a directory")])
+    def test_unwritable_out_is_a_usage_error(self, capsys, monkeypatch, tmp_path,
+                                             cmd, where, why):
+        # refused while parsing, before any work: nothing generates, nothing is written
+        (tmp_path / "dir").mkdir()
+        (tmp_path / "file").write_text("kept")
+        monkeypatch.setattr("polyzeta.cli.generate_relations", None)
+        monkeypatch.setattr("polyzeta.cli.enumerate_weight", None)
+        with pytest.raises(SystemExit) as err:
+            main([*cmd, "--out", str(tmp_path / where)])
+        captured = capsys.readouterr()
+        assert err.value.code == 2 and captured.out == ""
+        assert captured.err.splitlines()[-1].endswith(why)
+        assert "error: argument --out: cannot write" in captured.err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["dir", "file"]
+        assert (tmp_path / "file").read_text() == "kept" and not any((tmp_path / "dir").iterdir())
+
     def test_relations_cache(self, capsys, tmp_path):
         code, _ = run(capsys, "relations", "--weight", "5", "--data-dir", str(tmp_path))
         assert code == 0
@@ -536,6 +557,7 @@ USAGE_ERRORS = (
     ["list", "--weight", "4", "--data-dir", "x"],
     ["count", "--weight", "8", "--depth", "3", "--table"],
     ["relations", "--weight", "5", "--families", "1,1"],
+    ["list", "--weight", "4", "--out", "."],
 )
 
 
