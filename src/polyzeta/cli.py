@@ -155,11 +155,14 @@ def _families_arg(text: str) -> tuple[str, ...]:
 
 
 def _out_arg(text: str) -> str:
-    """--out FILE, refused at parse time where no file can be written."""
+    """--out FILE, refused at parse time where no file can be written: a
+    directory (the empty path names the working one) or a path whose
+    directory is missing or is a file."""
     parent = os.path.dirname(text) or "."
-    if os.path.isdir(text) or not os.path.isdir(parent):
-        why = "it is a directory" if os.path.isdir(text) else f"{parent} is not a directory"
-        raise argparse.ArgumentTypeError(f"cannot write {text!r}: {why}")
+    if os.path.isdir(text or "."):
+        raise argparse.ArgumentTypeError(f"cannot write {text!r}: it is a directory")
+    if not os.path.isdir(parent):
+        raise argparse.ArgumentTypeError(f"cannot write {text!r}: {parent} is not a directory")
     return text
 
 

@@ -247,14 +247,13 @@ class _Emitter:
 
 def _subtract(stuffle: Callable[[_Emitter], None], shuffle: Callable[[_Emitter], None],
               e: _Emitter) -> None:
-    """The dsr shuffle - stuffle: run ``stuffle``, negate what it emitted
-    (its terms, their printed coefficients and, prefixed with ``-``, its
-    family names), then run ``shuffle``."""
-    n, m = len(e.terms), len(e.spans)
+    """The dsr shuffle - stuffle over a new emitter: run ``stuffle``, negate
+    what it emitted (its terms, their printed coefficients and, prefixed
+    with ``-``, its family names), then run ``shuffle``."""
     stuffle(e)
-    e.terms[n:] = [(t, -c) for t, c in e.terms[n:]]
-    e.spans[m:] = [("-" + name, d, h, first) for name, d, h, first in e.spans[m:]]
-    e.printed.update({k: -p for k, p in e.printed.items() if k >= n})
+    e.terms = [(t, -c) for t, c in e.terms]
+    e.spans = [("-" + name, d, h, first) for name, d, h, first in e.spans]
+    e.printed = {k: -p for k, p in e.printed.items()}
     shuffle(e)
 
 

@@ -289,6 +289,14 @@ class TestFilesAndCache:
         assert sorted(p.name for p in tmp_path.iterdir()) == ["dir", "file"]
         assert (tmp_path / "file").read_text() == "kept" and not any((tmp_path / "dir").iterdir())
 
+    def test_empty_out_is_a_usage_error(self, capsys):
+        # the empty path names the working directory; it no longer means stdout
+        with pytest.raises(SystemExit) as err:
+            main(["list", "--weight", "4", "--out", ""])
+        captured = capsys.readouterr()
+        assert err.value.code == 2 and captured.out == ""
+        assert captured.err.endswith("error: argument --out: cannot write '': it is a directory\n")
+
     def test_relations_cache(self, capsys, tmp_path):
         code, _ = run(capsys, "relations", "--weight", "5", "--data-dir", str(tmp_path))
         assert code == 0

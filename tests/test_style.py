@@ -59,10 +59,11 @@ def test_no_dead_private_helpers():
         for node in tree.body:
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
                 names = [node.name]
-            else:
-                targets = node.targets if isinstance(node, ast.Assign) else [
-                    getattr(node, "target", None)]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
                 names = [t.id for t in targets if isinstance(t, ast.Name)]
+            else:
+                names = []
             defined += [(path, name, node) for name in names
                         if name.startswith("_") and not dunder(name)]
             if isinstance(node, ast.ClassDef) and node.name.startswith("_"):
