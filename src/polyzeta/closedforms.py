@@ -329,13 +329,15 @@ def _shuffle_2(e: _Emitter, dsr: bool = False) -> None:
         end = z[s[j1 + 1]:s[j2 + 1]] + (1,) + post[j2]
         for run in _ins(b[j1] - 1, 2):
             add((thru[j1] + run + end, b[j2] + 2))
-    # 0 and 1 in the same 1-run, q ones after the 2 (no q = 0 term when subtracted)
+    # 0 and 1 in the same 1-run, q = n - p ones after the 2 (no q = 0 term when subtracted)
     e.family("0->b,1->b(same)", 1, 1)
     for lead, n, end in zip(thru, b, post):
         for p, run in enumerate(_ins(n, 2)[:n + 1 - dsr]):
             add((lead + run + end, n - p + 1 - dsr))
     # 0 and 1 in the same 0-run (plus the front unit when not subtracted)
-    e.family("00->a,1->a", 1, 1, *(() if dsr else [((2,) + z, 1)]))
+    e.family("00->a,1->a", 1, 1)
+    if not dsr:
+        add(((2,) + z, 1))
     for lead, x, end in zip(pre, a, rest):
         for a1, a2 in _asplits(x + 2, 3):
             if x < 5:  # printed with the guard a_i >= 5
@@ -377,8 +379,8 @@ def _shuffle_3(e: _Emitter) -> None:
     # 00 split in a 1-run (two 2s), 1 in the same run
     e.family("00->b:22,1->b(same)", 1, 2)
     for lead, n, end in zip(thru, b, post):
-        for (_, _, q), run in zip(_splits3(n - 1), _ins2(n - 1, 2, 2)):
-            add((lead + run + end, q + 1))
+        for (_, _, last), run in zip(_splits3(n - 1), _ins2(n - 1, 2, 2)):
+            add((lead + run + end, last + 1))
     # both 0s in a_i1, 1 splits a_i2
     e.family("00->a1,1->a2", 1, 1)
     for i1, i2 in combinations(range(h), 2):
