@@ -166,6 +166,22 @@ def _out_arg(text: str) -> str:
     return text
 
 
+def _data_dir_arg(text: str) -> str:
+    """--data-dir DIR, refused at parse time where no directory can be: a
+    file, or a path under one.  A DIR that does not exist yet is made when
+    the first entry is written."""
+    there = text or "."
+    while not os.path.lexists(there):  # the nearest part of the path that exists
+        up = os.path.dirname(there.rstrip(os.sep)) or "."
+        if up == there:
+            break
+        there = up
+    if not os.path.isdir(there):
+        where = "it" if there == text else there
+        raise argparse.ArgumentTypeError(f"cannot use {text!r}: {where} is not a directory")
+    return text
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
@@ -420,7 +436,7 @@ def _build_parser() -> argparse.ArgumentParser:
     relset.add_argument("--weight", type=int, required=True)
     relset.add_argument("--families", type=_families_arg, default=tuple(LEFT_FACTORS))
     relset.add_argument("--duality", action="store_true")
-    relset.add_argument("--data-dir", metavar="DIR", default=None)
+    relset.add_argument("--data-dir", metavar="DIR", type=_data_dir_arg, default=None)
 
     p = argparse.ArgumentParser(
         prog="polyzeta",

@@ -37,8 +37,8 @@ from itertools import combinations, combinations_with_replacement
 from typing import Callable, Iterator, Sequence
 
 from .core import Composition, _require_convergent, format_composition
-from .oracle import InternalConsistencyError, LinComb, _dsr_sum, _kept, _shuffle_checked
-from .oracle import _stuffle_sum, _summed, coeff_dict
+from .oracle import InternalConsistencyError, LinComb, _decoded_terms, _dsr_sum, _kept, _shuffle_of
+from .oracle import _stuffle_of, _summed, coeff_dict
 from .ordering import enumerate_weight
 
 __all__ = [
@@ -869,8 +869,8 @@ class DiscrepancyReport:
         }
 
 
-# the oracle's products as {tuple: coefficient}
-_ORACLE_SUMS = {"stuffle": _stuffle_sum, "shuffle": _shuffle_checked, "dsr": _dsr_sum}
+# the oracle's products as {code: coefficient}
+_ORACLE_SUMS = {"stuffle": _stuffle_of, "shuffle": _shuffle_of, "dsr": _dsr_sum}
 
 
 def reconcile_one(g: str, side: str, z) -> DiscrepancyReport:
@@ -878,14 +878,14 @@ def reconcile_one(g: str, side: str, z) -> DiscrepancyReport:
     z = z if isinstance(z, Composition) else Composition(z)
     e = _emission(g, side, z, "reconcile_one")
     shipped = _summed(e.terms)
-    target = _ORACLE_SUMS[side](LEFT_FACTORS[g], z)
+    target = _decoded_terms(_ORACLE_SUMS[side](LEFT_FACTORS[g], z))
     rep = DiscrepancyReport(g=g, side=side, z=z)
     if shipped != target:  # walk the terms only where the products differ
         for t, c in target.items():
             if t not in shipped:
-                rep.missing[Composition._make(t)] = c
+                rep.missing[t] = c
             elif shipped[t] != c:
-                rep.mismatched[Composition._make(t)] = (shipped[t], c)
+                rep.mismatched[t] = (shipped[t], c)
         rep.extra = {Composition._make(t): c for t, c in shipped.items() if t not in target}
     corrections, absent = _CORRECTIONS[g, side], _ABSENT[g, side]
     deltas: list[tuple[tuple[int, ...], int]] = []

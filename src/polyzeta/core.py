@@ -271,6 +271,26 @@ def decode_word(v: Word) -> Composition:
     return Composition._make([len(run) + 1 for run in v.split("1")[:-1]])
 
 
+def _encode_int(c: tuple[int, ...]) -> int:
+    """Any composition, convergent or not, as one int: the binary digits
+    of its word ``0^(s_1-1) 1 ... 0^(s_d-1) 1`` under a leading 1.
+
+    The empty composition is 1 and the weight is ``bit_length() - 1``.
+    An entry e in front of a composition of weight W adds 2^(W+e): the
+    new leading 1, while the old one stays as the letter 1 that ends e.
+    """
+    code, s = 1, 0
+    for e in reversed(c):
+        s += e
+        code += 1 << s
+    return code
+
+
+def _decode_int(code: int) -> Composition:
+    """Exact inverse of :func:`_encode_int`."""
+    return Composition._make([len(run) + 1 for run in bin(code)[3:].split("1")[:-1]])
+
+
 def dual(c: Composition) -> Composition:
     """The duality involution on convergent polyzetas.
 

@@ -23,7 +23,7 @@ from .closedforms import LEFT_FACTORS, _emission, sources
 from .core import Composition, dual, format_composition
 from .counting import hoffman_dim, is_hoffman
 from .oracle import InternalConsistencyError, LinComb, _dsr_sum, _summed
-from .ordering import enumerate_weight, positions
+from .ordering import by_code, enumerate_weight, positions
 
 __all__ = [
     "GENERATOR_VERSION",
@@ -89,13 +89,14 @@ def generate_relations(
     must agree.  ``mode="oracle"`` is the reference path that the tests
     compare against; it is not on the CLI.
 
-    Each body is summed over plain tuples, and every summed term is then
-    ``enumerate_weight(w)``'s own object, found through
-    ``ordering.positions(w)`` (which checks w first), so a set holds one
-    object per distinct composition however many relations share it.  A
-    term outside the weight's enumeration raises InternalConsistencyError;
-    the only divergent term a body can hold is (1, *z) of g = (1), which
-    must cancel.
+    Each body is summed over plain tuples (the oracle's over int codes),
+    and every summed term is then ``enumerate_weight(w)``'s own object,
+    found through ``ordering.positions(w)`` (which checks w first; the
+    oracle's through ``ordering.by_code(w)``), so a set holds one object
+    per distinct composition however many relations share it.  A term
+    outside the weight's enumeration raises InternalConsistencyError; the
+    only divergent term a body can hold is (1, *z) of g = (1), which must
+    cancel.
     """
     if isinstance(families, str):
         raise TypeError(f"families is a collection of names, not the str {families!r}")
@@ -109,20 +110,24 @@ def generate_relations(
         raise ValueError(f"unknown mode {mode!r}")
     at = positions(w)
     comps = enumerate_weight(w)
+    own = by_code(w).__getitem__ if mode == "oracle" else None
     relations: list[Relation] = []
     for f in families:
         g = LEFT_FACTORS[f]
         for z in sources(f, w):
-            body = (_summed(_emission(f, "dsr", z, "generate_relations").terms)
-                    if mode == "closed" else _dsr_sum(g, z))  # {tuple: coefficient}
-            try:
-                body = {comps[at[t]]: c for t, c in body.items()}
-            except KeyError as exc:  # the oracle's _dsr_sum has refused a divergent term
-                t = exc.args[0]
-                raise InternalConsistencyError(
-                    f"divergent residue in closed dsr (g={f}, z={format_composition(z)})"
-                    if t == (1, *z) else f"relation term ({format_composition(t)}) is not "
-                    f"a convergent polyzeta of weight {w}") from None
+            if own is not None:  # _dsr_sum has refused a divergent term
+                body = _dsr_sum(g, z)
+                body = dict(zip(map(own, body), body.values()))
+            else:
+                body = _summed(_emission(f, "dsr", z, "generate_relations").terms)
+                try:
+                    body = {comps[at[t]]: c for t, c in body.items()}
+                except KeyError as exc:
+                    t = exc.args[0]
+                    raise InternalConsistencyError(
+                        f"divergent residue in closed dsr (g={f}, z={format_composition(z)})"
+                        if t == (1, *z) else f"relation term ({format_composition(t)}) is not "
+                        f"a convergent polyzeta of weight {w}") from None
             relations.append(Relation(LinComb._make(body), f, z))
     if include_duality:
         for k, z in enumerate(comps):

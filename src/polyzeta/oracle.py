@@ -2,17 +2,26 @@
 
 These are the standard inductive recursions, extended bilinearly to
 formal rational combinations.  Everything else in the package is
-validated against them.  The shuffle reads a composition as its word
-(``core.encode_word``) one letter at a time, so no word is built.
+validated against them.
+
+The recursions run on int codes, not on tuples (``core._encode_int``): a
+composition is the binary digits of its word ``0^(s_1-1) 1 ... 0^(s_d-1) 1``
+under a leading 1, so the empty composition is 1 and the weight is
+``bit_length() - 1``.  Putting an entry or a letter in front of every term
+of one weight adds one power of two to each code, so a level of either
+recursion is one ``map(k.__add__, codes)`` per branch, and a dict merge is
+needed only where two branches start alike.
 
 What is memoized, for the life of the process: the products of proper
-suffix pairs, in ``_stuffle`` (suffixes of the compositions) and
-``_shuffle_words`` (suffixes of the words, read as compositions), each
-entry two parallel tuples of terms and multiplicities.  A product with
-the empty factor is the other factor and is never stored.  A public
+suffix pairs, coded and in ascending order, in ``_stuffle`` (suffixes of
+the compositions) and ``_shuffle_words`` (suffixes of the words), each
+entry two parallel tuples of term codes and multiplicities.  A product
+with the unit (code 1) is the other factor and is never stored.  A public
 product (``stuffle``, ``shuffle``, ``shuffle_words``, ``dsr``) is summed
 fresh from the memoized products of its arguments' suffix pairs, so the
-memo holds no top-level product and each call builds its own terms.
+memo holds no top-level product.  Its terms are decoded once, through
+``ordering.by_code`` to the enumeration's own objects, and from the code
+itself only for a divergent term or a weight above ``_OWN_TERMS_CAP``.
 """
 
 from __future__ import annotations
@@ -22,7 +31,9 @@ from functools import lru_cache
 from itertools import chain
 from typing import Iterable, Iterator, Mapping
 
-from .core import Composition, NotConvergentError, Word, format_composition
+from .core import (Composition, NotConvergentError, Word, _decode_int, _encode_int,
+                   format_composition)
+from .ordering import by_code
 
 __all__ = ["LinComb", "coeff_dict", "InternalConsistencyError", "stuffle", "shuffle_words",
            "shuffle", "dsr"]
@@ -45,15 +56,15 @@ class LinComb:
 
     Its accumulator ``_summed`` is the one of the package: products, sums
     and relation bodies all hand it (term, coefficient) pairs, in a
-    mapping or any iterable, and a term may repeat (the products plain
-    tuples, then one Composition per summed term).  It adds the
-    coefficients of each term, drops the zero sums, turns a sum with
-    denominator 1 back into its numerator and, on every construction,
-    checks that one weight remains (the entry sum of a Composition, the
-    length of a Word).  It does not validate the terms themselves: a
-    Composition was checked, or built valid, when it was made.  A
-    coefficient that is not already an ``int`` or a ``Fraction`` is
-    converted exactly with ``Fraction(c)`` before it is added, so
+    mapping or any iterable, and a term may repeat (the closed products
+    plain tuples, the oracle's int codes, then one Composition per summed
+    term).  It adds the coefficients of each term, drops the zero sums,
+    turns a sum with denominator 1 back into its numerator and, on every
+    construction, checks that one weight remains (the entry sum of a
+    Composition, the length of a Word).  It does not validate the terms
+    themselves: a Composition was checked, or built valid, when it was
+    made.  A coefficient that is not already an ``int`` or a ``Fraction``
+    is converted exactly with ``Fraction(c)`` before it is added, so
     ``"1/3"`` is a third and ``0.1`` is the binary value of the float,
     not a tenth.
     """
@@ -209,64 +220,106 @@ def coeff_dict(c: int | Fraction) -> dict[str, str]:
     return {"num": str(c.numerator), "den": str(c.denominator)}
 
 
-# the memo is keyed by the argument pair in ascending order; a product
-# with an empty factor is the other factor, and gets no entry
-def _memo(product, x, y):
-    if not x or not y:
-        return (x + y,), (1,)
+# the memo is keyed by the coded argument pair in ascending order; a
+# product with the unit (code 1) is the other factor, and gets no entry
+def _memo(product, x: int, y: int):
+    if x == 1 or y == 1:
+        return (x * y,), (1,)
     return product(x, y) if x <= y else product(y, x)
 
 
-def _stuffle_sum(x: tuple, y: tuple) -> dict[tuple, int]:
-    """The quasi-shuffle of x and y as {term: multiplicity}."""
-    if not x or not y:
-        return {x + y: 1}
+def _joined(a: tuple, ka: int, b: tuple, kb: int, meet: bool) -> dict[int, int]:
+    """Two branches (codes, multiplicities), each of distinct codes, with
+    ka added to every code of a and kb to every code of b, as one dict;
+    the smaller branch is summed into the larger only where they ``meet``."""
+    if not meet:
+        out = dict(zip(map(ka.__add__, a[0]), a[1]))
+        out.update(zip(map(kb.__add__, b[0]), b[1]))
+        return out
+    if len(a[0]) < len(b[0]):
+        a, ka, b, kb = b, kb, a, ka
+    out = dict(zip(map(ka.__add__, a[0]), a[1]))
+    get = out.get
+    for t, n in zip(map(kb.__add__, b[0]), b[1]):
+        out[t] = get(t, 0) + n
+    return out
+
+
+def _stuffle_sum(x: int, y: int) -> dict[int, int]:
+    """The quasi-shuffle of the coded compositions x and y as
+    {code: multiplicity}.
+
+    The rest of x after its first entry is x - 2^wx.  Each of the three
+    branches (x's head, y's head, their sum in front) takes its head back
+    by adding 2^(wx+wy) to every term; only the first two can meet, when
+    x and y start with the same entry."""
+    if x == 1 or y == 1:
+        return {x * y: 1}
     if x > y:  # commutative; the order the memo sums in
         x, y = y, x
-    out: dict[tuple, int] = {}
-    for head, (ts, ns) in ((x[0], _memo(_stuffle, x[1:], y)),
-                           (y[0], _memo(_stuffle, x, y[1:])),
-                           (x[0] + y[0], _memo(_stuffle, x[1:], y[1:]))):
-        for t, n in zip(ts, ns):
-            t = (head,) + t
-            out[t] = out.get(t, 0) + n
+    wx, wy = x.bit_length() - 1, y.bit_length() - 1
+    rx, ry = x - (1 << wx), y - (1 << wy)
+    k = 1 << (wx + wy)
+    out = _joined(_memo(_stuffle, rx, y), k, _memo(_stuffle, x, ry), k,
+                  wx - rx.bit_length() == wy - ry.bit_length())
+    ts, ns = _memo(_stuffle, rx, ry)
+    out.update(zip(map(k.__add__, ts), ns))
     return out
 
 
 @lru_cache(maxsize=None)
-def _stuffle(x: tuple, y: tuple) -> tuple[tuple[tuple, ...], tuple[int, ...]]:
+def _stuffle(x: int, y: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     out = _stuffle_sum(x, y)
     return tuple(out), tuple(out.values())
 
 
-def _shuffle_sum(x: tuple, y: tuple) -> dict[tuple, int]:
-    """The shuffle of the words of x and y as {composition: multiplicity}.
+def _shuffle_sum(x: int, y: int) -> dict[int, int]:
+    """The shuffle of the coded words x and y as {code: multiplicity}.
 
-    (a, *rest) is the word 0^(a-1) 1 word(rest): its first letter is 0 when
-    a > 1, leaving (a-1, *rest), and a term takes the 0 back as 1 more on
-    its first entry; else 1, leaving rest, taken back as an entry 1 in
-    front.  Words that end in 1 shuffle to words that do: compositions."""
-    if not x or not y:
-        return {x + y: 1}
+    Peeling the first letter L of x leaves (x - 2^wx) | 2^(wx-1), and a
+    term of the rest takes L back by adding 2^(W-1+L), W = wx + wy.  The
+    two branches meet only when x and y start with the same letter.
+    Words that end in 1 shuffle to words that do: compositions."""
+    if x == 1 or y == 1:
+        return {x * y: 1}
     if x > y:
         x, y = y, x
-    out: dict[tuple, int] = {}
-    for c, other in ((x, y), (y, x)):
-        a = c[0]
-        ts, ns = _memo(_shuffle_words, (a - 1,) + c[1:] if a > 1 else c[1:], other)
-        ts = [(t[0] + 1,) + t[1:] for t in ts] if a > 1 else [(1,) + t for t in ts]
-        if out and (x[0] > 1) == (y[0] > 1):  # both first letters alike: terms meet
-            for t, n in zip(ts, ns):
-                out[t] = out.get(t, 0) + n
-        else:  # the terms of one branch are distinct, and apart from the other's
-            out.update(zip(ts, ns))
-    return out
+    wx, wy = x.bit_length() - 1, y.bit_length() - 1
+    lx, ly = x >> (wx - 1) & 1, y >> (wy - 1) & 1
+    top = wx + wy - 1
+    return _joined(_memo(_shuffle_words, (x - (1 << wx)) | (1 << (wx - 1)), y), 1 << (top + lx),
+                   _memo(_shuffle_words, x, (y - (1 << wy)) | (1 << (wy - 1))), 1 << (top + ly),
+                   lx == ly)
 
 
 @lru_cache(maxsize=None)
-def _shuffle_words(x: tuple, y: tuple) -> tuple[tuple[tuple, ...], tuple[int, ...]]:
+def _shuffle_words(x: int, y: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     out = _shuffle_sum(x, y)
     return tuple(out), tuple(out.values())
+
+
+# the codes of the factors the products meet, memoized like the products
+_code = lru_cache(maxsize=None)(_encode_int)
+
+
+# a product's terms become the enumeration's own objects up to this weight
+# (2^14 compositions, cheap to enumerate); above it, and for a divergent
+# term, each is decoded from its code
+_OWN_TERMS_CAP = 16
+
+
+def _decoded_terms(body: dict[int, int | Fraction]) -> dict[Composition, int | Fraction]:
+    """A summed {code: coefficient} of one weight as {Composition: coefficient}."""
+    if not body:
+        return {}
+    w = next(iter(body)).bit_length() - 1
+    if 2 <= w <= _OWN_TERMS_CAP:
+        return dict(zip(map(by_code(w).__getitem__, body), body.values()))
+    return {_decode_int(t): c for t, c in body.items()}
+
+
+def _decoded(body: dict[int, int | Fraction]) -> LinComb:
+    return LinComb._make(_decoded_terms(body))
 
 
 def _as_lincomb(x) -> LinComb:
@@ -275,43 +328,50 @@ def _as_lincomb(x) -> LinComb:
 
 def _bilinear(x, y, product) -> LinComb:
     """Extend a product of two terms bilinearly to combinations;
-    ``product(tx, ty)`` is one product of terms as {tuple: multiplicity}."""
+    ``product(tx, ty)`` is one product of terms as {code: multiplicity}."""
     if type(x) is Composition and type(y) is Composition:
-        return _kept(product(x, y).items())
+        return _decoded(product(x, y))
     lx, ly = _as_lincomb(x), _as_lincomb(y)
-    return _kept(_summed((t, cx * cy * n) for tx, cx in lx.items()
-                         for ty, cy in ly.items() for t, n in product(tx, ty).items()).items())
+    return _decoded(_summed((t, cx * cy * n) for tx, cx in lx.items()
+                            for ty, cy in ly.items() for t, n in product(tx, ty).items()))
+
+
+def _stuffle_of(x: Composition, y: Composition) -> dict[int, int]:
+    """``_stuffle_sum`` of two compositions."""
+    return _stuffle_sum(_code(x), _code(y))
 
 
 def stuffle(x, y) -> LinComb:
     """Quasi-shuffle product of compositions, extended bilinearly."""
-    return _bilinear(x, y, _stuffle_sum)
+    return _bilinear(x, y, _stuffle_of)
 
 
 def shuffle_words(u: Word, v: Word) -> LinComb:
     """Shuffle product of binary words; coefficient mass C(|u|+|v|, |u|).
 
-    Runs on the words' compositions, in the kernel of ``shuffle``: each
-    ``0^(a-1) 1`` is an entry a, so a leading 1 is an entry 1 and the
-    empty word the empty composition.  A word that ends in 0 has no
-    composition and raises ``ValueError``.
+    Runs on the words' codes, in the kernel of ``shuffle``: a word that
+    ends in 1 is the code ``int("1" + word, 2)``, the empty word 1.  A word
+    that ends in 0 has no composition and raises ``ValueError``.
     """
     words = Word(u), Word(v)
     for w in words:
         if w[-1:] == "0":
             raise ValueError(f"shuffle_words: word {w!r} ends in 0 and has no composition")
-    x, y = (tuple(len(run) + 1 for run in w.split("1")[:-1]) for w in words)
-    return LinComb({Word("".join("0" * (e - 1) + "1" for e in t)): n
-                    for t, n in _shuffle_sum(x, y).items()})
+    x, y = (int("1" + w, 2) for w in words)
+    return LinComb._make({Word(bin(t)[3:]): n for t, n in _shuffle_sum(x, y).items()})
 
 
-def _shuffle_checked(x: Composition, y: Composition) -> dict[tuple, int]:
-    """``_shuffle_sum`` of factors checked to be convergent or (1)."""
-    for c in (x, y):
+def _check_shuffle_factors(*factors: Composition) -> None:
+    for c in factors:
         if not c or (c[0] == 1 and len(c) > 1):
             raise NotConvergentError(
                 f"shuffle: factor {format_composition(c)} is neither convergent nor (1)")
-    return _shuffle_sum(x, y)
+
+
+def _shuffle_of(x: Composition, y: Composition) -> dict[int, int]:
+    """``_shuffle_sum`` of factors checked to be convergent or (1)."""
+    _check_shuffle_factors(x, y)
+    return _shuffle_sum(_code(x), _code(y))
 
 
 def shuffle(x, y) -> LinComb:
@@ -321,26 +381,29 @@ def shuffle(x, y) -> LinComb:
     allowed (the bare word "1"); its products carry one divergent term
     that regularization cancels.
     """
-    return _bilinear(x, y, _shuffle_checked)
+    return _bilinear(x, y, _shuffle_of)
 
 
-def _dsr_sum(g, z) -> dict[tuple, int]:
-    """The body of ``dsr`` as {tuple: coefficient}."""
+def _dsr_sum(g, z) -> dict[int, int]:
+    """The body of ``dsr`` as {code: coefficient}."""
     g = g if isinstance(g, Composition) else Composition(g)
     z = z if isinstance(z, Composition) else Composition(z)
     if not z.convergent():
         raise ValueError(f"dsr: z must be convergent, got {format_composition(z)}")
-    body = _shuffle_checked(g, z)
-    for t, n in _stuffle_sum(g, z).items():
+    _check_shuffle_factors(g, z)
+    x, y = _code(g), _code(z)
+    body = _shuffle_sum(x, y)
+    for t, n in _stuffle_sum(x, y).items():
         c = body.get(t, 0) - n
         if c:
             body[t] = c
         else:
             del body[t]
-    if any(t[0] == 1 for t in body):
+    divergent = 3 << (sum(g) + sum(z) - 1)  # the least code whose word starts with 1
+    if max(body, default=0) >= divergent:
         raise InternalConsistencyError(
-            f"divergent residue in dsr({format_composition(g)}, "
-            f"{format_composition(z)}): {_kept(body.items()).divergent_part()}"
+            f"divergent residue in dsr({format_composition(g)}, {format_composition(z)}): "
+            f"{_kept((_decode_int(t), c) for t, c in body.items() if t >= divergent)}"
         )
     return body
 
@@ -351,4 +414,4 @@ def dsr(g, z) -> LinComb:
     For g = (1) the single divergent term must cancel exactly; a residue
     is an internal error, never a value.
     """
-    return _kept(_dsr_sum(g, z).items())
+    return _decoded(_dsr_sum(g, z))

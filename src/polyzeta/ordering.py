@@ -12,9 +12,9 @@ from __future__ import annotations
 
 from typing import Iterator, Sequence
 
-from .core import Composition, NotConvergentError, _require_convergent
+from .core import Composition, NotConvergentError, _decode_int, _encode_int, _require_convergent
 
-__all__ = ["order_key", "compare", "enumerate_weight", "positions", "index_of"]
+__all__ = ["order_key", "compare", "enumerate_weight", "positions", "by_code", "index_of"]
 
 LESS, EQUAL, GREATER = -1, 0, 1
 
@@ -68,6 +68,7 @@ def _descending(n: int, total: int, lo: int) -> Iterator[tuple[int, ...]]:
 
 _enum_cache: dict[int, tuple[Composition, ...]] = {}
 _index_cache: dict[int, dict[Composition, int]] = {}
+_code_cache: dict[int, tuple[tuple[Composition, ...], dict[int, Composition]]] = {}
 
 
 def enumerate_weight(w: int) -> Sequence[Composition]:
@@ -117,6 +118,30 @@ def positions(w: int) -> dict[Composition, int]:
     if table is None:
         table = _index_cache.setdefault(w, {c: i for i, c in enumerate(comps)})
     return table
+
+
+class _ByCode(dict):
+    """{code: Composition}; a code it does not hold is decoded, not stored."""
+
+    __slots__ = ()
+
+    def __missing__(self, code: int) -> Composition:
+        return _decode_int(code)
+
+
+def by_code(w: int) -> dict[int, Composition]:
+    """Each convergent composition of weight w keyed by its int code
+    (``core._encode_int``), mapped to ``enumerate_weight(w)``'s own object.
+    Any other code (a divergent composition, another weight) looks up as a
+    Composition decoded from the code itself.  Memoized per weight, and
+    rebuilt whenever the enumeration is refilled, so its values are always
+    the current fill's objects.
+    """
+    comps = enumerate_weight(w)  # before the memo, which 6.0 would find
+    held = _code_cache.get(w)
+    if held is None or held[0] is not comps:
+        held = _code_cache[w] = (comps, _ByCode(zip(map(_encode_int, comps), comps)))
+    return held[1]
 
 
 def index_of(c: Composition) -> int:

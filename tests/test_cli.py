@@ -289,6 +289,29 @@ class TestFilesAndCache:
         assert sorted(p.name for p in tmp_path.iterdir()) == ["dir", "file"]
         assert (tmp_path / "file").read_text() == "kept" and not any((tmp_path / "dir").iterdir())
 
+    @pytest.mark.parametrize("cmd", ["relations", "reduce"])
+    @pytest.mark.parametrize("where, why", [("file", "cannot use '{}': it is not a directory"),
+                                            ("file/sub", "cannot use '{}': {} is not a directory")])
+    def test_data_dir_under_a_file_is_a_usage_error(self, capsys, monkeypatch, tmp_path,
+                                                    cmd, where, why):
+        # refused while parsing, before any work: nothing generates, nothing is written
+        (tmp_path / "file").write_text("kept")
+        monkeypatch.setattr("polyzeta.cli.generate_relations", None)
+        path = str(tmp_path / where)
+        with pytest.raises(SystemExit) as err:
+            main([cmd, "--weight", "5", "--data-dir", path])
+        captured = capsys.readouterr()
+        assert err.value.code == 2 and captured.out == ""
+        assert captured.err.splitlines()[-1].endswith(
+            "error: argument --data-dir: " + why.format(path, tmp_path / "file"))
+        assert [p.name for p in tmp_path.iterdir()] == ["file"]
+        assert (tmp_path / "file").read_text() == "kept"
+
+    def test_data_dir_not_made_yet_is_accepted(self, capsys, tmp_path):
+        dd = tmp_path / "new" / "dd"
+        assert main(["relations", "--weight", "5", "--data-dir", str(dd)]) == 0
+        assert [p.name[:8] for p in dd.iterdir()] == ["rels_w5_"]  # one cache entry
+
     def test_empty_out_is_a_usage_error(self, capsys):
         # the empty path names the working directory; it no longer means stdout
         with pytest.raises(SystemExit) as err:

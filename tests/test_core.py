@@ -12,6 +12,8 @@ from polyzeta.core import (
     NotConvergentError,
     ParseError,
     Word,
+    _decode_int,
+    _encode_int,
     decode_word,
     dual,
     encode_word,
@@ -182,6 +184,47 @@ class TestWordEncoding:
             assert len(words) == 2 ** (w - 2)
             for v in words:
                 assert encode_word(decode_word(v)) == v
+
+
+def all_compositions(w: int):
+    """Every composition of w, convergent or not: one per set of cuts among
+    the w - 1 gaps of w units (the empty one at w = 0)."""
+    if w == 0:
+        yield Composition()
+        return
+    for cuts in product((False, True), repeat=w - 1):
+        entries, run = [], 1
+        for cut in cuts:
+            if cut:
+                entries.append(run)
+                run = 0
+            run += 1
+        yield Composition(entries + [run])
+
+
+class TestIntCode:
+    """The code of a composition: its word's binary digits under a leading 1."""
+
+    def test_empty_is_one(self):
+        assert _encode_int(Composition()) == 1 and _decode_int(1) == ()
+
+    def test_roundtrip_every_composition_to_weight_12(self):
+        seen = set()
+        for w in range(13):
+            for c in all_compositions(w):
+                code = _encode_int(c)
+                back = _decode_int(code)
+                assert type(back) is Composition and back == c
+                assert code.bit_length() - 1 == w
+                if c.convergent():
+                    assert bin(code)[3:] == encode_word(c)
+                seen.add(code)
+        assert seen == set(range(1, 2 ** 13, 2))  # each odd int below 2^13, once
+
+    @pytest.mark.parametrize("entries, code", [((2,), 0b101), ((1,), 0b11), ((2, 1), 0b1011),
+                                               ((1, 1, 2), 0b11101)])
+    def test_examples(self, entries, code):
+        assert _encode_int(Composition(entries)) == code
 
 
 class TestDuality:

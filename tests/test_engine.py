@@ -131,7 +131,7 @@ class TestGenerate:
             generate_relations(9, families="21")
 
     def test_modes_agree(self):
-        for w in range(4, 13):
+        for w in range(4, 14):
             ra = generate_relations(w, mode="closed")
             rb = generate_relations(w, mode="oracle")
             assert [(r.family, r.source) for r in ra.relations] == [

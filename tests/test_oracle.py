@@ -10,8 +10,9 @@ from hypothesis import strategies as st
 from conftest import compositions
 from polyzeta import oracle
 from polyzeta.closedforms import LEFT_FACTORS, closed_dsr
-from polyzeta.core import (Composition, NotConvergentError, Word, decode_word, encode_word,
-                           format_composition)
+from polyzeta.cli import main
+from polyzeta.core import (Composition, NotConvergentError, Word, _decode_int, _encode_int,
+                           decode_word, encode_word, format_composition)
 from polyzeta.oracle import LinComb, dsr, shuffle, shuffle_words, stuffle
 from polyzeta.ordering import enumerate_weight
 
@@ -321,6 +322,34 @@ class TestDsr:
         with pytest.raises(ValueError):
             dsr(C((1,)), C((1, 2)))
 
+    @pytest.fixture
+    def stuffle_without_divergent_terms(self, monkeypatch):
+        """A top-level stuffle that loses its divergent terms, so the
+        shuffle's divergent term (1, *z) is left as a residue.  The memos
+        it fills are dropped before and after."""
+        real = oracle._stuffle_sum
+        monkeypatch.setattr(oracle, "_stuffle_sum", lambda x, y: {
+            t: n for t, n in real(x, y).items() if _decode_int(t)[0] > 1})
+        for memo in (oracle._stuffle, oracle._shuffle_words):
+            memo.cache_clear()
+        yield
+        for memo in (oracle._stuffle, oracle._shuffle_words):
+            memo.cache_clear()
+
+    @pytest.mark.usefixtures("stuffle_without_divergent_terms")
+    def test_divergent_residue_is_an_inconsistency(self, capsys):
+        # the residue is named as text, never as a raw code
+        residue = re.escape("divergent residue in dsr(1, 2,1): (1,2,1)")
+        with pytest.raises(oracle.InternalConsistencyError, match=residue) as err:
+            dsr(C((1,)), C((2, 1)))
+        assert str(_encode_int((1, 2, 1))) not in str(err.value)
+        code = main(["reconcile", "--g", "1", "--side", "dsr", "--max-weight", "5"])
+        captured = capsys.readouterr()
+        assert code == 3 and not captured.out and "Traceback" not in captured.err
+        assert captured.err.startswith(
+            "internal inconsistency: divergent residue in dsr(1, 2): (1,2)")
+        assert captured.err.count("\n") == 1
+
 
 def ref_stuffle(x: tuple, y: tuple) -> dict:
     """The quasi-shuffle recursion, without a memo."""
@@ -364,12 +393,17 @@ def word_suffixes(x: tuple) -> list[tuple]:
     return [(k,) + x[i + 1:] for i in range(len(x)) for k in range(1, x[i] + 1)] + [()]
 
 
+def coded_pair(a: tuple, b: tuple) -> tuple[int, int]:
+    """A memo key: the int codes of a and b, smaller first."""
+    return tuple(sorted((_encode_int(a), _encode_int(b))))
+
+
 def sub_pairs(xs: list, ys: list, top: tuple) -> set:
-    """The argument pairs, smaller first, that the recursion of the product
-    of (x, y) = top meets below it: pairs of suffixes from xs and ys, none
-    of them empty (a product with the unit is not memoised)."""
-    pairs = {tuple(sorted((a, b))) for a in xs for b in ys if a and b}
-    pairs.discard(tuple(sorted(top)))
+    """The coded argument pairs that the recursion of the product of
+    (x, y) = top meets below it: pairs of suffixes from xs and ys, none of
+    them empty (a product with the unit is not memoised)."""
+    pairs = {coded_pair(a, b) for a in xs for b in ys if a and b}
+    pairs.discard(coded_pair(*top))
     return pairs
 
 
@@ -396,5 +430,5 @@ def test_memo_keeps_sub_products_only(x, y, product):
         for pair in want:  # each a hit: the memo holds these pairs, none with an empty side
             memo(*pair)
         assert memo.cache_info().misses == info.misses
-        memo(*sorted((x, y)))  # the product's own pair is a miss
+        memo(*coded_pair(x, y))  # the product's own pair is a miss
         assert memo.cache_info().misses == info.misses + 1

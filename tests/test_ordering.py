@@ -4,11 +4,12 @@ import random
 import pytest
 
 from polyzeta import engine, ordering
-from polyzeta.core import Composition, NotConvergentError, format_composition, to_ab
+from polyzeta.core import Composition, NotConvergentError, _encode_int, format_composition, to_ab
 from polyzeta.ordering import (
     EQUAL,
     GREATER,
     LESS,
+    by_code,
     compare,
     enumerate_weight,
     index_of,
@@ -70,6 +71,7 @@ def test_enumerate_rejects_small_weight():
 @pytest.mark.parametrize("call, weight", [
     (enumerate_weight, 6.0),
     (positions, 6.0),
+    (by_code, 6.0),
     (engine.generate_relations, 7.0),
 ])
 def test_non_integer_weight_rejected(monkeypatch, warm, call, weight):
@@ -92,17 +94,31 @@ def test_positions():
         assert all(comps[table[tuple(c)]] is c for c in comps)
 
 
+def test_by_code():
+    for w in range(2, 15):
+        comps = enumerate_weight(w)
+        table = by_code(w)
+        assert list(table.values()) == list(comps)
+        assert all(table[_encode_int(c)] is c for c in comps)
+    # a divergent code, or one of another weight, decodes and is not stored
+    for c in [Composition((1, 2, 1)), Composition((2, 2))]:
+        assert by_code(5)[_encode_int(c)] == c
+    assert len(by_code(5)) == 8
+
+
 def test_relation_terms_follow_a_refill(monkeypatch):
     monkeypatch.setattr(ordering, "_enum_cache", {})
     monkeypatch.setattr(ordering, "_index_cache", {})
     old = enumerate_weight(9)
     positions(9)
+    by_code(9)
     del ordering._enum_cache[9]  # as test_concurrency.py does
     comps = enumerate_weight(9)
     assert comps is not old
     own = {id(c) for c in comps}
-    rs = engine.generate_relations(9, include_duality=True)
-    assert all(id(t) in own for r in rs.relations for t, _ in r.body.items())
+    for rs in (engine.generate_relations(9, include_duality=True),
+               engine.generate_relations(9, mode="oracle")):
+        assert all(id(t) in own for r in rs.relations for t, _ in r.body.items())
 
 
 def test_strictly_increasing():
