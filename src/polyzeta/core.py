@@ -276,13 +276,13 @@ def _encode_int(c: tuple[int, ...]) -> int:
     of its word ``0^(s_1-1) 1 ... 0^(s_d-1) 1`` under a leading 1.
 
     The empty composition is 1 and the weight is ``bit_length() - 1``.
-    An entry e in front of a composition of weight W adds 2^(W+e): the
+    Each entry e appends its letters 0^(e-1) 1: a shift by e, then a 1.
+    So an entry e in front of a composition of weight W adds 2^(W+e): the
     new leading 1, while the old one stays as the letter 1 that ends e.
     """
-    code, s = 1, 0
-    for e in reversed(c):
-        s += e
-        code += 1 << s
+    code = 1
+    for e in c:
+        code = (code << e) | 1
     return code
 
 

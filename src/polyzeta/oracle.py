@@ -298,10 +298,6 @@ def _shuffle_words(x: int, y: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     return tuple(out), tuple(out.values())
 
 
-# the codes of the factors the products meet, memoized like the products
-_code = lru_cache(maxsize=None)(_encode_int)
-
-
 # a product's terms become the enumeration's own objects up to this weight
 # (2^14 compositions, cheap to enumerate); above it, and for a divergent
 # term, each is decoded from its code
@@ -338,7 +334,7 @@ def _bilinear(x, y, product) -> LinComb:
 
 def _stuffle_of(x: Composition, y: Composition) -> dict[int, int]:
     """``_stuffle_sum`` of two compositions."""
-    return _stuffle_sum(_code(x), _code(y))
+    return _stuffle_sum(_encode_int(x), _encode_int(y))
 
 
 def stuffle(x, y) -> LinComb:
@@ -371,7 +367,7 @@ def _check_shuffle_factors(*factors: Composition) -> None:
 def _shuffle_of(x: Composition, y: Composition) -> dict[int, int]:
     """``_shuffle_sum`` of factors checked to be convergent or (1)."""
     _check_shuffle_factors(x, y)
-    return _shuffle_sum(_code(x), _code(y))
+    return _shuffle_sum(_encode_int(x), _encode_int(y))
 
 
 def shuffle(x, y) -> LinComb:
@@ -391,7 +387,7 @@ def _dsr_sum(g, z) -> dict[int, int]:
     if not z.convergent():
         raise ValueError(f"dsr: z must be convergent, got {format_composition(z)}")
     _check_shuffle_factors(g, z)
-    x, y = _code(g), _code(z)
+    x, y = _encode_int(g), _encode_int(z)
     body = _shuffle_sum(x, y)
     for t, n in _stuffle_sum(x, y).items():
         c = body.get(t, 0) - n
