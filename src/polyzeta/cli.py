@@ -73,14 +73,17 @@ def _notices(rs: RelationSet) -> list[str]:
 
 
 def _relset_dict(rs: RelationSet) -> dict:
+    at = positions(rs.weight)  # each body's terms sorted by the weight's one map
     return {
         "schema": SCHEMA,
         "weight": rs.weight,
         "flags": {"families": list(rs.families), "duality": rs.duality,
                   "generator": GENERATOR_VERSION},
         "notices": _notices(rs),
-        "relations": [{"family": r.family, "source": list(r.source), **_lincomb_dict(r.body)}
-                      for r in rs.relations],
+        "relations": [{"family": r.family, "source": list(r.source), "terms": [
+            {"coeff": coeff_dict(c), "composition": list(t)}
+            for t, c in sorted(r.body.items(), key=lambda tc: at[tc[0]])
+        ]} for r in rs.relations],
     }
 
 
@@ -100,8 +103,8 @@ def _relset_from_dict(doc: dict) -> RelationSet:
 
 def _read_cache(path: Path, key: tuple) -> RelationSet | None:
     """The cached relation set of ``key`` (weight, families, duality), or
-    None for a missing, stale, truncated, corrupt or mismatched entry (a
-    cache miss)."""
+    None for a missing, stale, truncated, corrupt, mismatched or unreadable
+    entry (a cache miss)."""
     try:
         doc = json.loads(path.read_text())
         flags = doc["flags"]
@@ -112,7 +115,7 @@ def _read_cache(path: Path, key: tuple) -> RelationSet | None:
             return _relset_from_dict(doc)
     except FileNotFoundError:
         pass
-    except (ValueError, KeyError, TypeError, AttributeError, ArithmeticError) as exc:
+    except (OSError, ValueError, KeyError, TypeError, AttributeError, ArithmeticError) as exc:
         print(f"warning: unreadable cache entry {path.name} ({exc!r}), regenerating",
               file=sys.stderr)
     return None
@@ -136,6 +139,8 @@ def _load_or_generate(args) -> RelationSet:
     try:
         tmp.write_text(json.dumps(_relset_dict(rs), sort_keys=True))
         os.replace(tmp, path)
+    except OSError as exc:  # the command goes on uncached
+        print(f"warning: cannot write cache entry {path.name} ({exc!r})", file=sys.stderr)
     finally:
         tmp.unlink(missing_ok=True)
     return rs

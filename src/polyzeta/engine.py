@@ -284,17 +284,19 @@ def _rational(u: int, m: int, bound: int) -> Fraction | None:
 
 
 def _reconstruct(
-    digits: list[array], p: int, pivots: list[int], free: list[int]
-) -> dict[int, dict[int, Fraction]] | None:
-    """The table over Q whose p-adic digits are ``digits`` (one array per
-    step, pivot-major in the order of ``pivots``, each digit below 2^30),
-    or None while p^k is too small for some entry.
+    digits: list[array], p: int, pivots: list[int], free: list[int], start: int = 0
+) -> dict[int, dict[int, Fraction]] | int:
+    """The rows from ``start`` on of the table over Q whose p-adic digits
+    are ``digits`` (one array per step, pivot-major in the order of
+    ``pivots``, each digit below 2^30), or, while p^k is too small for
+    some entry, the index in ``pivots`` of the first row that does not
+    reconstruct.
 
     Row by row, the digits of a pivot are spread into slots wide enough
     for the whole sum and combined by Horner's rule in one int.  One
-    denominator runs over the whole table: each entry is scaled by the lcm
-    of the denominators found so far, so that only an entry with a new
-    prime factor in its denominator takes the Euclidean algorithm.
+    denominator runs over the rows: each entry is scaled by the lcm of the
+    denominators found so far, so that only an entry with a new prime
+    factor in its denominator takes the Euclidean algorithm.
     """
     m = p ** len(digits)
     bound = math.isqrt(m // 2)
@@ -304,7 +306,7 @@ def _reconstruct(
     zeros = array("I", bytes(size * nf))
     den = 1
     table = {}
-    for i, c in enumerate(pivots):
+    for i in range(start, len(pivots)):
         t = 0
         for d in reversed(digits):
             spread = array("I", zeros)
@@ -322,12 +324,12 @@ def _reconstruct(
             else:
                 x = _rational(u, m, bound)
                 if x is None:
-                    return None
+                    return i
                 n = x.numerator
                 den *= x.denominator
             if n:
                 row[j] = Fraction(n, den)
-        table[c] = row
+        table[pivots[i]] = row
     return table
 
 
@@ -380,13 +382,15 @@ def _lift(
     v -> lo + fold*hi on all slots at once.  A digit below 2^30 need not be
     below p; sum p^i X_i still solves the system mod p^k.
 
-    The table is reconstructed when the step count reaches a power of two
-    and checked by ``_certify``; the minor A_RP is invertible mod p, so
-    rank_Q >= |P| as that check assumes.  Once p^k > 2*H^2, with H the
-    Hadamard bound of the source rows, reconstruction is exact (numerators
-    and denominators are minors of A_R); a prime that has not certified by
-    then has a rank deficit or a pivot set that is not the leftmost one,
-    and is unlucky.
+    Every step reconstructs from the row that stopped the last try (row 0
+    at first) to the end, then the rows before it, and ``_certify`` checks
+    the table once all of them reconstruct: while that row does not, a
+    step costs about one row, and no step reconstructs a row twice.  The
+    minor A_RP is invertible mod p, so rank_Q >= |P| as that check
+    assumes.  Once p^k > 2*H^2, with H the Hadamard bound of the source
+    rows, reconstruction is exact (numerators and denominators are minors
+    of A_R); a prime that has not certified by then has a rank deficit or
+    a pivot set that is not the leftmost one, and is unlucky.
     """
     pivots = _factor(rows, ncols, p)
     is_pivot = [False] * ncols
@@ -423,7 +427,8 @@ def _lift(
     backward = sorted(pivots, key=lambda piv: -piv.column)
     y, x = [0] * ncols, [0] * ncols
     digits: list[array] = []
-    modulus, attempt = 1, 1
+    modulus, failed = 1, 0  # failed: the row that stopped the last try
+    order = [piv.column for piv in backward]
     while True:
         for piv, b in zip(pivots, rhs):
             acc = b + bias + sum(map(mul, piv.mults, map(y.__getitem__, piv.earlier)))
@@ -439,36 +444,40 @@ def _lift(
             for b, (cols, vals) in zip(rhs, coeffs)
         ]
         modulus *= p
-        exact = modulus > 2 * hadamard2
-        if len(digits) == attempt or exact:
-            attempt *= 2
-            table = _reconstruct(digits, p, [piv.column for piv in backward], free)
-            if table is not None and _certify(rows, table):
-                return table, len(digits)
-            if exact:
-                return None, len(digits)
+        table = _reconstruct(digits, p, order, free, failed)
+        if failed and not isinstance(table, int):  # then the rows before it
+            head = _reconstruct(digits, p, order[:failed], free)
+            table = head if isinstance(head, int) else head | table
+        if isinstance(table, int):
+            failed = table
+        elif _certify(rows, table):
+            return table, len(digits)
+        if modulus > 2 * hadamard2:
+            return None, len(digits)
 
 
 def exact_rref(m: RationalMatrix) -> ReductionResult:
     """Exact reduction: one factorization modulo a prime, lifted p-adically
     to Q, then certified.
 
-    Each row is scaled to integers once.  The sparse forward elimination
-    mod p of ``PRIMES[0]`` gives a pivot set and its factors; Dixon's
-    lifting and rational reconstruction then give the table (every pivot
-    column as a combination of the free ones), which is returned only once
-    ``_certify`` has proved it the exact reduced row echelon form: then the
-    rank, the pivot set (the leftmost one) and the table are exact.
+    A row of ``int``s is used as it is, any other is scaled to integers.
+    The sparse forward elimination mod p of ``PRIMES[0]`` gives a pivot
+    set and its factors; Dixon's lifting and rational reconstruction then
+    give the table (every pivot column as a combination of the free ones),
+    which is returned only once ``_certify`` has proved it the exact
+    reduced row echelon form: then the rank, the pivot set (the leftmost
+    one) and the table are exact.
 
     A prime whose lift has not certified when reconstruction is exact is
     unlucky, and the next prime starts over; ``primes`` and ``lift_steps``
     of the result name every prime tried.  If the primes run out,
     InternalConsistencyError is raised: no uncertified table is returned.
     """
-    rows = []
-    for row in m.rows:
-        den = math.lcm(*(x.denominator for x in row.values()))
-        rows.append({j: x.numerator * (den // x.denominator) for j, x in row.items()})
+    rows = list(m.rows)
+    for i, row in enumerate(rows):
+        if not all(type(x) is int for x in row.values()):
+            den = math.lcm(*(x.denominator for x in row.values()))
+            rows[i] = {j: x.numerator * (den // x.denominator) for j, x in row.items()}
     steps = []
     for p in PRIMES:
         table, k = _lift(rows, len(m.columns), p)
@@ -534,38 +543,36 @@ def hoffman_reduce(w: int) -> HoffmanReport:
 
 
 def reduce_relations(rs: RelationSet) -> HoffmanReport:
-    """Assemble with the {2,3} columns last, reduce, and check that exactly
-    the {2,3}-entry polyzetas remain free.  This is the one place that
-    reduces a relation set.
+    """Reduce with the {2,3} columns last, and check that exactly the
+    {2,3}-entry polyzetas remain free: the one place that reduces a
+    relation set.
 
-    The non-{2,3} block N is eliminated deepest first (depth descending,
-    then entries ascending), which makes far less fill than the assembled
-    order (see ``_factor``), and the {2,3} block last in its assembled
-    order, in one ``exact_rref`` call.  Pivots, free columns and the keys
-    of each table row are reported in the assembled order.  The order of N
-    cannot change the table while N comes out all pivots (the four
-    families at every weight tried): each table row is then the unique
-    vector of the row space whose N-part is a unit vector.  Otherwise (a
-    subset of the families, a rank deficit) the free set is the leftmost
-    one of the elimination order.
+    Each body becomes one row over the elimination order, in one
+    ``exact_rref`` call: the non-{2,3} block N deepest first (depth
+    descending, then entries ascending), which makes far less fill than
+    the enumeration order (see ``_factor``), then the {2,3} block.  Pivots,
+    free columns and table keys are reported with N in enumeration order.
+    The order of N cannot change the table while N comes out all pivots
+    (the four families at every weight tried): each table row is then the
+    unique vector of the row space whose N-part is a unit vector.
+    Otherwise (a subset of the families, a rank deficit) the free set is
+    the leftmost one of the elimination order.
     """
     w = rs.weight
-    m = assemble_matrix(rs, hoffman_last=True)
-    cols = m.columns
-    n = sum(not is_hoffman(c) for c in cols)
-    order = sorted(range(n), key=lambda k: (-len(cols[k]), cols[k])) + list(range(n, len(cols)))
-    position = {k: i for i, k in enumerate(order)}
+    non, hoff = [], []
+    for c in enumerate_weight(w):
+        (hoff if is_hoffman(c) else non).append(c)
+    cols = tuple(sorted(non, key=lambda c: (-len(c), c)) + hoff)
+    at = {c: k for k, c in enumerate(cols)}
     out = exact_rref(RationalMatrix(
-        w,
-        tuple(cols[k] for k in order),
-        [{position[j]: x for j, x in row.items()} for row in m.rows],
+        w, cols, [{at[t]: x for t, x in rel.body.items()} for rel in rs.relations]
     ))
     table = out.table
-    assembled = {c: k for k, c in enumerate(cols)}
-    pivots = sorted(table, key=assembled.__getitem__)
-    free = [c for c in cols if c not in table]
+    reported = {c: k for k, c in enumerate(non + hoff)}
+    pivots = sorted(table, key=reported.__getitem__)
+    free = [c for c in reported if c not in table]
     red = ReductionResult(len(pivots), pivots, free, {
-        c: dict(sorted(table[c].items(), key=lambda t: assembled[t[0]])) for c in pivots
+        c: dict(sorted(table[c].items(), key=lambda t: reported[t[0]])) for c in pivots
     }, out.primes, out.lift_steps)
     return HoffmanReport(
         weight=w,
@@ -574,8 +581,8 @@ def reduce_relations(rs: RelationSet) -> HoffmanReport:
         rank=red.rank,
         expected_rank=2 ** (w - 2) - hoffman_dim(w),
         free_columns=free,
-        non_hoffman_free=[c for c in free if not is_hoffman(c)],
-        missing_hoffman=[c for c in enumerate_weight(w) if is_hoffman(c) and c in table],
+        non_hoffman_free=[c for c in non if c not in table],
+        missing_hoffman=[c for c in hoff if c in table],
         result=red,
     )
 

@@ -13,7 +13,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from polyzeta.cli import _build_parser, main
+from polyzeta.cli import _build_parser, _lincomb_dict, _relset_dict, main
+from polyzeta.engine import GENERATOR_VERSION, generate_relations
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 # the commands that take --data-dir: the two that load a relation set
@@ -400,6 +401,52 @@ class TestFilesAndCache:
         code = main(argv)
         captured = capsys.readouterr()
         assert code == 0 and captured.out == cold and captured.err == ""
+
+    @pytest.mark.parametrize("inside", (None, "kept"))
+    @pytest.mark.parametrize("cmd", RELSET_COMMANDS)
+    def test_entry_that_is_a_directory(self, capsys, tmp_path, cmd, inside):
+        # unreadable on read, and not replaced on write: the command runs
+        # uncached, prints what it prints without --data-dir, and the
+        # directory stays as it was
+        code, plain = run(capsys, cmd, "--weight", "5")
+        entry = tmp_path / f"rels_w5_f1-2-3-21_d0_{GENERATOR_VERSION}.json"
+        entry.mkdir()
+        if inside:
+            (entry / inside).write_text(inside)
+        code2 = main([cmd, "--weight", "5", "--data-dir", str(tmp_path)])
+        captured = capsys.readouterr()
+        assert code == code2 == 0 and captured.out == plain
+        assert "Traceback" not in captured.err
+        read, write = captured.err.splitlines()
+        why = f"cache entry {entry.name} (IsADirectoryError("
+        assert read.startswith(f"warning: unreadable {why}") and read.endswith(", regenerating")
+        assert write.startswith(f"warning: cannot write {why}")
+        assert [p.name for p in tmp_path.iterdir()] == [entry.name]
+        assert [(p.name, p.read_text()) for p in entry.iterdir()] == (
+            [(inside, inside)] if inside else [])
+
+    def test_unwritable_entry_runs_uncached(self, capsys, monkeypatch, tmp_path):
+        def refuse(src, dst):
+            raise PermissionError(13, "Permission denied")
+
+        argv = ["reduce", "--weight", "6", "--report", "table"]
+        code, plain = run(capsys, *argv)
+        monkeypatch.setattr("polyzeta.cli.os.replace", refuse)
+        code2 = main([*argv, "--data-dir", str(tmp_path)])
+        captured = capsys.readouterr()
+        assert code == code2 == 0 and captured.out == plain
+        assert captured.err == (
+            f"warning: cannot write cache entry rels_w6_f1-2-3-21_d0_{GENERATOR_VERSION}.json "
+            "(PermissionError(13, 'Permission denied'))\n")
+        assert not any(tmp_path.iterdir())  # no entry and no temp file
+
+    @pytest.mark.parametrize("duality", (False, True))
+    def test_cache_terms_in_the_fixed_weight_order(self, duality):
+        # the writer sorts through positions(w); the order is sorted_items'
+        for w in range(4, 13):
+            rs = generate_relations(w, include_duality=duality)
+            assert [r["terms"] for r in _relset_dict(rs)["relations"]] == [
+                _lincomb_dict(r.body)["terms"] for r in rs.relations]
 
     @pytest.mark.parametrize("cmd", RELSET_COMMANDS)
     def test_no_data_dir_writes_no_file(self, capsys, monkeypatch, tmp_path, cmd):

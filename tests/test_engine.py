@@ -19,6 +19,8 @@ from polyzeta.counting import hoffman_dim, is_hoffman
 from polyzeta.engine import (
     PRIMES,
     RationalMatrix,
+    Relation,
+    RelationSet,
     assemble_matrix,
     exact_rref,
     expected_relation_count,
@@ -355,8 +357,8 @@ class TestRref:
 
     def test_table_lifted_from_several_primes(self):
         # numerators and denominators of about 400 (800) bits need 27 (53)
-        # p-adic digits before they reconstruct; the lift tries at 32 (64)
-        for big, steps in ((3 ** 250, 32), (3 ** 500, 64)):
+        # p-adic digits before they reconstruct, and the lift stops there
+        for big, steps in ((3 ** 250, 27), (3 ** 500, 53)):
             red = assert_matches_naive([[big + 1, 0, 7], [0, 5, big - 2]], 3)
             assert red.primes == PRIMES[:1]
             assert red.lift_steps == (steps,)
@@ -534,6 +536,36 @@ class TestHoffmanReduce:
         assert calls == [assemble_matrix(rs).shape]
         # family 1 alone leaves non-{2,3} columns free, and still one run
         assert bool(rep.non_hoffman_free) == (families == ("1",))
+
+    def test_fractional_body_reduces_as_the_integer_one(self):
+        # a row of Fractions is scaled to integers; the reduction is the same
+        rs = generate_relations(8)
+        first, *rest = rs.relations
+        first = Relation(Fraction(1, 3) * first.body, first.family, first.source)
+        assert any(type(x) is Fraction for x in first.body.terms().values())
+        plain = reduce_relations(rs)
+        scaled = reduce_relations(RelationSet(8, [first, *rest], rs.families, rs.duality))
+        assert scaled.rank == plain.rank and scaled.free_columns == plain.free_columns
+        assert reduce_digest(scaled) == reduce_digest(plain)  # the table, in order
+
+    def test_lift_gets_the_matrix_rows(self, monkeypatch):
+        # the rows of ints that reduce_relations builds are the only copy:
+        # exact_rref hands the matrix's own dicts to the lift
+        seen, lift_ = {}, engine._lift
+
+        def rref(m):
+            seen["matrix"] = m.rows
+            return exact_rref(m)
+
+        def lift(rows, ncols, p):
+            seen["lifted"] = rows
+            return lift_(rows, ncols, p)
+
+        monkeypatch.setattr(engine, "exact_rref", rref)
+        monkeypatch.setattr(engine, "_lift", lift)
+        reduce_relations(generate_relations(8))
+        assert len(seen["lifted"]) == len(seen["matrix"]) == expected_relation_count(8)
+        assert all(a is b for a, b in zip(seen["lifted"], seen["matrix"]))
 
     @pytest.mark.parametrize("duality", (False, True))
     @pytest.mark.parametrize("w", range(5, 9))
