@@ -15,8 +15,9 @@ import math
 from array import array
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import mul
-from typing import Iterable
+from itertools import compress, islice
+from operator import add, mul
+from typing import Iterable, Sequence
 
 from . import numeric
 from .closedforms import LEFT_FACTORS, _emission, sources
@@ -228,13 +229,15 @@ def _factor(rows: list[dict[int, int]], ncols: int, p: int) -> list[_Pivot]:
     that pivot unreduced, so updates only arise where leading columns
     collide.
     ``reduce_relations`` therefore eliminates the non-{2,3} columns deepest
-    first: for the full relation set at w=11 (12) one pass then takes
-    0.58M (3.6M) inner updates instead of 1.83M (11.4M) in the assembled
-    order.
+    first, equal depths by the reversed composition, largest first: for
+    the full relation set at w=11 (12, 13) one pass then takes 0.48M
+    (2.9M, 18.1M) inner updates, against 0.58M (3.6M, 23.9M) by the
+    composition and 1.83M (11.4M) in the assembled order.
 
     The row being reduced is held densely and only reduced mod p where it
-    is read, which keeps the modular division out of the inner loop.
-    Returns the pivots in the order they were found.
+    is read, which keeps the modular division out of the inner loop, and
+    a new pivot row skips its zeros at C speed.  Returns the pivots in the
+    order they were found.
     """
     # pivot column -> the rest of its row, scaled to a unit pivot
     pivots: list[list[tuple[int, int]] | None] = [None] * ncols
@@ -251,9 +254,8 @@ def _factor(rows: list[dict[int, int]], ncols: int, p: int) -> list[_Pivot]:
             prow = pivots[c]
             if prow is None:
                 inv = pow(v, -1, p)
-                pivots[c] = [
-                    (j, y * inv % p) for j in range(c + 1, ncols) if (y := acc[j] % p)
-                ]
+                tail = compress(range(c + 1, ncols), islice(acc, c + 1, None))
+                pivots[c] = [(j, y * inv % p) for j in tail if (y := acc[j] % p)]
                 found.append((c, r, earlier, mults, inv))
                 break
             earlier.append(c)
@@ -292,8 +294,8 @@ def _reconstruct(
     some entry, the index in ``pivots`` of the first row that does not
     reconstruct.
 
-    Row by row, the digits of a pivot are spread into slots wide enough
-    for the whole sum and combined by Horner's rule in one int.  One
+    Row by row, Horner's rule combines the k digits of all |F| entries at
+    once, one ``map`` per digit: O(|F|*k) small int operations.  One
     denominator runs over the rows: each entry is scaled by the lcm of the
     denominators found so far, so that only an entry with a new prime
     factor in its denominator takes the Euclidean algorithm.
@@ -301,21 +303,16 @@ def _reconstruct(
     m = p ** len(digits)
     bound = math.isqrt(m // 2)
     nf = len(free)
-    words = (30 * len(digits)) // 32 + 1  # 32-bit words per slot
-    size = 4 * words
-    zeros = array("I", bytes(size * nf))
     den = 1
     table = {}
     for i in range(start, len(pivots)):
-        t = 0
-        for d in reversed(digits):
-            spread = array("I", zeros)
-            spread[::words] = d[i * nf:(i + 1) * nf]
-            t = t * p + int.from_bytes(spread, "little")
-        packed = t.to_bytes(size * nf, "little")
+        entries = slice(i * nf, (i + 1) * nf)
+        values = digits[-1][entries]
+        for d in reversed(digits[:-1]):
+            values = list(map(add, map(p.__mul__, values), d[entries]))
         row = {}
-        for j, k in zip(free, range(0, size * nf, size)):
-            u = int.from_bytes(packed[k:k + size], "little") * den % m
+        for j, v in zip(free, values):
+            u = v * den % m
             # _rational's quick cases: den * entry is a small integer
             if u <= bound:
                 n = u
@@ -338,38 +335,44 @@ def _certify(rows: list[dict[int, int]], table: dict[int, dict[int, Fraction]]) 
     ``rows``, given that their rank is at least its number of pivots.
 
     The table maps each pivot c to its entries t_cj in the free columns j
-    (the non-keys).  Echelon part: no table row c names a free j <= c.
+    (the non-keys).  Echelon part: no table row c names a j <= c or a key.
     Zero part: every row r maps to zero, checked in integers over the lcm
     D of all the table's denominators: D*r_j + sum_c r_c*(D*t_cj) = 0 for
     each free j.  The zero part puts every row in the span of the table
     rows, so the rank is the number of pivots; the echelon part makes the
     table that span's reduced row echelon form, with the leftmost pivots.
+
+    Each table row D*t_c, and each free unit D, is packed into one int of
+    slots, one per free column, so a row costs one product per entry.  A
+    slot of a row's sum is at most M*L in absolute value (M the largest
+    packed entry, L the largest L1 norm of a row), and a slot is two bits
+    wider than M*L, so the lowest nonzero slot of a sum is not a multiple
+    of 2^width: the slots above it cannot cancel it.
     """
-    if any(j <= c for c, expr in table.items() for j in expr):
+    if any(j <= c or j in table for c, expr in table.items() for j in expr):
         return False
-    den = math.lcm(*(x.denominator for expr in table.values() for x in expr.values()))
-    scaled = {
-        c: [(j, x.numerator * (den // x.denominator)) for j, x in expr.items()]
+    entries = [x for expr in table.values() for x in expr.values()]
+    den = math.lcm(*(x.denominator for x in entries))
+    big = max((abs(x.numerator) * (den // x.denominator) for x in entries), default=0)
+    norm = max((sum(map(abs, row.values())) for row in rows), default=0)
+    width = (max(big, den) * norm).bit_length() + 2
+    free = set().union(*rows, *table.values()).difference(table)
+    slot = dict(zip(sorted(free), range(len(free))))
+    packed = {
+        c: sum(x.numerator * (den // x.denominator) << slot[j] * width for j, x in expr.items())
         for c, expr in table.items()
     }
-    for row in rows:
-        acc: dict[int, int] = {}
-        for c, x in row.items():
-            if c in scaled:
-                for j, n in scaled[c]:
-                    acc[j] = acc.get(j, 0) + x * n
-            else:
-                acc[c] = acc.get(c, 0) + x * den
-        if any(acc.values()):
-            return False
-    return True
+    return not any(
+        sum(x * packed[c] if c in packed else x * den << slot[c] * width for c, x in row.items())
+        for row in rows
+    )
 
 
 def _lift(
-    rows: list[dict[int, int]], ncols: int, p: int
+    rows: list[dict[int, int]], pivots: list[_Pivot], ncols: int, p: int
 ) -> tuple[dict[int, dict[int, Fraction]] | None, int]:
-    """The certified table from one factorization mod p, or None if p is
-    unlucky; also the number of p-adic digits lifted.
+    """The certified table from the factorization ``pivots`` mod p, or
+    None if p is unlucky; also the number of p-adic digits lifted.
 
     With R the source rows, P the pivot columns and F the free ones, the
     table T solves A_RP * T = -A_RF.  Dixon's lifting finds its p-adic
@@ -392,7 +395,6 @@ def _lift(
     of A_R); a prime that has not certified by then has a rank deficit or
     a pivot set that is not the leftmost one, and is unlucky.
     """
-    pivots = _factor(rows, ncols, p)
     is_pivot = [False] * ncols
     for piv in pivots:
         is_pivot[piv.column] = True
@@ -456,7 +458,7 @@ def _lift(
             return None, len(digits)
 
 
-def exact_rref(m: RationalMatrix) -> ReductionResult:
+def exact_rref(m: RationalMatrix, order: Sequence[int] | None = None) -> ReductionResult:
     """Exact reduction: one factorization modulo a prime, lifted p-adically
     to Q, then certified.
 
@@ -472,15 +474,29 @@ def exact_rref(m: RationalMatrix) -> ReductionResult:
     unlucky, and the next prime starts over; ``primes`` and ``lift_steps``
     of the result name every prime tried.  If the primes run out,
     InternalConsistencyError is raised: no uncertified table is returned.
+
+    ``order``, a permutation of m's column indices, asks for the leftmost
+    pivots of that order; m's own is then only the order factored first.
+    If its pivots are the first columns of ``order``, they are the leftmost
+    ones there too, with the same table; otherwise the rows are re-indexed
+    by ``order`` and factored once more.  Columns are listed in m's order.
     """
+    cols = m.columns
     rows = list(m.rows)
     for i, row in enumerate(rows):
         if not all(type(x) is int for x in row.values()):
             den = math.lcm(*(x.denominator for x in row.values()))
             rows[i] = {j: x.numerator * (den // x.denominator) for j, x in row.items()}
+    back = None  # once re-indexed: position in ``order`` -> column of m
     steps = []
     for p in PRIMES:
-        table, k = _lift(rows, len(m.columns), p)
+        pivots = _factor(rows, len(cols), p)
+        if order is not None and {piv.column for piv in pivots} != set(order[:len(pivots)]):
+            at = dict(zip(order, range(len(cols))))
+            rows = [{at[j]: x for j, x in row.items()} for row in rows]
+            back, order = order, None
+            pivots = _factor(rows, len(cols), p)
+        table, k = _lift(rows, pivots, len(cols), p)
         steps.append(k)
         if table is not None:
             break
@@ -488,7 +504,9 @@ def exact_rref(m: RationalMatrix) -> ReductionResult:
         raise InternalConsistencyError(
             f"no certified reduction from {len(PRIMES)} primes below 2^30"
         )
-    cols = m.columns
+    if back is not None:
+        table = {back[c]: dict(sorted((back[j], x) for j, x in expr.items()))
+                 for c, expr in table.items()}
     pivot_cols = sorted(table)
     return ReductionResult(
         rank=len(pivot_cols),
@@ -548,25 +566,27 @@ def reduce_relations(rs: RelationSet) -> HoffmanReport:
     relation set.
 
     Each body becomes one row over the elimination order, in one
-    ``exact_rref`` call: the non-{2,3} block N deepest first (depth
-    descending, then entries ascending), which makes far less fill than
-    the enumeration order (see ``_factor``), then the {2,3} block.  Pivots,
-    free columns and table keys are reported with N in enumeration order.
-    The order of N cannot change the table while N comes out all pivots
-    (the four families at every weight tried): each table row is then the
-    unique vector of the row space whose N-part is a unit vector.
-    Otherwise (a subset of the families, a rank deficit) the free set is
-    the leftmost one of the elimination order.
+    ``exact_rref`` call: the non-{2,3} block N deepest first, then the
+    {2,3} block.  The pivots are the leftmost ones with N by depth and
+    then entries ascending; the rows are factored first with N by depth
+    and then the reversed composition descending, for about a fifth fewer
+    updates (see ``_factor``).  The order of N cannot change the table
+    while N comes out all pivots (the four families at every weight
+    tried): each table row is then the unique vector of the row space
+    whose N-part is a unit vector.  Otherwise (a subset of the families, a
+    rank deficit) ``exact_rref`` factors once more in the first order.
+    Pivots, free columns and table keys are reported with N in enumeration
+    order.
     """
     w = rs.weight
     non, hoff = [], []
     for c in enumerate_weight(w):
         (hoff if is_hoffman(c) else non).append(c)
-    cols = tuple(sorted(non, key=lambda c: (-len(c), c)) + hoff)
+    cols = tuple(sorted(non, key=lambda c: (-len(c), [-x for x in reversed(c)])) + hoff)
     at = {c: k for k, c in enumerate(cols)}
     out = exact_rref(RationalMatrix(
         w, cols, [{at[t]: x for t, x in rel.body.items()} for rel in rs.relations]
-    ))
+    ), [at[c] for c in sorted(non, key=lambda c: (-len(c), c)) + hoff])
     table = out.table
     reported = {c: k for k, c in enumerate(non + hoff)}
     pivots = sorted(table, key=reported.__getitem__)

@@ -442,6 +442,36 @@ class TestCertify:
         # free column 0 on its left
         assert not engine._certify([{0: 1, 1: 1}], {1: {0: Fraction(-1)}})
 
+    def test_table_naming_a_pivot_is_rejected(self):
+        # pivot 0 names pivot 1, which is not a free column
+        rows = [{0: 1, 1: 1, 2: -1}, {1: 1, 2: 1}]
+        table = {0: {1: Fraction(-1), 2: Fraction(1)}, 1: {2: Fraction(-1)}}
+        assert not engine._certify(rows, table)
+
+    @pytest.mark.parametrize("e", (8, 61, 300))
+    def test_carry_between_slots_is_rejected(self, e):
+        # a row leaves -2^e in one free column and 1 in the next (both ways
+        # round), so its packed sum would be 0 if a slot were e bits wide;
+        # M*L is at least 2^e and needs e + 1 bits
+        q = Fraction
+        for rows, table in (
+            ([{0: 1}], {0: {2: q(-2**e), 3: q(1)}}),
+            ([{0: 1}], {0: {2: q(1), 3: q(-2**e)}}),
+            ([{0: 1, 1: 1}], {0: {2: q(-2**(e - 1)), 3: q(1)}, 1: {2: q(-2**(e - 1))}}),
+            ([{0: 3}], {0: {2: q(-2**e, 3), 3: q(1, 3)}}),
+        ):
+            assert not engine._certify(rows, table)
+
+    def test_entries_of_several_hundred_bits(self):
+        rng = random.Random(5)
+        a, b, c, d, e = (rng.getrandbits(400) | 1 << 399 for _ in range(5))
+        rows = [{0: a, 2: b}, {1: c, 2: d, 3: e}, {0: 2 * a, 2: 2 * b}]
+        table = {0: {2: Fraction(-b, a)}, 1: {2: Fraction(-d, c), 3: Fraction(-e, c)}}
+        assert max(x.denominator.bit_length() for x in table[1].values()) > 350
+        assert engine._certify(rows, table)
+        table[1][3] += Fraction(1, 691)
+        assert not engine._certify(rows, table)
+
 
 class TestHoffmanReduce:
     @pytest.mark.parametrize("w", range(4, 9))
@@ -526,9 +556,9 @@ class TestHoffmanReduce:
     def test_one_elimination_per_reduction(self, monkeypatch, families, duality):
         calls = []
 
-        def spy(m):
+        def spy(m, order=None):
             calls.append(m.shape)
-            return exact_rref(m)
+            return exact_rref(m, order)
 
         monkeypatch.setattr(engine, "exact_rref", spy)
         rs = generate_relations(6, families, duality)
@@ -553,19 +583,76 @@ class TestHoffmanReduce:
         # exact_rref hands the matrix's own dicts to the lift
         seen, lift_ = {}, engine._lift
 
-        def rref(m):
+        def rref(m, order=None):
             seen["matrix"] = m.rows
-            return exact_rref(m)
+            return exact_rref(m, order)
 
-        def lift(rows, ncols, p):
+        def lift(rows, pivots, ncols, p):
             seen["lifted"] = rows
-            return lift_(rows, ncols, p)
+            return lift_(rows, pivots, ncols, p)
 
         monkeypatch.setattr(engine, "exact_rref", rref)
         monkeypatch.setattr(engine, "_lift", lift)
         reduce_relations(generate_relations(8))
         assert len(seen["lifted"]) == len(seen["matrix"]) == expected_relation_count(8)
         assert all(a is b for a, b in zip(seen["lifted"], seen["matrix"]))
+
+    @staticmethod
+    def count_calls(monkeypatch, *names):
+        """Count the calls of engine functions, and keep what they return."""
+        seen = {name: [] for name in names}
+        for name in names:
+            def counted(*args, real=getattr(engine, name), name=name):
+                seen[name].append(real(*args))
+                return seen[name][-1]
+            monkeypatch.setattr(engine, name, counted)
+        return seen
+
+    @pytest.mark.parametrize("w", range(4, 11))
+    def test_fill_order_keeps_the_table(self, monkeypatch, w):
+        # the four families, factored in the fill-reducing order, give the
+        # report and table, in order, of exact_rref on the same rows over
+        # N by (depth descending, entries ascending), then the {2,3} block
+        rs = generate_relations(w)
+        seen = self.count_calls(monkeypatch, "_factor")
+        shipped = reduce_relations(rs)
+        assert len(seen["_factor"]) == 1  # kept, not factored again
+
+        def in_the_defining_order(m, order):
+            cols = tuple(m.columns[k] for k in order)
+            non = [c for c in enumerate_weight(w) if not is_hoffman(c)]
+            hoff = [c for c in enumerate_weight(w) if is_hoffman(c)]
+            assert cols == tuple(sorted(non, key=lambda c: (-len(c), c)) + hoff)
+            at = {k: i for i, k in enumerate(order)}
+            return exact_rref(RationalMatrix(
+                m.weight, cols, [{at[j]: x for j, x in row.items()} for row in m.rows]
+            ))
+
+        monkeypatch.setattr(engine, "exact_rref", in_the_defining_order)
+        defining = reduce_relations(rs)
+        assert len(seen["_factor"]) == 2
+        assert defining.result.pivot_columns == shipped.result.pivot_columns
+        assert defining.free_columns == shipped.free_columns
+        assert reduce_digest(defining) == reduce_digest(shipped)  # the table, in order
+
+    @pytest.mark.parametrize("w, families", [(6, ("1",)), (8, ("2", "3"))])
+    def test_other_pivots_factor_again(self, monkeypatch, w, families):
+        # N does not come out all pivots: the rows are factored once more
+        # in the defining order, and lifted once
+        seen = self.count_calls(monkeypatch, "_factor", "_lift")
+        rep = reduce_relations(generate_relations(w, families))
+        assert rep.non_hoffman_free
+        assert len(seen["_factor"]) == 2 and len(seen["_lift"]) == 1
+
+    @pytest.mark.parametrize("w, l_max, u_max", [(10, 3008, 4060), (11, 12362, 13099)])
+    def test_fill_of_the_elimination_order(self, monkeypatch, w, l_max, u_max):
+        # the L and U entries of the one factorization of the four
+        # families; a column order that adds work fails here
+        seen = self.count_calls(monkeypatch, "_factor")
+        reduce_relations(generate_relations(w))
+        (pivots,) = seen["_factor"]
+        assert sum(len(piv.mults) for piv in pivots) <= l_max
+        assert sum(len(piv.upper) for piv in pivots) <= u_max
 
     @pytest.mark.parametrize("duality", (False, True))
     @pytest.mark.parametrize("w", range(5, 9))
